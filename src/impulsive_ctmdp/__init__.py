@@ -5,6 +5,7 @@ jump-process Monte Carlo, and the epidemic-with-carriers instance with its
 analytic threshold solution.
 """
 
+from ._ops import uniformized_row
 from .bellman import (
     Direction,
     NonConvergenceError,
@@ -44,7 +45,6 @@ from .model import (
     RateKernel,
     StateSpace,
     Violation,
-    uniformized_row,
     validate_model,
 )
 from .simulate import (

@@ -8,11 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import CtmdpModel
+
+if TYPE_CHECKING:
+    from .bellman import StationaryPolicy
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,3 +168,36 @@ def apply_operator(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
         imin = np.minimum.reduceat(iv, comp.i_ptr[:-1])
         np.minimum.at(out, comp.i_states, imin)
     return out
+
+
+def uniformized_row(model: CtmdpModel, x: str, a: str) -> np.ndarray:
+    """Uniformized one-step distribution for a gradual pair.
+
+    The rate row spread over the dominating rate K, with the leftover mass
+    (K - total rate) on the current state, so the result is always a
+    probability vector.  Raises KeyError for pairs not in the catalog.
+    """
+    acts = model.actions.gradual[x]
+    if a not in acts:
+        raise KeyError((x, a))
+    comp = compile_model(model)
+    return comp.P_unif[comp.g_pair(model.states.index[x], acts.index(a))].toarray().ravel()
+
+
+class PolicyRows(NamedTuple):
+    """Kernel rows and costs a stationary policy selects."""
+
+    P: sp.csr_matrix        # (N, N) uniformized kernel under phi_g
+    g_cost: np.ndarray      # (N,) running cost under phi_g
+    flagged: np.ndarray     # (m,) flagged state indices, ascending
+    Q: sp.csr_matrix        # (m, N) relocation rows under phi_i
+    i_cost: np.ndarray      # (m,) impulse cost under phi_i
+
+
+def policy_rows(comp: CompiledModel, policy: StationaryPolicy) -> PolicyRows:
+    """Select the policy's rows; the policy must have passed ``check_policy``."""
+    g_rows = comp.g_ptr[:-1] + policy.phi_g
+    flagged = np.flatnonzero(policy.impulsive)
+    phi_i = np.array([policy.phi_i[int(x)] for x in flagged], dtype=np.int64)
+    i_rows = comp.i_ptr[np.searchsorted(comp.i_states, flagged)] + phi_i
+    return PolicyRows(comp.P_unif[g_rows], comp.g_cost[g_rows], flagged, comp.Q_imp[i_rows], comp.i_cost[i_rows])

@@ -13,13 +13,15 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from ._ops import apply_operator, compile_model, gradual_branch, impulsive_branch
+from ._ops import apply_operator, compile_model, gradual_branch, impulsive_branch, policy_rows
 from .model import CtmdpModel
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_SET = 1e-8
+LANDING_ROW_TOL = 1e-10  # accepted |1 - mass| of a proper policy's chain exits
 
 
 class Direction(enum.Enum):
@@ -86,7 +88,7 @@ class SolveReport:
 
 
 class NonConvergenceError(RuntimeError):
-    """Iteration budget exhausted before reaching the requested tolerance."""
+    """Iteration budget exhausted, or a policy system singular or off its tolerance."""
 
     def __init__(self, message: str, last: np.ndarray, step: float, iterations: int):
         super().__init__(message)
@@ -201,54 +203,47 @@ def extract_policy(model: CtmdpModel, V: ValueFunction, tol_set: float = DEFAULT
     return StationaryPolicy(impulsive=impulsive, phi_g=phi_g, phi_i=phi_i)
 
 
-def evaluate_policy(
-    model: CtmdpModel,
-    policy: StationaryPolicy,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ValueFunction:
-    """Discounted cost of a fixed stationary policy, by fixed-point iteration.
+def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DEFAULT_TOL) -> ValueFunction:
+    """Discounted cost of a fixed stationary policy, by one sparse LU solve.
 
-    Gradual states use the uniformized one-step equation at phi_g; flagged
-    states charge the impulse cost and relocate through the impulse kernel.
-    Divergence (an impulsive cycle that never reaches a gradual state) raises
-    :class:`NonConvergenceError`.
+    The value solves V = B V + c.  Gradual states carry the uniformized
+    one-step rows at phi_g (B = K/(K+eta) P, c = running cost/(K+eta));
+    flagged states carry the impulse rows at phi_i (B = Q, c = impulse
+    cost).  Raises :class:`NonConvergenceError` when the impulsive part of
+    the policy does not reach a gradual state with probability one (I - B
+    singular, or exit mass off one by more than ``LANDING_ROW_TOL``), or when
+    the solution's defect |B V + c - V| exceeds ``tol``.
     """
     check_policy(model, policy)
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
-    n_g = comp.g_cost.size
-    g_rows = comp.g_ptr[:-1] + policy.phi_g
-    P_pi = comp.P_unif[g_rows]
-    c_pi = comp.g_cost[g_rows]
-    imp_idx = np.flatnonzero(policy.impulsive)
-    if imp_idx.size:
-        i_rows = np.array([comp.i_pair(int(x), policy.phi_i[int(x)]) for x in imp_idx])
-        Q_pi = comp.Q_imp[i_rows]
-        ci_pi = comp.i_cost[i_rows]
-        max_ci = float(np.max(comp.i_cost))
-    else:
-        max_ci = 0.0
-    from .intervention import chain_guard
-    blowup = K / eta + chain_guard(model) * max_ci + 1.0
-    V = np.zeros(comp.N)
-    for it in range(1, max_iter + 1):
-        Vn = (K / (K + eta)) * (P_pi @ V) + c_pi / (K + eta)
-        if imp_idx.size:
-            Vn[imp_idx] = Q_pi @ V + ci_pi
-        step = float(np.max(np.abs(Vn - V)))
-        V = Vn
-        if step < tol:
-            return ValueFunction(V)
-        if float(np.max(np.abs(V))) > blowup:
-            raise NonConvergenceError(
-                "policy evaluation diverged; the impulsive part of the policy never reaches a gradual state",
-                V, step, it,
-            )
-    raise NonConvergenceError(
-        f"policy evaluation did not reach tol={tol} in {max_iter} iterations",
-        V, step, max_iter,
-    )
+    rows = policy_rows(comp, policy)
+    # Stack the gradual and impulse rows, then pick each state's own row.
+    pick = np.arange(comp.N)
+    pick[rows.flagged] = comp.N + np.arange(rows.flagged.size)
+    B = sp.vstack([(K / (K + eta)) * rows.P, rows.Q], format="csr")[pick]
+    c = np.concatenate([rows.g_cost / (K + eta), rows.i_cost])[pick]
+    # Gradual rows of I - B sum to eta/(K+eta), flagged rows to zero; a proper
+    # policy turns that exit mass into probability one at every state.
+    exit_mass = np.where(policy.impulsive, 0.0, eta / (K + eta))
+    try:
+        lu = sp.linalg.splu((sp.identity(comp.N, format="csr") - B).tocsc())
+        proper = bool(np.all(np.abs(lu.solve(exit_mass) - 1.0) <= LANDING_ROW_TOL))
+    except RuntimeError:  # I - B is exactly singular
+        proper = False
+    if not proper:
+        raise NonConvergenceError(
+            "policy evaluation failed; the impulsive part of the policy never reaches a gradual state",
+            np.full(comp.N, np.nan), np.inf, 0,
+        )
+    V = lu.solve(c)
+    defect = float(np.max(np.abs(B @ V + c - V)))
+    if not defect <= tol:  # also catches a NaN defect
+        raise NonConvergenceError(
+            f"policy evaluation defect {defect} exceeds tol={tol}",
+            V, defect, 1,
+        )
+    return ValueFunction(V)
 
 
 def solve(model: CtmdpModel, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:

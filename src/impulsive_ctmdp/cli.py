@@ -12,24 +12,24 @@ Exit codes: 0 ok, 2 parse error, 3 validation failure, 4 non-convergence,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Any
 
-import numpy as np
 import yaml
 
 from . import io as mio
 from .bellman import NonConvergenceError, extract_policy, solve
 from .epidemic import (
     CarrierContractionError,
-    build_epidemic_model,
     carrier_residual,
     coefficient_monotonicity_violations,
+    lambda_star,
     solve_carrier_equation,
-    state_label,
-    threshold_policy,
 )
 from .intervention import ImproperChainError
 from .model import validate_model
@@ -83,8 +83,8 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
     return cfg
 
 
-def _emit(cfg: dict[str, Any], meta: dict[str, Any], tables: dict[str, str]) -> None:
-    """Write the run record and tables; stdout when no output directory given."""
+def _emit(cfg: dict[str, Any], meta: dict[str, Any], tables: dict[str, str]) -> int:
+    """Write the run record and tables (stdout when no output directory given); returns EXIT_OK."""
     record = {"config": {k: v for k, v in cfg.items() if v is not None}, "result": meta}
     text = mio.dump_meta(record)
     out = cfg.get("out")
@@ -99,6 +99,15 @@ def _emit(cfg: dict[str, Any], meta: dict[str, Any], tables: dict[str, str]) -> 
         sys.stdout.write(text)
         for name, content in tables.items():
             sys.stdout.write(f"--- {name}\n{content}")
+    return EXIT_OK
+
+
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _load_valid_model(cfg: dict[str, Any]):
@@ -132,9 +141,8 @@ def _solve_and_policy(model, tol: float):
 def _cmd_solve(cfg: dict[str, Any]) -> int:
     model = _load_valid_model(cfg)
     report, policy = _solve_and_policy(model, float(cfg["tol"]))
-    _emit(cfg, mio.solve_report_meta(report),
-          {"values.csv": mio.solve_report_table(model, report, policy)})
-    return EXIT_OK
+    return _emit(cfg, mio.solve_report_meta(report),
+                 {"values.csv": mio.solve_report_table(model, report, policy)})
 
 
 def _cmd_simulate(cfg: dict[str, Any]) -> int:
@@ -153,12 +161,7 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
         "solved_value_at_x0": report.V[model.states.index[x0]],
         "truncation_time": sample.truncation_time,
     }
-    return _finish(cfg, meta, {"trajectory0.csv": mio.trajectory_csv(sample)})
-
-
-def _finish(cfg, meta, tables) -> int:
-    _emit(cfg, meta, tables)
-    return EXIT_OK
+    return _emit(cfg, meta, {"trajectory0.csv": mio.trajectory_csv(sample)})
 
 
 def _load_params(cfg: dict[str, Any]):
@@ -175,14 +178,8 @@ def _cmd_epidemic_solve(cfg: dict[str, Any]) -> int:
         "carrier_residual": carrier_residual(params, cv),
         "monotonicity_warnings": coefficient_monotonicity_violations(params),
     }
-    import csv as _csv
-    import io as _sio
-    buf = _sio.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["c", "v"])
-    for c, val in enumerate(cv.v):
-        w.writerow([c, repr(float(val))])
-    return _finish(cfg, meta, {"carrier_value.csv": buf.getvalue()})
+    table = _csv(["c", "v"], ([c, repr(float(val))] for c, val in enumerate(cv.v)))
+    return _emit(cfg, meta, {"carrier_value.csv": table})
 
 
 def _cmd_epidemic_sweep(cfg: dict[str, Any]) -> int:
@@ -191,23 +188,18 @@ def _cmd_epidemic_sweep(cfg: dict[str, Any]) -> int:
         raw = cfg["lambdas"]
         lams = [float(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
     else:
-        from .epidemic import lambda_star as _ls
-        top = _ls(params)
+        top = lambda_star(params)
         lams = [round(f * top, 12) for f in
                 (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0, 1.05, 1.25, 1.5)]
         lams = [l for l in lams if l > 0] or [0.1]
-    import csv as _csv
-    import io as _sio
-    from dataclasses import replace as _replace
-    buf = _sio.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["lambda", "c_star", "lambda_star", "v_residual"])
+    rows = []
     for lam in lams:
-        p = _replace(params, immunization_cost=lam)
+        p = replace(params, immunization_cost=lam)
         cv = solve_carrier_equation(p, tol=float(cfg["tol"]))
-        w.writerow([repr(lam), "" if cv.c_star is None else cv.c_star,
-                    repr(cv.lambda_star), repr(carrier_residual(p, cv))])
-    return _finish(cfg, {"n_lambdas": len(lams)}, {"sweep.csv": buf.getvalue()})
+        rows.append([repr(lam), "" if cv.c_star is None else cv.c_star,
+                     repr(cv.lambda_star), repr(carrier_residual(p, cv))])
+    table = _csv(["lambda", "c_star", "lambda_star", "v_residual"], rows)
+    return _emit(cfg, {"n_lambdas": len(lams)}, {"sweep.csv": table})
 
 
 def _cmd_dynkin(cfg: dict[str, Any]) -> int:
@@ -224,7 +216,7 @@ def _cmd_dynkin(cfg: dict[str, Any]) -> int:
         "std_error": res.std_error,
         "within_3_sigma": abs(res.diff) <= 3.0 * res.std_error + 1e-12,
     }
-    return _finish(cfg, meta, {})
+    return _emit(cfg, meta, {})
 
 
 COMMANDS = {

@@ -16,7 +16,6 @@ price lambda_star.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +109,12 @@ def _alphas(params: EpidemicParams, truncated: bool) -> tuple[np.ndarray, np.nda
     return a1, a2, a3
 
 
+def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of c+1 and c-1, clamped where a1 (at C_max) and a2 (at 0) vanish."""
+    c = np.arange(n)
+    return np.minimum(c + 1, n - 1), np.maximum(c - 1, 0)
+
+
 def coefficient_monotonicity_violations(params: EpidemicParams) -> list[int]:
     """Carrier counts where a normalized coefficient fails to be nondecreasing.
 
@@ -148,12 +153,8 @@ def solve_carrier_equation(params: EpidemicParams, tol: float = 1e-12) -> Carrie
         raise CarrierContractionError(
             f"sup(alpha1 + alpha2) = {d} >= 1; the carrier equation is not a contraction")
     lam = params.immunization_cost
-    n = params.C_max + 1
-    w = np.zeros(n)
-    up = np.zeros(n, dtype=np.int64)
-    up[:-1] = np.arange(1, n)
-    up[-1] = n - 1  # a1 is zero at the boundary, the index is never weighted
-    down = np.maximum(np.arange(n) - 1, 0)  # a2 is zero at c=0
+    w = np.zeros(params.C_max + 1)
+    up, down = _neighbours(w.size)
     stop = tol * (1.0 - d) if d > 0 else tol
     for _ in range(10 ** 7):
         wn = np.minimum(a1 * w[up] + a2 * w[down] + a3, lam)
@@ -170,11 +171,7 @@ def solve_carrier_equation(params: EpidemicParams, tol: float = 1e-12) -> Carrie
 def carrier_residual(params: EpidemicParams, cv: CarrierValue) -> float:
     """Sup-norm defect of the carrier fixed point at the solved v."""
     a1, a2, a3 = _alphas(params, truncated=True)
-    n = params.C_max + 1
-    up = np.zeros(n, dtype=np.int64)
-    up[:-1] = np.arange(1, n)
-    up[-1] = n - 1
-    down = np.maximum(np.arange(n) - 1, 0)
+    up, down = _neighbours(params.C_max + 1)
     g = np.minimum(a1 * cv.v[up] + a2 * cv.v[down] + a3, params.immunization_cost)
     return float(np.max(np.abs(g - cv.v)))
 

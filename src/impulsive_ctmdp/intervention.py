@@ -9,16 +9,14 @@ every chain terminates with probability one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._ops import CompiledModel, compile_model
-from .bellman import StationaryPolicy, check_policy
+from ._ops import CompiledModel, compile_model, policy_rows
+from .bellman import LANDING_ROW_TOL, StationaryPolicy, check_policy
 from .model import CtmdpModel
-
-LANDING_ROW_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,24 +27,46 @@ class InterventionChain:
 
 
 @dataclass(frozen=True, eq=False)
+class _ChainSystem:
+    """A proper policy's relocation rows split at the flagged region.
+
+    M (flagged -> flagged) is kept only as the LU factor of I - M; R
+    (flagged -> gradual) is the mass that lands in one step.
+    """
+
+    flagged: np.ndarray      # (m,) flagged state indices
+    cost: np.ndarray         # (m,) impulse cost per flagged state
+    R: sp.csr_matrix         # (m, N), zero on flagged columns
+    lu: object               # SuperLU of I - M
+
+
+@dataclass(frozen=True, eq=False)
 class ChainAnalysis:
     """Expected chain cost and landing distribution per flagged state.
 
-    ``states`` lists the flagged state labels in model order;
-    ``landing_kernel`` rows are probability vectors over all states with
-    support in the gradual region.
+    ``states`` lists the flagged state labels in model order and
+    ``expected_cost`` the expected total impulse cost of a chain started at
+    each.  ``landing_row(k)`` is the landing distribution of the chain
+    started at ``states[k]``: a probability vector over all states with
+    support in the gradual region, computed on demand by one solve.
     """
 
     states: tuple[str, ...]
     expected_cost: np.ndarray
-    landing_kernel: sp.csr_matrix
+    _system: _ChainSystem | None = field(default=None, repr=False)
 
     def landing_row(self, k: int) -> np.ndarray:
-        return np.asarray(self.landing_kernel[k].todense()).ravel()
+        e = np.zeros(len(self.states))
+        e[k] = 1.0
+        return self._system.R.T @ self._system.lu.solve(e, trans="T")
 
 
 class ImproperChainError(RuntimeError):
-    """A chain failed to reach the gradual region within the guard."""
+    """Impulse chains fail to reach the gradual region.
+
+    Raised when a sampled chain exceeds the guard, or when the chain system
+    of a policy is singular or its landing mass differs from one.
+    """
 
     def __init__(self, message: str, state: str):
         super().__init__(message)
@@ -72,23 +92,6 @@ def _step(comp: CompiledModel, policy: StationaryPolicy, x: int, rng: np.random.
     return a, z, float(comp.i_cost[p])
 
 
-def run_chain(comp: CompiledModel, policy: StationaryPolicy, x: int,
-              rng: np.random.Generator, guard: int) -> tuple[int, float, int]:
-    """Fast chain sampler: returns (landing index, total cost, n steps)."""
-    cost = 0.0
-    steps = 0
-    while policy.impulsive[x]:
-        if steps >= guard:
-            raise ImproperChainError(
-                f"chain exceeded the {guard}-step guard without reaching a gradual state",
-                comp.model.states.labels[x],
-            )
-        _, x, c = _step(comp, policy, x, rng)
-        cost += c
-        steps += 1
-    return x, cost, steps
-
-
 def sample_chain(model: CtmdpModel, policy: StationaryPolicy, x: str, rng: np.random.Generator) -> InterventionChain:
     """Sample one intervention chain started at a flagged state."""
     comp = compile_model(model)
@@ -111,102 +114,64 @@ def sample_chain(model: CtmdpModel, policy: StationaryPolicy, x: str, rng: np.ra
     return InterventionChain(steps=tuple(steps), landing=model.states.labels[k], total_cost=cost)
 
 
-def _policy_impulse_rows(comp: CompiledModel, policy: StationaryPolicy) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
-    imp_idx = np.flatnonzero(policy.impulsive)
-    rows = np.array([comp.i_pair(int(x), policy.phi_i[int(x)]) for x in imp_idx], dtype=np.int64)
-    Q_pi = comp.Q_imp[rows] if imp_idx.size else sp.csr_matrix((0, comp.N))
-    c_pi = comp.i_cost[rows] if imp_idx.size else np.empty(0)
-    return imp_idx, Q_pi, c_pi
+def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem | None:
+    """Split the policy's impulse rows and factorise I - M; None when nothing is flagged.
 
-
-def analyze_chains(model: CtmdpModel, policy: StationaryPolicy, tol: float = 1e-10) -> ChainAnalysis:
-    """Expected chain cost and landing distribution, by fixed-point sweeps.
-
-    The restriction of the relocation kernel to the flagged region is
-    substochastic for proper policies, so the sweeps converge geometrically;
-    running past the guard budget signals an improper policy.
+    Raises :class:`ImproperChainError` when I - M is singular or some chain
+    fails to land with probability one ((I - M) s = R 1 must give s = 1).
     """
     check_policy(model, policy)
-    comp = compile_model(model)
-    imp_idx, Q_pi, c_pi = _policy_impulse_rows(comp, policy)
-    m = imp_idx.size
+    rows = policy_rows(compile_model(model), policy)
+    flagged, Q = rows.flagged, rows.Q
+    m = flagged.size
     if m == 0:
-        return ChainAnalysis(states=(), expected_cost=np.empty(0), landing_kernel=sp.csr_matrix((0, comp.N)))
-    in_imp = policy.impulsive
-    # Split each relocation row into its flagged and gradual parts.
-    mask_i = in_imp[Q_pi.indices]
-    M = sp.csr_matrix((Q_pi.data * mask_i, Q_pi.indices, Q_pi.indptr), shape=Q_pi.shape)[:, imp_idx]
-    R = sp.csr_matrix((Q_pi.data * ~mask_i, Q_pi.indices, Q_pi.indptr), shape=Q_pi.shape)
-    R.eliminate_zeros()
+        return None
+    labels = model.states.labels
+    to_flagged = policy.impulsive[Q.indices]
+    M = sp.csr_matrix((Q.data * to_flagged, Q.indices, Q.indptr), shape=Q.shape)[:, flagged]
+    R = sp.csr_matrix((Q.data * ~to_flagged, Q.indices, Q.indptr), shape=Q.shape)
     M.eliminate_zeros()
-
-    max_sweeps = chain_guard(model) * 10
-    W = np.zeros(m)
-    for _ in range(max_sweeps):
-        Wn = c_pi + M @ W
-        step = float(np.max(np.abs(Wn - W)))
-        W = Wn
-        if step < tol:
-            break
-    else:
-        worst = model.states.labels[int(imp_idx[int(np.argmax(np.abs(M @ W + c_pi - W)))])]
+    R.eliminate_zeros()
+    try:
+        lu = sp.linalg.splu((sp.identity(m, format="csr") - M).tocsc())
+    except RuntimeError as exc:
         raise ImproperChainError(
-            f"expected chain cost did not converge in {max_sweeps} sweeps", worst)
-
-    L = R.copy()
-    for _ in range(max_sweeps):
-        Ln = R + M @ L
-        diff = (Ln - L)
-        step = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-        L = Ln
-        if step < tol:
-            break
-    else:
-        raise ImproperChainError(
-            f"landing distribution did not converge in {max_sweeps} sweeps",
-            model.states.labels[int(imp_idx[0])])
-    L = sp.csr_matrix(L)
-
-    sums = np.asarray(L.sum(axis=1)).ravel()
-    bad = np.flatnonzero(np.abs(sums - 1.0) > LANDING_ROW_TOL)
+            "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[0])]) from exc
+    mass = lu.solve(np.asarray(R.sum(axis=1)).ravel())
+    bad = np.flatnonzero(~(np.abs(mass - 1.0) <= LANDING_ROW_TOL))
     if bad.size:
         raise ImproperChainError(
-            f"landing distribution row sums to {sums[bad[0]]}; chains leak mass",
-            model.states.labels[int(imp_idx[bad[0]])])
+            f"landing distribution row sums to {mass[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
+    return _ChainSystem(flagged, rows.i_cost, R, lu)
+
+
+def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis:
+    """Expected chain cost and landing distribution, by one sparse LU factor.
+
+    With M the flagged -> flagged part of the policy's relocation rows, the
+    expected chain cost is W = (I - M)^-1 c.  An improper policy (a singular
+    I - M, or a landing distribution whose mass differs from one by more
+    than ``LANDING_ROW_TOL``) raises :class:`ImproperChainError`.
+    """
+    system = _chain_system(model, policy)
+    if system is None:
+        return ChainAnalysis(states=(), expected_cost=np.empty(0))
     return ChainAnalysis(
-        states=tuple(model.states.labels[int(x)] for x in imp_idx),
-        expected_cost=W,
-        landing_kernel=L,
+        states=tuple(model.states.labels[int(x)] for x in system.flagged),
+        expected_cost=system.lu.solve(system.cost),
+        _system=system,
     )
 
 
-def expected_landing_value(model: CtmdpModel, policy: StationaryPolicy, W: np.ndarray,
-                           tol: float = 1e-12) -> np.ndarray:
+def expected_landing_value(model: CtmdpModel, policy: StationaryPolicy, W: np.ndarray) -> np.ndarray:
     """Expected value of ``W`` at the post-intervention state, per state.
 
-    Identity on gradual states; on flagged states the chain is followed
-    through the relocation kernel to its landing distribution.
+    Identity on gradual states; on flagged states, W averaged over the
+    chain's landing distribution, (I - M)^-1 R W.  Raises
+    :class:`ImproperChainError` for an improper policy.
     """
-    comp = compile_model(model)
-    imp_idx, Q_pi, _ = _policy_impulse_rows(comp, policy)
     out = np.array(W, dtype=np.float64)
-    if imp_idx.size == 0:
-        return out
-    in_imp = policy.impulsive
-    mask_i = in_imp[Q_pi.indices]
-    M = sp.csr_matrix((Q_pi.data * mask_i, Q_pi.indices, Q_pi.indptr), shape=Q_pi.shape)[:, imp_idx]
-    R = sp.csr_matrix((Q_pi.data * ~mask_i, Q_pi.indices, Q_pi.indptr), shape=Q_pi.shape)
-    r = R @ W
-    h = np.zeros(imp_idx.size)
-    max_sweeps = chain_guard(model) * 10
-    for _ in range(max_sweeps):
-        hn = r + M @ h
-        step = float(np.max(np.abs(hn - h)))
-        h = hn
-        if step < tol:
-            break
-    else:
-        raise ImproperChainError("landing value iteration did not converge",
-                                 model.states.labels[int(imp_idx[0])])
-    out[imp_idx] = h
+    system = _chain_system(model, policy)
+    if system is not None:
+        out[system.flagged] = system.lu.solve(system.R @ out)
     return out

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import sys
 from typing import Any
 
 import yaml
 
 from .bellman import SolveReport, StationaryPolicy
 from .epidemic import EpidemicParams
-from .intervention import InterventionChain
 from .model import (
     ActionCatalog,
     CostModel,
@@ -54,7 +54,9 @@ def _as_seq(field: str, node: yaml.Node) -> list[yaml.Node]:
 def _as_str(field: str, node: yaml.Node) -> str:
     if not isinstance(node, yaml.ScalarNode):
         _fail(field, node, "expected a scalar")
-    return str(node.value)
+    # Labels repeat throughout a document.  Interning keeps one string per
+    # label, so the model pins none of the node tree's memory once parsed.
+    return sys.intern(str(node.value))
 
 
 def _as_float(field: str, node: yaml.Node) -> float:
@@ -227,15 +229,6 @@ def solve_report_meta(report: SolveReport) -> dict[str, Any]:
         "iterations_above": report.iterations_above,
         "iterations_below": report.iterations_below,
     }
-
-
-def chain_csv(chain: InterventionChain, model: CtmdpModel) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["step", "state", "action", "cost"])
-    for k, (s, a) in enumerate(chain.steps):
-        w.writerow([k, s, a, repr(model.costs.impulse_cost[(s, a)])])
-    return buf.getvalue()
 
 
 def trajectory_csv(traj: Trajectory) -> str:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 ROW_SUM_TOL = 1e-12
 
 PairKey = tuple[str, str]  # (state label, action label)
@@ -44,9 +42,6 @@ class ActionCatalog:
 
     gradual: dict[str, tuple[str, ...]]
     impulsive: dict[str, tuple[str, ...]]
-
-    def impulsive_feasible(self) -> set[str]:
-        return {x for x, acts in self.impulsive.items() if acts}
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +108,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.rule}] {self.subject}: {self.message}"
-
-
-ValidationReport = list
 
 
 def validate_model(model: CtmdpModel) -> list[Violation]:
@@ -216,20 +208,3 @@ def validate_model(model: CtmdpModel) -> list[Violation]:
 
     return out
 
-
-def uniformized_row(model: CtmdpModel, x: str, a: str) -> np.ndarray:
-    """Uniformized one-step distribution for a gradual pair.
-
-    Spreads the rate row over the dominating rate K and puts the leftover
-    mass (K - total rate) on the current state, so the result is always a
-    probability vector.  Raises KeyError for pairs not in the catalog.
-    """
-    row = model.rates.rows[(x, a)]
-    K = model.K
-    out = np.zeros(model.states.N)
-    total = 0.0
-    for target, rate in row:
-        out[model.states.index[target]] += rate / K
-        total += rate
-    out[model.states.index[x]] += (K - total) / K
-    return out

@@ -18,7 +18,14 @@ import numpy as np
 
 from ._ops import CompiledModel, compile_model
 from .bellman import StationaryPolicy, ValueFunction, check_policy
-from .intervention import InterventionChain, _step, analyze_chains, chain_guard
+from .intervention import (
+    ImproperChainError,
+    InterventionChain,
+    _step,
+    analyze_chains,
+    chain_guard,
+    expected_landing_value,
+)
 from .model import CtmdpModel
 
 DEFAULT_TAIL_TOL = 1e-8
@@ -117,7 +124,6 @@ def _chain_fast(prep: _Prep, x: int, rng: np.random.Generator) -> tuple[int, flo
     steps = 0
     while prep.policy.impulsive[x]:
         if steps >= prep.guard:
-            from .intervention import ImproperChainError
             raise ImproperChainError("chain guard hit during simulation",
                                      prep.comp.model.states.labels[x])
         _, x, c = _step(prep.comp, prep.policy, x, rng)
@@ -133,7 +139,6 @@ def _chain_recorded(prep: _Prep, x: int, rng: np.random.Generator) -> tuple[int,
     cost = 0.0
     while prep.policy.impulsive[x]:
         if len(steps) >= prep.guard:
-            from .intervention import ImproperChainError
             raise ImproperChainError("chain guard hit during simulation", labels[x])
         a, nxt, c = _step(prep.comp, prep.policy, x, rng)
         steps.append((labels[x], model.actions.impulsive[labels[x]][a]))
@@ -258,8 +263,6 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     common random numbers, so the reported standard error is that of the
     paired difference.
     """
-    from .intervention import expected_landing_value
-
     if t <= 0:
         raise ValueError("t must be > 0")
     prep = _prepare(model, policy)
@@ -364,7 +367,6 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
         start_pre = labels[x]
         while prep.policy.impulsive[x]:
             if len(steps) >= prep.guard:
-                from .intervention import ImproperChainError
                 raise ImproperChainError("chain guard hit during simulation", labels[x])
             d = next(delta_iter, 0.0)
             if d > 0.0:

@@ -1,19 +1,23 @@
 """Intervention chains: sampling, expected cost, landing distributions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from impulsive_ctmdp import (
     ImproperChainError,
+    NonConvergenceError,
     analyze_chains,
+    evaluate_policy,
     extract_policy,
     sample_chain,
     solve,
 )
 from impulsive_ctmdp.intervention import chain_guard, expected_landing_value
 from impulsive_ctmdp.simulate import replication_rng
+from impulsive_ctmdp.testing import random_model
 from impulsive_ctmdp.bellman import StationaryPolicy
 from impulsive_ctmdp.model import (
     ActionCatalog,
@@ -96,6 +100,21 @@ def test_improper_cycle_trips_the_guard():
         analyze_chains(m, policy)
 
 
+def test_leaky_impulse_cycle_is_improper():
+    # Rows short of one by 1e-13 pass validation, so I - M is not exactly
+    # singular, yet chains almost never leave the cycle.
+    m = improper_model()
+    m = replace(m, impulses=ImpulseKernel(rows={("x", "swap"): (("y", 1.0 - 1e-13),),
+                                                ("y", "swap"): (("x", 1.0 - 1e-13),)}))
+    policy = improper_policy(m)
+    with pytest.raises(ImproperChainError):
+        analyze_chains(m, policy)
+    with pytest.raises(ImproperChainError):
+        expected_landing_value(m, policy, np.zeros(2))
+    with pytest.raises(NonConvergenceError):
+        evaluate_policy(m, policy)
+
+
 def test_analyze_deterministic_one_step():
     m = two_state(lam=0.3)
     policy = extract_policy(m, solve(m).V)
@@ -125,6 +144,28 @@ def test_analyze_geometric_series():
     assert np.allclose(ana.landing_row(0), [0.0, 1.0], atol=1e-8)
 
 
+def test_long_proper_chain_is_solved_exactly():
+    # Chains end with probability one but take 1,000 impulses on average.
+    m = geometric_model(p_stay=0.999)
+    policy = flag_all(m)
+    assert abs(analyze_chains(m, policy).expected_cost[0] - 700.0) <= 1e-9
+    assert abs(evaluate_policy(m, policy)[0] - 700.0) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [2, 3, 6, 9, 10])
+def test_policy_value_decomposes_on_random_models(seed):
+    # Multi-action models whose optimal policy flags states with full-support impulse rows.
+    m = random_model(seed)
+    V = solve(m).V
+    policy = extract_policy(m, V)
+    assert np.max(np.abs(evaluate_policy(m, policy).values - V.values)) <= 1e-8
+    ana = analyze_chains(m, policy)
+    assert ana.states
+    for k, x in enumerate(ana.states):
+        recomposed = ana.expected_cost[k] + ana.landing_row(k) @ V.values
+        assert abs(recomposed - V[m.states.index[x]]) <= 1e-8
+
+
 def test_sampled_cost_matches_expected_cost():
     m = geometric_model()
     policy = flag_all(m)
@@ -147,7 +188,7 @@ def test_chain_length_expectation_bound():
 
 
 def test_value_decomposes_through_chain():
-    # On flagged states V = W + landing_kernel @ V.
+    # On flagged states V = W + landing_row . V.
     m = two_state(lam=0.3)
     report = solve(m)
     policy = extract_policy(m, report.V)
