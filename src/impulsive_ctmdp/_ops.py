@@ -170,6 +170,14 @@ def apply_operator(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
     return out
 
 
+def segment_argmin(values: np.ndarray, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of each nonempty segment ``values[ptr[k]:ptr[k+1]]`` and the
+    offset of its first attainment inside the segment (ties go to the lowest)."""
+    seg = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    first = np.lexsort((values, seg))[ptr[:-1]]
+    return values[first], first - ptr[:-1]
+
+
 def uniformized_row(model: CtmdpModel, x: str, a: str) -> np.ndarray:
     """Uniformized one-step distribution for a gradual pair.
 

@@ -1,26 +1,39 @@
-"""Optimality operator, monotone value iterations, and policy extraction.
+"""Optimality operator, monotone value iterations, policy iteration, and
+policy extraction.
 
 The operator mixes a uniformized gradual branch (contraction of modulus
 K/(K+eta)) with an impulsive branch of modulus one.  Iterating it from
 +K/eta gives a pointwise non-increasing sequence, from -K/eta a
 non-decreasing one; both converge to the unique bounded fixed point, which
-is the optimal discounted cost.
+is the optimal discounted cost.  :func:`solve` finds that fixed point
+exactly, up to roundoff, by policy iteration started from a short run of
+the iteration from above; the two monotone iterations remain its fallback.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._ops import apply_operator, compile_model, gradual_branch, impulsive_branch, policy_rows
+from ._ops import (
+    CompiledModel,
+    apply_operator,
+    compile_model,
+    gradual_branch,
+    impulsive_branch,
+    policy_rows,
+    segment_argmin,
+)
 from .model import CtmdpModel
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_SET = 1e-8
+ROUNDOFF = 1e-14  # improvement threshold of policy iteration, per unit of K/eta
 LANDING_ROW_TOL = 1e-10  # accepted |1 - mass| of a proper policy's chain exits
 
 
@@ -80,11 +93,23 @@ class StationaryPolicy:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
+    """Result of :func:`solve`.
+
+    ``gap`` bounds max |V - V*|: U * ``residual`` after policy iteration, the
+    distance between the two monotone limits after the fallback.
+    ``residual`` is max |T V - V|.  ``iterations_above`` counts sweeps from
+    +K/eta (the warm start, or the fallback's upper iteration);
+    ``iterations_below`` counts sweeps from -K/eta and is 0 unless the
+    fallback ran.  ``evaluations`` counts policy evaluations and is 0 exactly
+    when the fallback produced the result.
+    """
+
     V: ValueFunction
     iterations_above: int
     iterations_below: int
     residual: float
     gap: float
+    evaluations: int
 
 
 class NonConvergenceError(RuntimeError):
@@ -176,30 +201,20 @@ def extract_policy(model: CtmdpModel, V: ValueFunction, tol_set: float = DEFAULT
     active.  Ties among actions break to the lowest catalog index.
     """
     comp = compile_model(model)
-    g = gradual_branch(comp, V.values)
-    iv = impulsive_branch(comp, V.values) if comp.i_cost.size else np.empty(0)
-    impulsive = np.zeros(comp.N, dtype=bool)
-    phi_g = np.zeros(comp.N, dtype=np.int64)
+    g_best, phi_g = segment_argmin(gradual_branch(comp, V.values), comp.g_ptr)
+    impulsive = ~(g_best <= V.values + tol_set)
+    stuck = np.flatnonzero(impulsive & ~comp.has_impulse)
+    if stuck.size:
+        raise PolicyExtractionError(
+            f"state {model.states.labels[stuck[0]]!r} rejects the gradual branch but has no impulsive action; "
+            "V is not a fixed point at the given tolerance"
+        )
+    phi_g[impulsive] = 0
+    flagged = np.flatnonzero(impulsive)
     phi_i: dict[int, int] = {}
-    slot = 0
-    for x in range(comp.N):
-        lo, hi = int(comp.g_ptr[x]), int(comp.g_ptr[x + 1])
-        seg = g[lo:hi]
-        if float(np.min(seg)) <= V.values[x] + tol_set:
-            phi_g[x] = int(np.argmin(seg))
-        else:
-            if not comp.has_impulse[x]:
-                raise PolicyExtractionError(
-                    f"state {model.states.labels[x]!r} rejects the gradual branch but has no impulsive action; "
-                    "V is not a fixed point at the given tolerance"
-                )
-            impulsive[x] = True
-            phi_g[x] = 0
-        if comp.has_impulse[x]:
-            ilo, ihi = int(comp.i_ptr[slot]), int(comp.i_ptr[slot + 1])
-            if impulsive[x]:
-                phi_i[x] = int(np.argmin(iv[ilo:ihi]))
-            slot += 1
+    if flagged.size:
+        _, i_best = segment_argmin(impulsive_branch(comp, V.values), comp.i_ptr)
+        phi_i = dict(zip(flagged.tolist(), i_best[np.searchsorted(comp.i_states, flagged)].tolist()))
     return StationaryPolicy(impulsive=impulsive, phi_g=phi_g, phi_i=phi_i)
 
 
@@ -247,11 +262,31 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
 
 
 def solve(model: CtmdpModel, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
-    """Run both monotone iterations and return the lower limit as the value.
+    """Optimal value by Howard policy iteration, with a certified error bound.
 
-    The distance between the two limits ("gap") witnesses uniqueness of the
-    bounded fixed point; the residual is recomputed on the returned vector.
+    Value iteration from +K/eta runs in blocks of ceil((K+eta)/eta) sweeps
+    (one e-fold of the gradual contraction) until the greedy policy's
+    intervene region repeats across two blocks.  Every such iterate is a
+    supersolution, and impulses cost at least c_lower > 0, so that greedy
+    policy has no closed impulse cycle.  Policy iteration then alternates
+    :func:`evaluate_policy` with a greedy improvement that keeps a state's
+    decision unless another is better by more than roundoff, and stops when
+    the policy repeats.  The returned V is that policy's value, and ``gap``
+    bounds |V - V*| by U * |T V - V|, where U = (K+eta)/eta + 2K/(eta c_lower)
+    bounds the discounted count of uniformized steps and impulses.
+
+    When an evaluation fails, the policy cycles, the warm start exceeds
+    ``max_iter`` sweeps, or the bound exceeds ``tol``, the result is that of
+    both monotone value iterations instead: V is the lower limit, ``gap`` the
+    distance between the two limits, and ``evaluations`` is 0.
     """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    report = _policy_iteration(model, tol, max_iter)
+    if report is not None and report.gap <= tol:
+        return report
     V_above, it_above = value_iterate(model, Direction.FROM_ABOVE, tol, max_iter)
     V_below, it_below = value_iterate(model, Direction.FROM_BELOW, tol, max_iter)
     gap = float(np.max(np.abs(V_above.values - V_below.values)))
@@ -261,4 +296,74 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
         iterations_below=it_below,
         residual=bellman_residual(model, V_below),
         gap=gap,
+        evaluations=0,
+    )
+
+
+def _policy_iteration(model: CtmdpModel, tol: float, max_iter: int) -> SolveReport | None:
+    """Warm-started Howard iteration; None where :func:`solve` must fall back."""
+    comp = compile_model(model)
+    K, eta = comp.K, comp.eta
+    n_g = comp.g_cost.size
+    # All decisions of a state in one segment, gradual pairs first, so exact
+    # ties go to the gradual branch and then to the lowest catalog index.
+    owner = np.concatenate([np.repeat(np.arange(comp.N), np.diff(comp.g_ptr)),
+                            np.repeat(comp.i_states, np.diff(comp.i_ptr))])
+    order = np.argsort(owner, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=comp.N))])
+    roundoff = ROUNDOFF * (1.0 + K / eta)
+
+    def greedy(V: np.ndarray, current: np.ndarray | None = None) -> np.ndarray:
+        """Each state's best position in (gradual pairs, impulse pairs)."""
+        q = np.concatenate([gradual_branch(comp, V), impulsive_branch(comp, V)])
+        best, offset = segment_argmin(q[order], ptr)
+        pick = order[ptr[:-1] + offset]
+        return pick if current is None else np.where(q[current] <= best + roundoff, current, pick)
+
+    block = math.ceil((K + eta) / eta)
+    V = np.full(comp.N, K / eta)
+    sweeps, flagged = 0, None
+    while True:
+        if sweeps + block > max_iter:
+            return None
+        for _ in range(block):
+            V = apply_operator(comp, V)
+        sweeps += block
+        pick = greedy(V)
+        if flagged is not None and np.array_equal(pick >= n_g, flagged):
+            break
+        flagged = pick >= n_g
+
+    seen: set[bytes] = set()
+    while pick.tobytes() not in seen:
+        seen.add(pick.tobytes())
+        try:
+            value = evaluate_policy(model, _as_policy(comp, pick), tol)
+        except NonConvergenceError:
+            return None
+        improved = greedy(value.values, pick)
+        if np.array_equal(improved, pick):
+            residual = bellman_residual(model, value)
+            return SolveReport(
+                V=value,
+                iterations_above=sweeps,
+                iterations_below=0,
+                residual=residual,
+                gap=((K + eta) / eta + 2.0 * K / (eta * model.costs.c_lower)) * residual,
+                evaluations=len(seen),
+            )
+        pick = improved
+    return None  # the policy cycled
+
+
+def _as_policy(comp: CompiledModel, pair: np.ndarray) -> StationaryPolicy:
+    """Stationary policy from each state's chosen position in (gradual pairs, impulse pairs)."""
+    n_g = comp.g_cost.size
+    impulsive = pair >= n_g
+    flagged = np.flatnonzero(impulsive)
+    phi_i = pair[flagged] - n_g - comp.i_ptr[np.searchsorted(comp.i_states, flagged)]
+    return StationaryPolicy(
+        impulsive=impulsive,
+        phi_g=np.where(impulsive, 0, pair - comp.g_ptr[:-1]),
+        phi_i=dict(zip(flagged.tolist(), phi_i.tolist())),
     )

@@ -23,7 +23,7 @@ from typing import Any
 import yaml
 
 from . import io as mio
-from .bellman import NonConvergenceError, extract_policy, solve
+from .bellman import NonConvergenceError, PolicyExtractionError, extract_policy, solve
 from .epidemic import (
     CarrierContractionError,
     carrier_residual,
@@ -118,6 +118,17 @@ def _load_valid_model(cfg: dict[str, Any]):
     return model
 
 
+class _UsageError(Exception):
+    pass
+
+
+def _initial_state(cfg: dict[str, Any], model) -> str:
+    x0 = cfg.get("x0") or model.states.labels[0]
+    if x0 not in model.states.index:
+        raise _UsageError(f"--x0 {x0!r} is not a state of the model")
+    return x0
+
+
 class _ValidationFailure(Exception):
     def __init__(self, report):
         super().__init__("model validation failed")
@@ -147,8 +158,8 @@ def _cmd_solve(cfg: dict[str, Any]) -> int:
 
 def _cmd_simulate(cfg: dict[str, Any]) -> int:
     model = _load_valid_model(cfg)
+    x0 = _initial_state(cfg, model)
     report, policy = _solve_and_policy(model, float(cfg["tol"]))
-    x0 = cfg.get("x0") or model.states.labels[0]
     est = estimate_cost(model, policy, x0, int(cfg["reps"]), int(cfg["seed"]),
                         tail_tol=float(cfg["tail_tol"]), threads=int(cfg["threads"]))
     sample = simulate_trajectory(model, policy, x0, replication_rng(int(cfg["seed"]), 0),
@@ -204,8 +215,8 @@ def _cmd_epidemic_sweep(cfg: dict[str, Any]) -> int:
 
 def _cmd_dynkin(cfg: dict[str, Any]) -> int:
     model = _load_valid_model(cfg)
+    x0 = _initial_state(cfg, model)
     report, policy = _solve_and_policy(model, float(cfg["tol"]))
-    x0 = cfg.get("x0") or model.states.labels[0]
     res = dynkin_check(model, policy, report.V, x0, float(cfg["t_horizon"]),
                        int(cfg["reps"]), int(cfg["seed"]))
     meta = {
@@ -268,13 +279,15 @@ def run(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](cfg)
     except (mio.ModelParseError, FileNotFoundError, yaml.YAMLError) as exc:
         return _error(EXIT_PARSE, "parse", str(exc))
+    except _UsageError as exc:
+        return _error(EXIT_PARSE, "usage", str(exc))
     except (_ValidationFailure,) as exc:
         for v in exc.report:
             print(str(v), file=sys.stderr)
         return _error(EXIT_VALIDATION, "validation", "model validation failed")
     except (CarrierContractionError, ValueError) as exc:
         return _error(EXIT_VALIDATION, "validation", str(exc))
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, PolicyExtractionError) as exc:
         return _error(EXIT_NONCONVERGENCE, "non-convergence", str(exc))
     except ImproperChainError as exc:
         return _error(EXIT_IMPROPER_CHAIN, "improper-chain", str(exc))

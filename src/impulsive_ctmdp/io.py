@@ -228,6 +228,7 @@ def solve_report_meta(report: SolveReport) -> dict[str, Any]:
         "gap": float(report.gap),
         "iterations_above": report.iterations_above,
         "iterations_below": report.iterations_below,
+        "evaluations": report.evaluations,
     }
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulsive_ctmdp import (
     Direction,
@@ -14,6 +15,7 @@ from impulsive_ctmdp import (
     solve,
     value_iterate,
 )
+from impulsive_ctmdp import bellman
 from impulsive_ctmdp.bellman import StationaryPolicy, check_policy
 from impulsive_ctmdp.testing import random_model
 
@@ -183,3 +185,31 @@ def test_iterates_respect_value_bound():
         m = random_model(seed)
         V, _ = value_iterate(m, Direction.FROM_ABOVE, tol=1e-8)
         assert V.sup_norm() <= m.K / m.eta + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_solve_certificate_brackets_value_iteration(seed):
+    # Iterates from below stay below V* and iterates from above stay above
+    # it, so a V within gap of V* sits inside the widened bracket.
+    m = random_model(seed)
+    report = solve(m)
+    V_below, _ = value_iterate(m, Direction.FROM_BELOW)
+    V_above, _ = value_iterate(m, Direction.FROM_ABOVE)
+    assert report.evaluations >= 1 and report.iterations_below == 0
+    assert np.all(V_below.values - report.gap <= report.V.values)
+    assert np.all(report.V.values <= V_above.values + report.gap)
+
+
+def test_solve_falls_back_to_two_sided_value_iteration(monkeypatch):
+    def boom(model, policy, tol):
+        raise NonConvergenceError("singular", np.zeros(1), np.inf, 0)
+    monkeypatch.setattr(bellman, "evaluate_policy", boom)
+    m = random_model(7)
+    report = solve(m)
+    V_below, it_below = value_iterate(m, Direction.FROM_BELOW)
+    V_above, it_above = value_iterate(m, Direction.FROM_ABOVE)
+    assert report.evaluations == 0
+    assert np.array_equal(report.V.values, V_below.values)
+    assert (report.iterations_above, report.iterations_below) == (it_above, it_below)
+    assert report.gap == float(np.max(np.abs(V_above.values - V_below.values)))

@@ -9,6 +9,7 @@ from impulsive_ctmdp import (
     EpidemicParams,
     analytic_value,
     build_epidemic_model,
+    extract_policy,
     lambda_star,
     sample_chain,
     solve,
@@ -166,6 +167,23 @@ def test_threshold_policy_matches_generic_partition(desk_solved):
     for k, (s, c, i) in enumerate(enumerate_states(p)):
         if c <= 15:
             assert generic.impulsive[k] == threshold.impulsive[k], (s, c, i)
+
+
+def test_desk_solve_is_within_its_certificate(desk_solved):
+    p, cv, m = desk_solved["params"], desk_solved["cv"], desk_solved["model"]
+    report = desk_solved["report"]
+    exact = np.array([analytic_value(p, cv, s, c, i) for s, c, i in enumerate_states(p)])
+    assert np.max(np.abs(report.V.values - exact)) <= report.gap <= 1e-10
+
+
+def test_desk_policy_at_loose_tolerance_is_the_threshold_policy(desk_solved):
+    # At tol=1e-6 value iteration's error passed extract_policy's tol_set.
+    p, cv, m = desk_solved["params"], desk_solved["cv"], desk_solved["model"]
+    policy = extract_policy(m, solve(m, tol=1e-6).V)
+    threshold = threshold_policy(p, cv)
+    assert np.array_equal(policy.impulsive, threshold.impulsive)
+    assert np.array_equal(policy.phi_g, threshold.phi_g)
+    assert policy.phi_i == threshold.phi_i
 
 
 def test_state_enumeration_closed_under_dynamics():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from impulsive_ctmdp import cli, validate_model
-from impulsive_ctmdp.bellman import NonConvergenceError
+from impulsive_ctmdp.bellman import NonConvergenceError, PolicyExtractionError
 from impulsive_ctmdp.intervention import ImproperChainError
 from impulsive_ctmdp.io import (
     ModelParseError,
@@ -112,6 +112,14 @@ def test_cli_solve_reports_closed_form(tmp_path):
     assert "gradual,wait" in r0
 
 
+def test_cli_solve_at_loose_tolerance(tmp_path):
+    # Value iteration stopped at tol=1e-6 left V too far from a fixed point
+    # for extract_policy's tol_set, which raised PolicyExtractionError.
+    out = tmp_path / "run"
+    assert cli.run(["solve", "--model", str(TWO_STATE_IMPULSE), "--tol", "1e-6", "--out", str(out)]) == 0
+    assert "impulsive,reset" in (out / "values.csv").read_text()
+
+
 def test_cli_outputs_are_byte_identical_across_runs(tmp_path):
     out = tmp_path / "run"
     outs = []
@@ -173,3 +181,16 @@ def test_cli_improper_chain_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve", boom)
     assert cli.run(["solve", "--model", str(TWO_STATE)]) == 5
     assert '"code": 5' in capsys.readouterr().err
+
+
+def test_cli_policy_extraction_exit_code(monkeypatch, capsys):
+    def boom(model, V):
+        raise PolicyExtractionError("state '1' rejects the gradual branch")
+    monkeypatch.setattr(cli, "extract_policy", boom)
+    assert cli.run(["solve", "--model", str(TWO_STATE)]) == 4
+    assert '"code": 4' in capsys.readouterr().err
+
+
+def test_cli_unknown_initial_state_exit_code(capsys):
+    assert cli.run(["simulate", "--model", str(TWO_STATE_IMPULSE), "--x0", "x5"]) == 2
+    assert '"code": 2' in capsys.readouterr().err
