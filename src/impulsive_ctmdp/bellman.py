@@ -209,13 +209,13 @@ def extract_policy(model: CtmdpModel, V: ValueFunction, tol_set: float = DEFAULT
             f"state {model.states.labels[stuck[0]]!r} rejects the gradual branch but has no impulsive action; "
             "V is not a fixed point at the given tolerance"
         )
-    phi_g[impulsive] = 0
+    pick = comp.g_ptr[:-1] + phi_g
     flagged = np.flatnonzero(impulsive)
-    phi_i: dict[int, int] = {}
     if flagged.size:
         _, i_best = segment_argmin(impulsive_branch(comp, V.values), comp.i_ptr)
-        phi_i = dict(zip(flagged.tolist(), i_best[np.searchsorted(comp.i_states, flagged)].tolist()))
-    return StationaryPolicy(impulsive=impulsive, phi_g=phi_g, phi_i=phi_i)
+        slot = np.searchsorted(comp.i_states, flagged)
+        pick[flagged] = comp.g_cost.size + comp.i_ptr[slot] + i_best[slot]
+    return _as_policy(comp, pick)
 
 
 def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DEFAULT_TOL) -> ValueFunction:
@@ -266,12 +266,13 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
 
     Value iteration from +K/eta runs in blocks of ceil((K+eta)/eta) sweeps
     (one e-fold of the gradual contraction) until the greedy policy's
-    intervene region repeats across two blocks.  Every such iterate is a
-    supersolution, and impulses cost at least c_lower > 0, so that greedy
-    policy has no closed impulse cycle.  Policy iteration then alternates
-    :func:`evaluate_policy` with a greedy improvement that keeps a state's
-    decision unless another is better by more than roundoff, and stops when
-    the policy repeats.  The returned V is that policy's value, and ``gap``
+    intervene region repeats across two blocks.  Here and in the improvement
+    step, "greedy" keeps a state's current decision unless another is better
+    by more than roundoff, so a tie cannot flip on last-digit noise.  Every
+    such iterate is a supersolution, and impulses cost at least c_lower > 0,
+    so that greedy policy has no closed impulse cycle.  Policy iteration then
+    alternates :func:`evaluate_policy` with a greedy improvement, and stops
+    when the policy repeats.  The returned V is that policy's value, and ``gap``
     bounds |V - V*| by U * |T V - V|, where U = (K+eta)/eta + 2K/(eta c_lower)
     bounds the discounted count of uniformized steps and impulses.
 
@@ -322,17 +323,16 @@ def _policy_iteration(model: CtmdpModel, tol: float, max_iter: int) -> SolveRepo
 
     block = math.ceil((K + eta) / eta)
     V = np.full(comp.N, K / eta)
-    sweeps, flagged = 0, None
+    sweeps, pick = 0, None
     while True:
         if sweeps + block > max_iter:
             return None
         for _ in range(block):
             V = apply_operator(comp, V)
         sweeps += block
-        pick = greedy(V)
-        if flagged is not None and np.array_equal(pick >= n_g, flagged):
+        previous, pick = pick, greedy(V, pick)
+        if previous is not None and np.array_equal(pick >= n_g, previous >= n_g):
             break
-        flagged = pick >= n_g
 
     seen: set[bytes] = set()
     while pick.tobytes() not in seen:

@@ -123,7 +123,8 @@ class _UsageError(Exception):
 
 
 def _initial_state(cfg: dict[str, Any], model) -> str:
-    x0 = cfg.get("x0") or model.states.labels[0]
+    x0 = cfg.get("x0")
+    x0 = model.states.labels[0] if x0 is None else str(x0)
     if x0 not in model.states.index:
         raise _UsageError(f"--x0 {x0!r} is not a state of the model")
     return x0

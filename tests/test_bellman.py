@@ -166,8 +166,8 @@ def test_solve_two_state_gap_tiny():
 
 
 def test_solve_zero_cost_converges_to_zero():
-    # Starting from +-K/eta the iterates decay geometrically at K/(K+eta),
-    # so both limits hit 0 within tolerance and the gap is at most 2*tol.
+    # Every policy costs nothing, so policy iteration returns V = 0 with a
+    # zero residual, and the certificate is 0 up to roundoff.
     report = solve(zero_cost_model(), tol=1e-10)
     assert report.gap <= 2e-10
     assert report.V.sup_norm() <= 1e-10
@@ -197,8 +197,25 @@ def test_solve_certificate_brackets_value_iteration(seed):
     V_below, _ = value_iterate(m, Direction.FROM_BELOW)
     V_above, _ = value_iterate(m, Direction.FROM_ABOVE)
     assert report.evaluations >= 1 and report.iterations_below == 0
+    assert np.max(np.abs(V_above.values - V_below.values)) <= 1e-9
     assert np.all(V_below.values - report.gap <= report.V.values)
     assert np.all(report.V.values <= V_above.values + report.gap)
+
+
+def test_value_iteration_limits_meet_and_hold_the_solution():
+    # On the fifty models of criterion 02, the two monotone limits must meet
+    # (uniqueness of the bounded fixed point), and solve's V must sit in their
+    # bracket widened by its certificate.  V_below stops on its step size, so
+    # it may sit up to step*K/eta below V*; only the bracket, not tol, bounds
+    # |V - V_below|.
+    for seed in range(50):
+        m = random_model(seed)
+        report = solve(m, tol=1e-10)
+        V_below, _ = value_iterate(m, Direction.FROM_BELOW, 1e-10)
+        V_above, _ = value_iterate(m, Direction.FROM_ABOVE, 1e-10)
+        assert np.max(np.abs(V_above.values - V_below.values)) <= 1e-9, seed
+        assert np.all(V_below.values - report.gap <= report.V.values), seed
+        assert np.all(report.V.values <= V_above.values + report.gap), seed
 
 
 def test_solve_falls_back_to_two_sided_value_iteration(monkeypatch):

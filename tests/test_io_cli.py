@@ -143,6 +143,14 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     assert "seed: 1" in out              # file beats default
 
 
+def test_cli_config_file_initial_state_is_a_label(tmp_path, capsys):
+    # YAML reads `x0: 1` as an integer; state labels are strings.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("x0: 1\nreps: 20\n")
+    assert cli.run(["simulate", "--model", str(TWO_STATE_IMPULSE), "--config", str(cfg)]) == 0
+    assert "solved_value_at_x0: 0.3" in capsys.readouterr().out
+
+
 def test_cli_epidemic_solve_reports_threshold(tmp_path):
     out = tmp_path / "epi"
     assert cli.run(["epidemic-solve", "--params", str(EPIDEMIC), "--out", str(out)]) == 0
