@@ -1,8 +1,9 @@
 """Discounted CTMDPs with gradual and impulsive controls.
 
-Solver (uniformized monotone value iteration), intervention-chain analysis,
-jump-process Monte Carlo, and the epidemic-with-carriers instance with its
-analytic threshold solution.
+Solver (policy iteration with monotone value iteration as warm start and
+fallback), intervention-chain analysis, batched jump-process Monte Carlo,
+and the epidemic-with-carriers instance with its analytic threshold
+solution.
 """
 
 from ._ops import uniformized_row
@@ -35,7 +36,6 @@ from .intervention import (
     ImproperChainError,
     InterventionChain,
     analyze_chains,
-    sample_chain,
 )
 from .model import (
     ActionCatalog,
@@ -54,6 +54,7 @@ from .simulate import (
     dynkin_check,
     estimate_cost,
     replication_rng,
+    sample_chain,
     simulate_spaced,
     simulate_trajectory,
 )

@@ -1,11 +1,13 @@
 """Compiled array form of a model, shared by the solver and the simulator.
 
-Models are immutable, so the index maps, sparse uniformized kernel, and
-per-pair jump tables are built once per model object and cached.
+Models are immutable, so the index maps, the sparse uniformized kernel, and
+the flat jump and relocation tables (CSR rows with running probabilities for
+sampling) are built once per model object and cached.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -30,29 +32,36 @@ class CompiledModel:
     g_cost: np.ndarray         # (n_g,) running cost per pair
     g_total_rate: np.ndarray   # (n_g,) total jump rate per pair
     P_unif: sp.csr_matrix      # (n_g, N) uniformized one-step kernel
-    g_targets: list            # per pair: int array of jump targets
-    g_cum: list                # per pair: cumulative jump probabilities
+    J: sp.csr_matrix           # (n_g, N) jump rates
+    J_cum: np.ndarray          # (nnz(J),) row-wise cumulative jump probabilities
     # Impulsive pairs, compacted over states that have any.
     i_states: np.ndarray       # (m,) state indices with nonempty impulsive set
     i_ptr: np.ndarray          # (m+1,) slice bounds into impulsive pair arrays
     i_cost: np.ndarray         # (n_i,) impulse cost per pair
     Q_imp: sp.csr_matrix       # (n_i, N) relocation kernel
-    i_targets: list            # per pair: int array of relocation targets
-    i_cum: list                # per pair: cumulative relocation probabilities
+    Q_cum: np.ndarray          # (nnz(Q_imp),) row-wise cumulative relocation probabilities
     has_impulse: np.ndarray    # (N,) bool
 
     def g_pair(self, x: int, a: int) -> int:
         return int(self.g_ptr[x]) + a
 
-    def i_slot(self, x: int) -> int:
-        """Position of state ``x`` inside the compacted impulsive arrays."""
-        pos = int(np.searchsorted(self.i_states, x))
-        if pos >= len(self.i_states) or self.i_states[pos] != x:
-            raise KeyError(f"state index {x} has no impulsive actions")
-        return pos
 
-    def i_pair(self, x: int, a: int) -> int:
-        return int(self.i_ptr[self.i_slot(x)]) + a
+def _flat_rows(rows, idx: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR parts of (target label, weight) rows, plus each row's running sums."""
+    cols: list[int] = []
+    data: list[float] = []
+    cum: list[float] = []
+    indptr = [0]
+    for row in rows:
+        acc = 0.0
+        for t, w in row:
+            cols.append(idx[t])
+            data.append(w)
+            acc += w
+            cum.append(acc)
+        indptr.append(len(cols))
+    return (np.asarray(data, dtype=np.float64), np.asarray(cols, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64), np.asarray(cum, dtype=np.float64))
 
 
 @lru_cache(maxsize=64)
@@ -61,71 +70,29 @@ def compile_model(model: CtmdpModel) -> CompiledModel:
     N = st.N
     K = model.K
     labels = st.labels
-    idx = st.index
 
-    g_ptr = np.zeros(N + 1, dtype=np.int64)
-    g_cost: list[float] = []
-    g_total: list[float] = []
-    g_targets: list[np.ndarray] = []
-    g_cum: list[np.ndarray] = []
-    data: list[float] = []
-    cols: list[int] = []
-    indptr = [0]
-    for x, s in enumerate(labels):
-        acts = model.actions.gradual[s]
-        g_ptr[x + 1] = g_ptr[x] + len(acts)
-        for a in acts:
-            row = model.rates.rows[(s, a)]
-            g_cost.append(model.costs.gradual_cost[(s, a)])
-            tgt = np.array([idx[t] for t, _ in row], dtype=np.int64)
-            rates = np.array([r for _, r in row], dtype=np.float64)
-            total = float(rates.sum())
-            g_total.append(total)
-            g_targets.append(tgt)
-            g_cum.append(np.cumsum(rates) / total if total > 0 else rates)
-            # Uniformized row: q-bar mass over K plus leftover on the diagonal.
-            for t, r in zip(tgt, rates):
-                cols.append(int(t))
-                data.append(r / K)
-            cols.append(x)
-            data.append((K - total) / K)
-            indptr.append(len(data))
+    g_keys = [(s, a) for s in labels for a in model.actions.gradual[s]]
+    g_ptr = np.concatenate([[0], np.cumsum([len(model.actions.gradual[s]) for s in labels])]).astype(np.int64)
+    data, cols, indptr, cum = _flat_rows((model.rates.rows[k] for k in g_keys), st.index)
+    n_g = len(g_keys)
+    J = sp.csr_matrix((data, cols, indptr), shape=(n_g, N))
+    total = np.array([data[lo:hi].sum() for lo, hi in zip(indptr[:-1], indptr[1:])])
+    per_entry = np.repeat(total, np.diff(indptr))
+    J_cum = np.divide(cum, per_entry, out=cum, where=per_entry > 0)
+    # Uniformized row: q-bar mass over K plus leftover on the diagonal.
+    owner = np.repeat(np.arange(N, dtype=np.int64), np.diff(g_ptr))
     P_unif = sp.csr_matrix(
-        (np.asarray(data), np.asarray(cols, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(g_cost), N),
+        (np.insert(data / K, indptr[1:], (K - total) / K),
+         np.insert(cols, indptr[1:], owner),
+         indptr + np.arange(n_g + 1)),
+        shape=(n_g, N),
     )
 
-    i_states: list[int] = []
-    i_ptr = [0]
-    i_cost: list[float] = []
-    i_targets: list[np.ndarray] = []
-    i_cum: list[np.ndarray] = []
-    qdata: list[float] = []
-    qcols: list[int] = []
-    qindptr = [0]
+    i_states = np.array([x for x, s in enumerate(labels) if model.actions.impulsive.get(s)], dtype=np.int64)
+    i_keys = [(labels[x], a) for x in i_states for a in model.actions.impulsive[labels[x]]]
+    qdata, qcols, qindptr, Q_cum = _flat_rows((model.impulses.rows[k] for k in i_keys), st.index)
     has_imp = np.zeros(N, dtype=bool)
-    for x, s in enumerate(labels):
-        acts = model.actions.impulsive.get(s, ())
-        if not acts:
-            continue
-        has_imp[x] = True
-        i_states.append(x)
-        for a in acts:
-            row = model.impulses.rows[(s, a)]
-            i_cost.append(model.costs.impulse_cost[(s, a)])
-            tgt = np.array([idx[t] for t, _ in row], dtype=np.int64)
-            probs = np.array([p for _, p in row], dtype=np.float64)
-            i_targets.append(tgt)
-            i_cum.append(np.cumsum(probs))
-            for t, p in zip(tgt, probs):
-                qcols.append(int(t))
-                qdata.append(p)
-            qindptr.append(len(qdata))
-        i_ptr.append(len(i_cost))
-    Q_imp = sp.csr_matrix(
-        (np.asarray(qdata), np.asarray(qcols, dtype=np.int64), np.asarray(qindptr, dtype=np.int64)),
-        shape=(len(i_cost), N),
-    )
+    has_imp[i_states] = True
 
     return CompiledModel(
         model=model,
@@ -133,17 +100,16 @@ def compile_model(model: CtmdpModel) -> CompiledModel:
         K=K,
         eta=model.costs.eta,
         g_ptr=g_ptr,
-        g_cost=np.asarray(g_cost),
-        g_total_rate=np.asarray(g_total),
+        g_cost=np.array([model.costs.gradual_cost[k] for k in g_keys], dtype=np.float64),
+        g_total_rate=total,
         P_unif=P_unif,
-        g_targets=g_targets,
-        g_cum=g_cum,
-        i_states=np.asarray(i_states, dtype=np.int64),
-        i_ptr=np.asarray(i_ptr, dtype=np.int64),
-        i_cost=np.asarray(i_cost),
-        Q_imp=Q_imp,
-        i_targets=i_targets,
-        i_cum=i_cum,
+        J=J,
+        J_cum=J_cum,
+        i_states=i_states,
+        i_ptr=np.concatenate([[0], np.cumsum([len(model.actions.impulsive[labels[x]]) for x in i_states])]).astype(np.int64),
+        i_cost=np.array([model.costs.impulse_cost[k] for k in i_keys], dtype=np.float64),
+        Q_imp=sp.csr_matrix((qdata, qcols, qindptr), shape=(len(i_keys), N)),
+        Q_cum=Q_cum,
         has_impulse=has_imp,
     )
 
@@ -192,6 +158,15 @@ def uniformized_row(model: CtmdpModel, x: str, a: str) -> np.ndarray:
     return comp.P_unif[comp.g_pair(model.states.index[x], acts.index(a))].toarray().ravel()
 
 
+def policy_pairs(comp: CompiledModel, policy: StationaryPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each state's gradual pair, the flagged states (ascending), and their
+    impulse pairs; the policy must have passed ``check_policy``."""
+    g_rows = comp.g_ptr[:-1] + policy.phi_g
+    flagged = np.flatnonzero(policy.impulsive)
+    i_rows = comp.i_ptr[np.searchsorted(comp.i_states, flagged)] + policy.impulse_choice()[flagged]
+    return g_rows, flagged, i_rows
+
+
 class PolicyRows(NamedTuple):
     """Kernel rows and costs a stationary policy selects."""
 
@@ -204,8 +179,32 @@ class PolicyRows(NamedTuple):
 
 def policy_rows(comp: CompiledModel, policy: StationaryPolicy) -> PolicyRows:
     """Select the policy's rows; the policy must have passed ``check_policy``."""
-    g_rows = comp.g_ptr[:-1] + policy.phi_g
-    flagged = np.flatnonzero(policy.impulsive)
-    phi_i = np.array([policy.phi_i[int(x)] for x in flagged], dtype=np.int64)
-    i_rows = comp.i_ptr[np.searchsorted(comp.i_states, flagged)] + phi_i
+    g_rows, flagged, i_rows = policy_pairs(comp, policy)
     return PolicyRows(comp.P_unif[g_rows], comp.g_cost[g_rows], flagged, comp.Q_imp[i_rows], comp.i_cost[i_rows])
+
+
+def sample_rows(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Where each uniform ``u`` falls in its row ``cum[lo:hi]`` of running probabilities.
+
+    Returns the position of the first entry above ``u`` (``searchsorted``
+    with ``side="right"``); the last entry of a row takes the rounding
+    remainder.  A bisection bounded by each row, so it costs log2 of the
+    widest row and compares every ``u`` with its row's own probabilities.
+    """
+    lo = lo.copy()
+    hi = hi - 1
+    open_ = lo < hi
+    while open_.any():
+        mid = (lo + hi) >> 1
+        right = cum[mid] <= u
+        lo = np.where(open_ & right, mid + 1, lo)
+        hi = np.where(open_ & ~right, mid, hi)
+        open_ = lo < hi
+    return lo
+
+
+def sample_row(cum: np.ndarray, lo: int, hi: int, rng: np.random.Generator) -> int:
+    """One draw of :func:`sample_rows`; a one-entry row draws no uniform."""
+    if hi - lo == 1:
+        return int(lo)
+    return bisect.bisect_right(cum, rng.random(), int(lo), int(hi) - 1)

@@ -82,6 +82,15 @@ class StationaryPolicy:
         object.__setattr__(self, "impulsive", imp)
         object.__setattr__(self, "phi_g", pg)
 
+    def impulse_choice(self) -> np.ndarray:
+        """``phi_i`` as an array over states, -1 where it names no action."""
+        out = np.full(self.impulsive.size, -1, dtype=np.int64)
+        keys = np.fromiter(self.phi_i.keys(), dtype=np.int64, count=len(self.phi_i))
+        vals = np.fromiter(self.phi_i.values(), dtype=np.int64, count=len(self.phi_i))
+        inside = (keys >= 0) & (keys < out.size)
+        out[keys[inside]] = vals[inside]
+        return out
+
     def gradual_action(self, model: CtmdpModel, x: str) -> str:
         k = model.states.index[x]
         return model.actions.gradual[x][int(self.phi_g[k])]
@@ -127,19 +136,28 @@ class PolicyExtractionError(RuntimeError):
 
 
 def check_policy(model: CtmdpModel, policy: StationaryPolicy) -> None:
-    """Raise ValueError if the policy is infeasible for the model."""
+    """Raise ValueError if the policy is infeasible for the model, naming the
+    first offending state in model order."""
     st = model.states
     if policy.impulsive.shape != (st.N,) or policy.phi_g.shape != (st.N,):
         raise ValueError("policy arrays do not match the state count")
-    for x, s in enumerate(st.labels):
-        if not 0 <= policy.phi_g[x] < len(model.actions.gradual[s]):
-            raise ValueError(f"phi_g out of range at state {s!r}")
-        if policy.impulsive[x]:
-            n_imp = len(model.actions.impulsive.get(s, ()))
-            if n_imp == 0:
-                raise ValueError(f"state {s!r} flagged for intervention but has no impulsive action")
-            if x not in policy.phi_i or not 0 <= policy.phi_i[x] < n_imp:
-                raise ValueError(f"phi_i missing or out of range at state {s!r}")
+    comp = compile_model(model)
+    n_imp = np.zeros(st.N, dtype=np.int64)
+    n_imp[comp.i_states] = np.diff(comp.i_ptr)
+    phi_i = policy.impulse_choice()
+    bad_g = ~((policy.phi_g >= 0) & (policy.phi_g < np.diff(comp.g_ptr)))
+    no_imp = policy.impulsive & (n_imp == 0)
+    bad_i = policy.impulsive & ~((phi_i >= 0) & (phi_i < n_imp))
+    bad = np.flatnonzero(bad_g | bad_i)
+    if not bad.size:
+        return
+    x = int(bad[0])
+    s = st.labels[x]
+    if bad_g[x]:
+        raise ValueError(f"phi_g out of range at state {s!r}")
+    if no_imp[x]:
+        raise ValueError(f"state {s!r} flagged for intervention but has no impulsive action")
+    raise ValueError(f"phi_i missing or out of range at state {s!r}")
 
 
 def bellman_apply(model: CtmdpModel, F: ValueFunction) -> ValueFunction:

@@ -1,4 +1,4 @@
-"""Finite impulse chains: sampling, expected cost, and landing distribution.
+"""Finite impulse chains: expected cost, landing distribution, and step guard.
 
 At an intervention instant, the policy applies impulses repeatedly until the
 process lands in a state where it waits under gradual control.  A chain is
@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._ops import CompiledModel, compile_model, policy_rows
+from ._ops import compile_model, policy_rows
 from .bellman import LANDING_ROW_TOL, StationaryPolicy, check_policy
 from .model import CtmdpModel
 
@@ -38,6 +39,7 @@ class _ChainSystem:
     cost: np.ndarray         # (m,) impulse cost per flagged state
     R: sp.csr_matrix         # (m, N), zero on flagged columns
     lu: object               # SuperLU of I - M
+    guard: int               # step cap of a sampled chain
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,49 +75,25 @@ class ImproperChainError(RuntimeError):
         self.state = state
 
 
-def chain_guard(model: CtmdpModel) -> int:
-    """Step guard: expected chain length is at most 2K/(eta*c_lower), so a
-    chain exceeding ten times that (plus slack) flags an improper policy."""
-    bound = 2.0 * model.K / (model.eta * model.costs.c_lower)
-    return math.ceil(bound) * 10 + 100
+def chain_guard(model: CtmdpModel, policy: StationaryPolicy) -> int:
+    """Step cap of a sampled chain under a proper policy: ceil(40 e m), where
+    m is the largest expected number of impulses of a chain, (I - M)^-1 1.
+
+    From any flagged state a chain outlives e m steps with probability at
+    most 1/e (Markov), and restarting the bound k times gives
+    P(length > k e m) <= e^-k; so a proper chain trips the cap with
+    probability at most e^-40.  0 when nothing is flagged.
+    """
+    system = _chain_system(model, policy)
+    return 0 if system is None else system.guard
 
 
-def _step(comp: CompiledModel, policy: StationaryPolicy, x: int, rng: np.random.Generator) -> tuple[int, int, float]:
-    """One impulse at flagged state ``x``: (action index, new state, cost)."""
-    a = policy.phi_i[x]
-    p = comp.i_pair(x, a)
-    tgt = comp.i_targets[p]
-    if len(tgt) == 1:
-        z = int(tgt[0])
-    else:
-        z = int(tgt[np.searchsorted(comp.i_cum[p], rng.random(), side="right")])
-    return a, z, float(comp.i_cost[p])
-
-
-def sample_chain(model: CtmdpModel, policy: StationaryPolicy, x: str, rng: np.random.Generator) -> InterventionChain:
-    """Sample one intervention chain started at a flagged state."""
-    comp = compile_model(model)
-    k = model.states.index[x]
-    if not policy.impulsive[k]:
-        raise ValueError(f"state {x!r} is not flagged for intervention under this policy")
-    guard = chain_guard(model)
-    steps: list[tuple[str, str]] = []
-    cost = 0.0
-    while policy.impulsive[k]:
-        if len(steps) >= guard:
-            raise ImproperChainError(
-                f"chain exceeded the {guard}-step guard without reaching a gradual state",
-                model.states.labels[k],
-            )
-        a, nxt, c = _step(comp, policy, k, rng)
-        steps.append((model.states.labels[k], model.actions.impulsive[model.states.labels[k]][a]))
-        cost += c
-        k = nxt
-    return InterventionChain(steps=tuple(steps), landing=model.states.labels[k], total_cost=cost)
-
-
+@lru_cache(maxsize=32)
 def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem | None:
     """Split the policy's impulse rows and factorise I - M; None when nothing is flagged.
+
+    Cached per (model, policy), so the chain analysis, landing values, the
+    guard and the simulator share one factor.
 
     Raises :class:`ImproperChainError` when I - M is singular or some chain
     fails to land with probability one ((I - M) s = R 1 must give s = 1).
@@ -142,7 +120,8 @@ def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem |
     if bad.size:
         raise ImproperChainError(
             f"landing distribution row sums to {mass[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
-    return _ChainSystem(flagged, rows.i_cost, R, lu)
+    steps = float(np.max(lu.solve(np.ones(m))))
+    return _ChainSystem(flagged, rows.i_cost, R, lu, math.ceil(40.0 * math.e * steps))
 
 
 def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis:

@@ -75,9 +75,13 @@ def _as_int(field: str, node: yaml.Node) -> int:
         _fail(field, node, f"expected an integer, got {raw!r}")
 
 
+# libyaml's C parser when PyYAML was built with it; both keep line marks.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _compose(text: str, source: str) -> yaml.Node:
     try:
-        node = yaml.compose(text)
+        node = yaml.compose(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ModelParseError(f"{source}: invalid YAML: {exc}") from exc
     if node is None:
@@ -215,10 +219,11 @@ def solve_report_table(model: CtmdpModel, report: SolveReport, policy: Stationar
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["state", "value", "partition", "action"])
     for k, s in enumerate(model.states.labels):
+        value = repr(report.V[k] + 0.0)  # + 0.0 turns a signed zero into 0.0
         if policy.impulsive[k]:
-            w.writerow([s, repr(report.V[k]), "impulsive", policy.impulse_action(model, s)])
+            w.writerow([s, value, "impulsive", policy.impulse_action(model, s)])
         else:
-            w.writerow([s, repr(report.V[k]), "gradual", policy.gradual_action(model, s)])
+            w.writerow([s, value, "gradual", policy.gradual_action(model, s)])
     return buf.getvalue()
 
 

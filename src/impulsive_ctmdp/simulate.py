@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from ._ops import CompiledModel, compile_model
-from .bellman import StationaryPolicy, ValueFunction, check_policy
+from ._ops import CompiledModel, compile_model, policy_pairs, sample_row, sample_rows
+from .bellman import StationaryPolicy, ValueFunction
 from .intervention import (
     ImproperChainError,
     InterventionChain,
-    _step,
     analyze_chains,
     chain_guard,
     expected_landing_value,
@@ -29,6 +28,7 @@ from .intervention import (
 from .model import CtmdpModel
 
 DEFAULT_TAIL_TOL = 1e-8
+BLOCK = 1024  # replications advanced together; Monte Carlo streams are keyed by (seed, block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +75,18 @@ class DynkinReport:
 
 @dataclass(frozen=True, eq=False)
 class _Prep:
-    """Per-(model, policy) simulation tables."""
+    """Per-(model, policy) simulation tables, one entry per state."""
 
     comp: CompiledModel
     policy: StationaryPolicy
-    total_rate: np.ndarray   # (N,) jump rate under phi_g
-    run_cost: np.ndarray     # (N,) running cost under phi_g
-    targets: list            # per state: jump target indices under phi_g
-    cum: list                # per state: cumulative jump probabilities
+    g_rows: np.ndarray       # gradual pair under phi_g
+    total_rate: np.ndarray   # jump rate under phi_g
+    run_cost: np.ndarray     # running cost under phi_g
+    jump_lo: np.ndarray      # bounds of the row of comp.J under phi_g
+    jump_hi: np.ndarray
+    imp_lo: np.ndarray       # bounds of the row of comp.Q_imp under phi_i (0 off the flagged set)
+    imp_hi: np.ndarray
+    imp_cost: np.ndarray     # impulse cost under phi_i (0 off the flagged set)
     guard: int
     chain_cost_bound: float  # max expected chain cost (properness witness)
 
@@ -95,106 +99,70 @@ class _Prep:
 
 @lru_cache(maxsize=32)
 def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
-    check_policy(model, policy)
+    analysis = analyze_chains(model, policy)  # checks the policy and its properness
     comp = compile_model(model)
-    pairs = comp.g_ptr[:-1] + policy.phi_g
-    analysis = analyze_chains(model, policy)
-    bound = float(np.max(analysis.expected_cost)) if analysis.expected_cost.size else 0.0
+    g_rows, flagged, i_rows = policy_pairs(comp, policy)
+    imp_lo = np.zeros(comp.N, dtype=np.int64)
+    imp_hi = np.zeros(comp.N, dtype=np.int64)
+    imp_cost = np.zeros(comp.N)
+    imp_lo[flagged] = comp.Q_imp.indptr[i_rows]
+    imp_hi[flagged] = comp.Q_imp.indptr[i_rows + 1]
+    imp_cost[flagged] = comp.i_cost[i_rows]
     return _Prep(
         comp=comp,
         policy=policy,
-        total_rate=comp.g_total_rate[pairs],
-        run_cost=comp.g_cost[pairs],
-        targets=[comp.g_targets[int(p)] for p in pairs],
-        cum=[comp.g_cum[int(p)] for p in pairs],
-        guard=chain_guard(model),
-        chain_cost_bound=bound,
+        g_rows=g_rows,
+        total_rate=comp.g_total_rate[g_rows],
+        run_cost=comp.g_cost[g_rows],
+        jump_lo=comp.J.indptr[g_rows],
+        jump_hi=comp.J.indptr[g_rows + 1],
+        imp_lo=imp_lo,
+        imp_hi=imp_hi,
+        imp_cost=imp_cost,
+        guard=chain_guard(model, policy),
+        chain_cost_bound=float(np.max(analysis.expected_cost)) if analysis.expected_cost.size else 0.0,
     )
 
 
-def _draw_target(prep: _Prep, x: int, rng: np.random.Generator) -> int:
-    tgt = prep.targets[x]
-    if len(tgt) == 1:
-        return int(tgt[0])
-    return int(tgt[np.searchsorted(prep.cum[x], rng.random(), side="right")])
+def _guard_error(prep: _Prep, x: int) -> ImproperChainError:
+    return ImproperChainError(
+        f"chain exceeded the {prep.guard}-step guard without reaching a gradual state",
+        prep.comp.model.states.labels[x],
+    )
 
 
-def _chain_fast(prep: _Prep, x: int, rng: np.random.Generator) -> tuple[int, float]:
-    cost = 0.0
-    steps = 0
-    while prep.policy.impulsive[x]:
-        if steps >= prep.guard:
-            raise ImproperChainError("chain guard hit during simulation",
-                                     prep.comp.model.states.labels[x])
-        _, x, c = _step(prep.comp, prep.policy, x, rng)
-        cost += c
-        steps += 1
-    return x, cost
+def _jump(prep: _Prep, x: int, rng: np.random.Generator) -> int:
+    """Target of a natural jump from ``x`` under phi_g."""
+    comp = prep.comp
+    return int(comp.J.indices[sample_row(comp.J_cum, prep.jump_lo[x], prep.jump_hi[x], rng)])
+
+
+def _impulse(prep: _Prep, x: int, rng: np.random.Generator) -> int:
+    """Landing of one impulse at flagged state ``x`` under phi_i."""
+    comp = prep.comp
+    return int(comp.Q_imp.indices[sample_row(comp.Q_cum, prep.imp_lo[x], prep.imp_hi[x], rng)])
 
 
 def _chain_recorded(prep: _Prep, x: int, rng: np.random.Generator) -> tuple[int, InterventionChain]:
     labels = prep.comp.model.states.labels
-    model = prep.comp.model
+    impulsive = prep.comp.model.actions.impulsive
     steps: list[tuple[str, str]] = []
     cost = 0.0
     while prep.policy.impulsive[x]:
         if len(steps) >= prep.guard:
-            raise ImproperChainError("chain guard hit during simulation", labels[x])
-        a, nxt, c = _step(prep.comp, prep.policy, x, rng)
-        steps.append((labels[x], model.actions.impulsive[labels[x]][a]))
-        cost += c
-        x = nxt
+            raise _guard_error(prep, x)
+        steps.append((labels[x], impulsive[labels[x]][prep.policy.phi_i[x]]))
+        cost += float(prep.imp_cost[x])
+        x = _impulse(prep, x, rng)
     return x, InterventionChain(steps=tuple(steps), landing=labels[x], total_cost=cost)
 
 
-def _run(prep: _Prep, x0: int, rng: np.random.Generator, horizon: float,
-         record: bool) -> tuple[float, float, list[Epoch] | None, float]:
-    """Core trajectory loop; returns (gradual cost, impulse cost, epochs, truncation)."""
-    eta = prep.comp.eta
-    labels = prep.comp.model.states.labels
-    epochs: list[Epoch] | None = [] if record else None
-    cost_g = 0.0
-    cost_i = 0.0
-    x = x0
-    if prep.policy.impulsive[x]:
-        if record:
-            pre = labels[x]
-            x, chain = _chain_recorded(prep, x, rng)
-            epochs.append(Epoch(0.0, pre, pre, chain, labels[x]))
-            cost_i += chain.total_cost
-        else:
-            x, c = _chain_fast(prep, x, rng)
-            cost_i += c
-    elif record:
-        epochs.append(Epoch(0.0, labels[x], labels[x], None, labels[x]))
-    t = 0.0
-    while True:
-        rate = prep.total_rate[x]
-        if rate == 0.0:
-            # Absorbed: remaining discounted running cost in closed form.
-            cost_g += prep.run_cost[x] * math.exp(-eta * t) / eta
-            return cost_g, cost_i, epochs, math.inf
-        t_next = t + rng.standard_exponential() / rate
-        if t_next > horizon:
-            cost_g += prep.run_cost[x] * (math.exp(-eta * t) - math.exp(-eta * horizon)) / eta
-            return cost_g, cost_i, epochs, horizon
-        cost_g += prep.run_cost[x] * (math.exp(-eta * t) - math.exp(-eta * t_next)) / eta
-        z = _draw_target(prep, x, rng)
-        if prep.policy.impulsive[z]:
-            if record:
-                pre = labels[x]
-                post, chain = _chain_recorded(prep, z, rng)
-                epochs.append(Epoch(t_next, pre, labels[z], chain, labels[post]))
-                cost_i += chain.total_cost * math.exp(-eta * t_next)
-                z = post
-            else:
-                post, c = _chain_fast(prep, z, rng)
-                cost_i += c * math.exp(-eta * t_next)
-                z = post
-        elif record:
-            epochs.append(Epoch(t_next, labels[x], labels[z], None, labels[z]))
-        x = z
-        t = t_next
+def sample_chain(model: CtmdpModel, policy: StationaryPolicy, x: str, rng: np.random.Generator) -> InterventionChain:
+    """Sample one intervention chain started at a flagged state."""
+    k = model.states.index[x]
+    if not policy.impulsive[k]:
+        raise ValueError(f"state {x!r} is not flagged for intervention under this policy")
+    return _chain_recorded(_prepare(model, policy), k, rng)[1]
 
 
 def simulate_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: str,
@@ -203,9 +171,42 @@ def simulate_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: str,
     if tail_tol <= 0:
         raise ValueError("tail_tol must be > 0")
     prep = _prepare(model, policy)
-    cost_g, cost_i, epochs, trunc = _run(
-        prep, model.states.index[x0], rng, prep.horizon(tail_tol), record=True)
-    return Trajectory(tuple(epochs), cost_g, cost_i, trunc)
+    horizon = prep.horizon(tail_tol)
+    eta = prep.comp.eta
+    labels = model.states.labels
+    epochs: list[Epoch] = []
+    cost_g = 0.0
+    cost_i = 0.0
+    x = model.states.index[x0]
+    if prep.policy.impulsive[x]:
+        pre = labels[x]
+        x, chain = _chain_recorded(prep, x, rng)
+        epochs.append(Epoch(0.0, pre, pre, chain, labels[x]))
+        cost_i += chain.total_cost
+    else:
+        epochs.append(Epoch(0.0, labels[x], labels[x], None, labels[x]))
+    t = 0.0
+    while True:
+        rate = prep.total_rate[x]
+        if rate == 0.0:
+            # Absorbed: remaining discounted running cost in closed form.
+            cost_g += prep.run_cost[x] * math.exp(-eta * t) / eta
+            return Trajectory(tuple(epochs), cost_g, cost_i, math.inf)
+        t_next = t + rng.standard_exponential() / rate
+        if t_next > horizon:
+            cost_g += prep.run_cost[x] * (math.exp(-eta * t) - math.exp(-eta * horizon)) / eta
+            return Trajectory(tuple(epochs), cost_g, cost_i, horizon)
+        cost_g += prep.run_cost[x] * (math.exp(-eta * t) - math.exp(-eta * t_next)) / eta
+        z = _jump(prep, x, rng)
+        if prep.policy.impulsive[z]:
+            post, chain = _chain_recorded(prep, z, rng)
+            epochs.append(Epoch(t_next, labels[x], labels[z], chain, labels[post]))
+            cost_i += chain.total_cost * math.exp(-eta * t_next)
+            z = post
+        else:
+            epochs.append(Epoch(t_next, labels[x], labels[z], None, labels[z]))
+        x = z
+        t = t_next
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -213,39 +214,110 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, rep)))
 
 
-def _replication_costs(model: CtmdpModel, policy: StationaryPolicy, x0: str,
-                       seed: int, start: int, stop: int, tail_tol: float) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Batched engine: a block of replications advances together, one event at a
+# time.  Policies of the sufficient class intervene only at time zero and
+# right after natural jumps, so every path repeats the same step: a sojourn,
+# a natural jump, then the impulse chain if the jump lands in the flagged set.
+
+
+def _chains(prep: _Prep, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Run the impulse chains of a batch of paths; ``x`` ends at the landings.
+
+    Returns each path's undiscounted chain cost (0 where it starts unflagged).
+    """
+    comp = prep.comp
+    flagged = prep.policy.impulsive
+    cost = np.zeros(x.size)
+    act = np.flatnonzero(flagged[x])
+    steps = 0
+    while act.size:
+        if steps >= prep.guard:
+            raise _guard_error(prep, int(x[act[0]]))
+        at = x[act]
+        cost[act] += prep.imp_cost[at]
+        pos = sample_rows(comp.Q_cum, prep.imp_lo[at], prep.imp_hi[at], rng.random(act.size))
+        x[act] = comp.Q_imp.indices[pos]
+        act = act[flagged[x[act]]]
+        steps += 1
+    return cost
+
+
+def _advance(prep: _Prep, x: np.ndarray, rng: np.random.Generator, horizon: float,
+             flow_rate: np.ndarray, absorbed_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a batch of paths from time 0 to ``horizon``; ``x`` ends at their final states.
+
+    ``x`` starts outside the flagged set.  Returns, per path, the discounted
+    integral of ``flow_rate`` (a rate per state) and the discounted impulse
+    cost.  A path at a state without jumps integrates up to ``absorbed_end``.
+    """
+    comp = prep.comp
+    eta = comp.eta
+    flow = np.zeros(x.size)
+    impulses = np.zeros(x.size)
+    live = np.arange(x.size)
+    t = np.zeros(x.size)
+    while live.size:
+        at = x[live]
+        rate = prep.total_rate[at]
+        moves = rate > 0.0
+        wait = np.divide(rng.standard_exponential(live.size), rate, out=np.full(live.size, np.inf), where=moves)
+        t_next = t + wait
+        end = np.where(moves, np.minimum(t_next, horizon), absorbed_end)
+        flow[live] += flow_rate[at] * (np.exp(-eta * t) - np.exp(-eta * end)) / eta
+        go = moves & (t_next <= horizon)
+        live, at, t = live[go], at[go], t_next[go]
+        pos = sample_rows(comp.J_cum, prep.jump_lo[at], prep.jump_hi[at], rng.random(live.size))
+        z = comp.J.indices[pos]
+        hit = prep.policy.impulsive[z]
+        if hit.any():
+            landed = z[hit]
+            impulses[live[hit]] += _chains(prep, landed, rng) * np.exp(-eta * t[hit])
+            z[hit] = landed
+        x[live] = z
+    return flow, impulses
+
+
+def _block_start(prep: _Prep, x0: int, seed: int, block: int,
+                 n_reps: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """Stream of a block and its paths after the chain at time 0: (rng, states, chain costs)."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+    x = np.full(min(BLOCK, n_reps - block * BLOCK), x0, dtype=np.int64)
+    return rng, x, _chains(prep, x, rng)
+
+
+def _replication_costs(model: CtmdpModel, policy: StationaryPolicy, x0: str, seed: int,
+                       n_reps: int, tail_tol: float, blocks: range) -> np.ndarray:
     prep = _prepare(model, policy)
-    x0i = model.states.index[x0]
     horizon = prep.horizon(tail_tol)
-    out = np.empty(stop - start)
-    for rep in range(start, stop):
-        cg, ci, _, _ = _run(prep, x0i, replication_rng(seed, rep), horizon, record=False)
-        out[rep - start] = cg + ci
-    return out
+    costs = []
+    for b in blocks:
+        rng, x, first = _block_start(prep, model.states.index[x0], seed, b, n_reps)
+        flow, impulses = _advance(prep, x, rng, horizon, prep.run_cost, math.inf)
+        costs.append(first + flow + impulses)
+    return np.concatenate(costs)
 
 
 def estimate_cost(model: CtmdpModel, policy: StationaryPolicy, x0: str, n_reps: int,
                   seed: int, tail_tol: float = DEFAULT_TAIL_TOL, threads: int = 1) -> CostEstimate:
     """Mean discounted cost over independent replications.
 
-    Replication ``i`` always uses the substream derived from (seed, i), so
-    the estimate is identical for any ``threads`` setting.
+    Replications run in blocks of ``BLOCK``; block ``b`` draws from the
+    stream derived from (seed, b), and ``threads`` worker processes split
+    the work at block boundaries, so the estimate is identical for any
+    ``threads`` setting.
     """
     if n_reps < 2:
         raise ValueError("n_reps must be >= 2")
-    if threads > 1:
-        bounds = np.linspace(0, n_reps, threads + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                _replication_costs,
-                [model] * threads, [policy] * threads, [x0] * threads,
-                [seed] * threads, bounds[:-1].tolist(), bounds[1:].tolist(),
-                [tail_tol] * threads,
-            ))
-        costs = np.concatenate(parts)
+    n_blocks = -(-n_reps // BLOCK)
+    run = partial(_replication_costs, model, policy, x0, seed, n_reps, tail_tol)
+    workers = min(threads, n_blocks)
+    if workers > 1:
+        cuts = np.linspace(0, n_blocks, workers + 1, dtype=int).tolist()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            costs = np.concatenate(list(pool.map(run, [range(a, b) for a, b in zip(cuts, cuts[1:])])))
     else:
-        costs = _replication_costs(model, policy, x0, seed, 0, n_reps, tail_tol)
+        costs = run(range(n_blocks))
     return CostEstimate(
         mean=float(np.mean(costs)),
         std_error=float(np.std(costs, ddof=1) / math.sqrt(n_reps)),
@@ -261,7 +333,7 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     time t; the right side is the initial post-intervention value plus the
     closed-form drift integral along the same trajectory.  Both sides share
     common random numbers, so the reported standard error is that of the
-    paired difference.
+    paired difference.  Replications run in blocks as in :func:`estimate_cost`.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
@@ -272,34 +344,19 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     Wbar = expected_landing_value(model, policy, Wv)
     # Per-state drift rate: discounting decay plus jump-and-intervene flux.
     # K * P_unif row = q-bar row + (K - rate) * delta_x, so peel the diagonal off.
-    pairs = comp.g_ptr[:-1] + policy.phi_g
-    flux = (comp.P_unif[pairs] @ Wbar) * comp.K - (comp.K - prep.total_rate) * Wbar
+    flux = (comp.P_unif[prep.g_rows] @ Wbar) * comp.K - (comp.K - prep.total_rate) * Wbar
     gvec = -eta * Wv + flux - Wv * prep.total_rate
 
     x0i = model.states.index[x0]
     lhs = np.empty(n_reps)
     rhs = np.empty(n_reps)
-    for rep in range(n_reps):
-        rng = replication_rng(seed, rep)
-        x = x0i
-        if prep.policy.impulsive[x]:
-            x, _ = _chain_fast(prep, x, rng)
-        rhs_j = float(Wv[x])
-        tau = 0.0
-        while True:
-            rate = prep.total_rate[x]
-            t_next = tau + rng.standard_exponential() / rate if rate > 0 else math.inf
-            seg_end = min(t_next, t)
-            rhs_j += gvec[x] * (math.exp(-eta * tau) - math.exp(-eta * seg_end)) / eta
-            if t_next >= t:
-                break
-            z = _draw_target(prep, x, rng)
-            if prep.policy.impulsive[z]:
-                z, _ = _chain_fast(prep, z, rng)
-            x = z
-            tau = t_next
-        lhs[rep] = math.exp(-eta * t) * Wv[x]
-        rhs[rep] = rhs_j
+    for b in range(-(-n_reps // BLOCK)):
+        rng, x, _ = _block_start(prep, x0i, seed, b, n_reps)
+        span = slice(b * BLOCK, b * BLOCK + x.size)
+        start = Wv[x]
+        drift, _ = _advance(prep, x, rng, t, gvec, t)
+        lhs[span] = math.exp(-eta * t) * Wv[x]
+        rhs[span] = start + drift
     d = lhs - rhs
     return DynkinReport(
         lhs=float(np.mean(lhs)),
@@ -354,7 +411,7 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
                 accrue(x, t, horizon)
                 return horizon
             accrue(x, t, t_next)
-            z = _draw_target(prep, x, rng)
+            z = _jump(prep, x, rng)
             epochs.append(Epoch(t_next, labels[x], labels[z], None, labels[z]))
             x = z
             t = t_next
@@ -367,7 +424,7 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
         start_pre = labels[x]
         while prep.policy.impulsive[x]:
             if len(steps) >= prep.guard:
-                raise ImproperChainError("chain guard hit during simulation", labels[x])
+                raise _guard_error(prep, x)
             d = next(delta_iter, 0.0)
             if d > 0.0:
                 rate = prep.total_rate[x]
@@ -380,7 +437,7 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
                                             InterventionChain(tuple(steps), labels[x], chain_cost), labels[x]))
                         return x, horizon, True
                     accrue(x, t, jump_at)
-                    z = _draw_target(prep, x, rng)
+                    z = _jump(prep, x, rng)
                     epochs.append(Epoch(t, start_pre, start_pre,
                                         InterventionChain(tuple(steps), labels[x], chain_cost), labels[x]))
                     epochs.append(Epoch(jump_at, labels[x], labels[z], None, labels[z]))
@@ -393,11 +450,11 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
                     return x, horizon, True
                 accrue(x, t, wait_end)
                 t = wait_end
-            a, nxt, c = _step(comp, prep.policy, x, rng)
-            steps.append((labels[x], comp.model.actions.impulsive[labels[x]][a]))
+            c = float(prep.imp_cost[x])
+            steps.append((labels[x], comp.model.actions.impulsive[labels[x]][prep.policy.phi_i[x]]))
             cost_i += c * math.exp(-eta * t)
             chain_cost += c
-            x = nxt
+            x = _impulse(prep, x, rng)
         epochs.append(Epoch(t, start_pre, start_pre,
                             InterventionChain(tuple(steps), labels[x], chain_cost), labels[x]))
         return x, t, False
@@ -420,7 +477,7 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
             accrue(x, t, horizon)
             return Trajectory(tuple(epochs), cost_g, cost_i, horizon)
         accrue(x, t, t_next)
-        z = _draw_target(prep, x, rng)
+        z = _jump(prep, x, rng)
         if prep.policy.impulsive[z]:
             epochs.append(Epoch(t_next, labels[x], labels[z], None, labels[z]))
             z, t_land, interrupted = spaced_chain(z, t_next)

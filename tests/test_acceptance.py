@@ -210,7 +210,7 @@ def test_criterion_09_non_explosion(capsys, desk_solved):
     ):
         if policy is None:
             policy = extract_policy(model, solve(model).V)
-        guard = chain_guard(model)
+        guard = chain_guard(model, policy)
         counts = []
         for rep in range(n):
             traj = simulate_trajectory(model, policy, x0, replication_rng(seed, rep))

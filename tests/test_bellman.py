@@ -158,6 +158,23 @@ def test_check_policy_rejects_infeasible_flags():
         check_policy(m, wrong_shape)
 
 
+def test_check_policy_names_the_first_bad_state():
+    m = zero_cost_model(3)   # one gradual action per state, no impulses
+    flagged_late = StationaryPolicy(impulsive=np.array([False, True, False]),
+                                    phi_g=np.array([0, 0, 5]), phi_i={})
+    with pytest.raises(ValueError, match=r"^state '1' flagged for intervention but has no impulsive action$"):
+        check_policy(m, flagged_late)
+    bad_actions = StationaryPolicy(impulsive=np.zeros(3, dtype=bool),
+                                   phi_g=np.array([0, -1, 7]), phi_i={})
+    with pytest.raises(ValueError, match=r"^phi_g out of range at state '1'$"):
+        check_policy(m, bad_actions)
+    m = two_state(lam=0.3)
+    for phi_i in ({}, {1: 1}, {0: 0}):
+        with pytest.raises(ValueError, match=r"^phi_i missing or out of range at state '1'$"):
+            check_policy(m, StationaryPolicy(impulsive=np.array([False, True]),
+                                             phi_g=np.zeros(2, dtype=np.int64), phi_i=phi_i))
+
+
 def test_solve_two_state_gap_tiny():
     m = two_state()
     report = solve(m, tol=1e-10)

@@ -198,8 +198,20 @@ def test_value_decomposes_through_chain():
 
 
 def test_chain_guard_formula():
-    m = two_state(lam=0.3)   # K = 1, eta = 1, c_lower = 0.3
-    assert chain_guard(m) == math.ceil(2.0 / 0.3) * 10 + 100
+    # ceil(40 e m), with m the largest expected number of impulses of a chain.
+    m = two_state(lam=0.3)   # one deterministic impulse
+    assert chain_guard(m, extract_policy(m, solve(m).V)) == math.ceil(40 * math.e * 1)
+    g = geometric_model()    # two impulses on average
+    assert chain_guard(g, flag_all(g)) == math.ceil(40 * math.e * 2)
+
+
+def test_long_proper_chains_pass_the_guard():
+    # 1,000 impulses on average: far past any bound that ignores the policy.
+    m = geometric_model(p_stay=0.999)
+    policy = flag_all(m)
+    rng = replication_rng(4, 0)
+    lengths = [len(sample_chain(m, policy, "x", rng).steps) for _ in range(1_000)]
+    assert max(lengths) > 2_000
 
 
 def test_expected_landing_value_identity_on_gradual():

@@ -112,6 +112,13 @@ def test_cli_solve_reports_closed_form(tmp_path):
     assert "gradual,wait" in r0
 
 
+def test_cli_values_table_has_no_negative_zero(tmp_path):
+    # The absorbing zero-cost state solves to -0.0 in the sparse LU.
+    out = tmp_path / "run"
+    assert cli.run(["solve", "--model", str(TWO_STATE_IMPULSE), "--out", str(out)]) == 0
+    assert (out / "values.csv").read_text().splitlines()[1] == "0,0.0,gradual,wait"
+
+
 def test_cli_solve_at_loose_tolerance(tmp_path):
     # Value iteration stopped at tol=1e-6 left V too far from a fixed point
     # for extract_policy's tol_set, which raised PolicyExtractionError.

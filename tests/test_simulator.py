@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from impulsive_ctmdp import (
     ValueFunction,
@@ -15,8 +16,10 @@ from impulsive_ctmdp import (
     simulate_trajectory,
     solve,
 )
+from impulsive_ctmdp.simulate import BLOCK
+from impulsive_ctmdp.testing import random_model
 
-from conftest import two_state, zero_cost_model
+from conftest import geometric_model, improper_policy, two_state, zero_cost_model
 
 
 def solved(model):
@@ -68,6 +71,36 @@ def test_estimate_is_thread_count_invariant():
     two = estimate_cost(m, policy, "1", 400, seed=9, threads=2)
     assert one.mean == two.mean
     assert one.std_error == two.std_error
+
+
+def test_estimate_is_thread_count_invariant_across_blocks():
+    # Work splits at block boundaries; the last block is a partial one.
+    m = two_state()
+    _, policy = solved(m)
+    runs = [estimate_cost(m, policy, "1", BLOCK + 7, seed=9, threads=k) for k in (1, 2, 3)]
+    assert len({(r.mean, r.std_error) for r in runs}) == 1
+    assert abs(runs[0].mean - 0.5) <= 4 * runs[0].std_error
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_estimate_matches_value_on_random_models(seed):
+    m = random_model(seed)
+    report, policy = solved(m)
+    # The first state where the policy waits under an action that jumps.
+    moving = [k for k, s in enumerate(m.states.labels)
+              if not policy.impulsive[k] and m.rates.total_rate(s, policy.gradual_action(m, s)) > 0]
+    assume(moving)
+    x0 = m.states.labels[moving[0]]
+    est = estimate_cost(m, policy, x0, 2_000, seed=seed)
+    assert abs(est.mean - report.V[moving[0]]) <= 4 * est.std_error + report.gap
+
+
+def test_long_proper_chains_are_simulated():
+    # Chains of 1,000 impulses on average; analyze_chains gives 700.
+    m = geometric_model(p_stay=0.999)
+    est = estimate_cost(m, improper_policy(m), "x", 100, seed=1)
+    assert abs(est.mean - 700.0) <= 4 * est.std_error
 
 
 def test_trajectory_is_reproducible():
