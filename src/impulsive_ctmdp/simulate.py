@@ -75,7 +75,7 @@ class DynkinReport:
 
 @dataclass(frozen=True, eq=False)
 class _Prep:
-    """Per-(model, policy) simulation tables, one entry per state."""
+    """Per-(model, policy) simulation tables; each array has one entry per state."""
 
     comp: CompiledModel
     policy: StationaryPolicy
@@ -145,13 +145,13 @@ def _impulse(prep: _Prep, x: int, rng: np.random.Generator) -> int:
 
 def _chain_recorded(prep: _Prep, x: int, rng: np.random.Generator) -> tuple[int, InterventionChain]:
     labels = prep.comp.model.states.labels
-    impulsive = prep.comp.model.actions.impulsive
+    actions = prep.comp.model.actions.impulsive
     steps: list[tuple[str, str]] = []
     cost = 0.0
     while prep.policy.impulsive[x]:
         if len(steps) >= prep.guard:
             raise _guard_error(prep, x)
-        steps.append((labels[x], impulsive[labels[x]][prep.policy.phi_i[x]]))
+        steps.append((labels[x], actions[labels[x]][prep.policy.phi_i[x]]))
         cost += float(prep.imp_cost[x])
         x = _impulse(prep, x, rng)
     return x, InterventionChain(steps=tuple(steps), landing=labels[x], total_cost=cost)
