@@ -127,7 +127,26 @@ def impulsive_branch(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
 
 def apply_operator(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
     """One application of the optimality operator to a value vector."""
-    g = gradual_branch(comp, F)
+    return _state_min(comp, gradual_branch(comp, F), F)
+
+
+def apply_embedded(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
+    """One application of the optimality operator on the embedded jump chain.
+
+    Its gradual branch is the continuous-time form
+    (eta + q) V(x) = c + sum_y q(y|x) V(y) solved for V(x): no self-loop, so
+    a pair contracts at its own rate q/(eta+q) instead of K/(K+eta).  Each
+    uniformized pair value is a convex mix of V(x) and this one, so a pair
+    lies below V(x) under one operator exactly when it does under the other:
+    both operators share their fixed point, and an iterate of this one from
+    above is a supersolution of the optimality operator.
+    """
+    g = (comp.J @ F + comp.g_cost) / (comp.eta + comp.g_total_rate)
+    return _state_min(comp, g, F)
+
+
+def _state_min(comp: CompiledModel, g: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Each state's least gradual pair value ``g`` or impulsive branch value at ``F``."""
     out = np.minimum.reduceat(g, comp.g_ptr[:-1])
     if comp.i_cost.size:
         iv = impulsive_branch(comp, F)

@@ -7,13 +7,17 @@ K/(K+eta)) with an impulsive branch of modulus one.  Iterating it from
 non-decreasing one; both converge to the unique bounded fixed point, which
 is the optimal discounted cost.  :func:`solve` finds that fixed point
 exactly, up to roundoff, by policy iteration started from a short run of
-the iteration from above; the two monotone iterations remain its fallback.
+the embedded jump chain's operator from above (no self-loop, so each state
+contracts at its own rate q/(eta+q)); the two monotone iterations of the
+optimality operator remain its fallback.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,7 @@ import scipy.sparse as sp
 
 from ._ops import (
     CompiledModel,
+    apply_embedded,
     apply_operator,
     compile_model,
     gradual_branch,
@@ -67,20 +72,27 @@ class StationaryPolicy:
     ``impulsive[x]`` flags the intervene region.  ``phi_g`` is total (on the
     intervene region it is an arbitrary feasible choice and never applied);
     ``phi_i`` is defined exactly on the flagged states.  Action values are
-    positions in the state's catalog list.
+    positions in the state's catalog list.  All three are read-only copies
+    of what is passed in, since the simulator and the chain analysis cache
+    on the policy object.
     """
 
     impulsive: np.ndarray
     phi_g: np.ndarray
-    phi_i: dict[int, int]
+    phi_i: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        imp = np.asarray(self.impulsive, dtype=bool)
+        imp = np.array(self.impulsive, dtype=bool)
         imp.flags.writeable = False
-        pg = np.asarray(self.phi_g, dtype=np.int64)
+        pg = np.array(self.phi_g, dtype=np.int64)
         pg.flags.writeable = False
         object.__setattr__(self, "impulsive", imp)
         object.__setattr__(self, "phi_g", pg)
+        object.__setattr__(self, "phi_i", types.MappingProxyType(dict(self.phi_i)))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; worker processes get a plain copy.
+        return StationaryPolicy, (self.impulsive, self.phi_g, dict(self.phi_i))
 
     def impulse_choice(self) -> np.ndarray:
         """``phi_i`` as an array over states, -1 where it names no action."""
@@ -107,7 +119,8 @@ class SolveReport:
     ``gap`` bounds max |V - V*|: U * ``residual`` after policy iteration, the
     distance between the two monotone limits after the fallback.
     ``residual`` is max |T V - V|.  ``iterations_above`` counts sweeps from
-    +K/eta (the warm start, or the fallback's upper iteration);
+    +K/eta (the warm start's embedded-chain sweeps, or the fallback's upper
+    iteration);
     ``iterations_below`` counts sweeps from -K/eta and is 0 unless the
     fallback ran.  ``evaluations`` counts policy evaluations and is 0 exactly
     when the fallback produced the result.
@@ -282,13 +295,16 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
 def solve(model: CtmdpModel, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
     """Optimal value by Howard policy iteration, with a certified error bound.
 
-    Value iteration from +K/eta runs in blocks of ceil((K+eta)/eta) sweeps
-    (one e-fold of the gradual contraction) until the greedy policy's
-    intervene region repeats across two blocks.  Here and in the improvement
-    step, "greedy" keeps a state's current decision unless another is better
-    by more than roundoff, so a tie cannot flip on last-digit noise.  Every
-    such iterate is a supersolution, and impulses cost at least c_lower > 0,
-    so that greedy policy has no closed impulse cycle.  Policy iteration then
+    The warm start iterates the embedded-chain operator
+    (:func:`~impulsive_ctmdp._ops.apply_embedded`) from +K/eta in blocks of
+    ceil((K+eta)/eta) sweeps until the greedy policy's intervene region
+    repeats across two blocks, or until a sweep moves V by less than ``tol``.
+    Here and in the improvement step, "greedy" keeps a state's current
+    decision unless another is better by more than roundoff, so a tie cannot
+    flip on last-digit noise.  The embedded-chain operator is monotone and
+    has the optimality operator's fixed point, so every warm-start iterate
+    is a supersolution of both; and impulses cost at least c_lower > 0, so
+    that greedy policy has no closed impulse cycle.  Policy iteration then
     alternates :func:`evaluate_policy` with a greedy improvement, and stops
     when the policy repeats.  The returned V is that policy's value, and ``gap``
     bounds |V - V*| by U * |T V - V|, where U = (K+eta)/eta + 2K/(eta c_lower)
@@ -341,13 +357,17 @@ def _policy_iteration(model: CtmdpModel, tol: float, max_iter: int) -> SolveRepo
 
     block = math.ceil((K + eta) / eta)
     V = np.full(comp.N, K / eta)
-    sweeps, pick = 0, None
-    while True:
+    sweeps, pick, step = 0, None, np.inf
+    while step >= tol:
         if sweeps + block > max_iter:
             return None
         for _ in range(block):
-            V = apply_operator(comp, V)
-        sweeps += block
+            Vn = apply_embedded(comp, V)
+            step = float(np.max(np.abs(V - Vn)))
+            V = Vn
+            sweeps += 1
+            if step < tol:
+                break
         previous, pick = pick, greedy(V, pick)
         if previous is not None and np.array_equal(pick >= n_g, previous >= n_g):
             break

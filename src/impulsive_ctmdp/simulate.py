@@ -343,8 +343,7 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     Wv = W.values
     Wbar = expected_landing_value(model, policy, Wv)
     # Per-state drift rate: discounting decay plus jump-and-intervene flux.
-    # K * P_unif row = q-bar row + (K - rate) * delta_x, so peel the diagonal off.
-    flux = (comp.P_unif[prep.g_rows] @ Wbar) * comp.K - (comp.K - prep.total_rate) * Wbar
+    flux = comp.J[prep.g_rows] @ Wbar
     gvec = -eta * Wv + flux - Wv * prep.total_rate
 
     x0i = model.states.index[x0]

@@ -1,5 +1,7 @@
 """Optimality operator, monotone iterations, policy extraction and evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +18,13 @@ from impulsive_ctmdp import (
     value_iterate,
 )
 from impulsive_ctmdp import bellman
+from impulsive_ctmdp._ops import apply_embedded, compile_model
 from impulsive_ctmdp.bellman import StationaryPolicy, check_policy
+from impulsive_ctmdp.epidemic import build_epidemic_model
+from impulsive_ctmdp.io import load_epidemic_params
 from impulsive_ctmdp.testing import random_model
 
-from conftest import improper_model, improper_policy, two_state, zero_cost_model
+from conftest import MODELS_DIR, improper_model, improper_policy, two_state, zero_cost_model
 from test_model import one_state_model
 
 
@@ -247,3 +252,33 @@ def test_solve_falls_back_to_two_sided_value_iteration(monkeypatch):
     assert np.array_equal(report.V.values, V_below.values)
     assert (report.iterations_above, report.iterations_below) == (it_above, it_below)
     assert report.gap == float(np.max(np.abs(V_above.values - V_below.values)))
+
+
+def test_desk_warm_start_converges_within_one_block():
+    # The embedded chain contracts at each state's own rate q/(eta+q), so its
+    # warm start reaches a sub-tol step before one block of ceil((K+eta)/eta)
+    # sweeps, where the uniformized chain needed four blocks (420 sweeps).
+    m = build_epidemic_model(load_epidemic_params(str(MODELS_DIR / "epidemic_desk.yaml")))
+    report = solve(m)
+    assert report.iterations_above < math.ceil((m.K + m.eta) / m.eta)
+    assert report.evaluations == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_embedded_iterates_are_supersolutions(seed):
+    # Iterates of the embedded-chain operator from +K/eta decrease and stay
+    # above T; solve's V is its fixed point too.
+    m = random_model(seed)
+    comp = compile_model(m)
+    slack = 1e-12 * (1.0 + m.K / m.eta)
+    V = np.full(comp.N, m.K / m.eta)
+    for _ in range(200):
+        Vn = apply_embedded(comp, V)
+        assert np.all(Vn <= V + slack)
+        assert np.all(bellman_apply(m, ValueFunction(Vn)).values <= Vn + slack)
+        if np.array_equal(Vn, V):
+            break
+        V = Vn
+    report = solve(m)
+    assert np.max(np.abs(apply_embedded(comp, report.V.values) - report.V.values)) <= slack

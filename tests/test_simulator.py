@@ -16,6 +16,7 @@ from impulsive_ctmdp import (
     simulate_trajectory,
     solve,
 )
+from impulsive_ctmdp.bellman import StationaryPolicy
 from impulsive_ctmdp.simulate import BLOCK
 from impulsive_ctmdp.testing import random_model
 
@@ -80,6 +81,30 @@ def test_estimate_is_thread_count_invariant_across_blocks():
     runs = [estimate_cost(m, policy, "1", BLOCK + 7, seed=9, threads=k) for k in (1, 2, 3)]
     assert len({(r.mean, r.std_error) for r in runs}) == 1
     assert abs(runs[0].mean - 0.5) <= 4 * runs[0].std_error
+
+
+def test_policy_is_read_only():
+    # The simulator caches its tables on the policy object, so the policy
+    # must not change under it: neither through its fields nor through the
+    # containers it was built from.
+    m = two_state(lam=0.3)
+    _, policy = solved(m)
+    before = estimate_cost(m, policy, "1", 200, seed=3)
+    assert abs(before.mean - 0.3) < 1e-12
+    with pytest.raises(AttributeError):
+        policy.phi_i.clear()
+    with pytest.raises(TypeError):
+        policy.phi_i[1] = 0
+    assert estimate_cost(m, policy, "1", 200, seed=3).mean == before.mean
+    flags = np.array([False, True, False])
+    passed = dict(policy.phi_i)
+    copy = StationaryPolicy(impulsive=flags[:2], phi_g=policy.phi_g, phi_i=passed)
+    assert estimate_cost(m, copy, "1", 200, seed=3).mean == before.mean
+    flags[1] = False
+    passed.clear()
+    assert copy.impulsive.tolist() == [False, True]
+    assert copy.phi_i == policy.phi_i == {1: 0}
+    assert estimate_cost(m, copy, "1", 200, seed=3).mean == before.mean
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
