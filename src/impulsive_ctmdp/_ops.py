@@ -1,8 +1,11 @@
 """Compiled array form of a model, shared by the solver and the simulator.
 
-Models are immutable, so the index maps, the sparse uniformized kernel, and
-the flat jump and relocation tables (CSR rows with running probabilities for
-sampling) are built once per model object and cached.
+The model already stores its kernels as pair-ordered CSR arrays (one
+``model.PairTable`` per control kind).  :func:`compile_model` adds the sparse
+matrices (jump rates ``J``, the uniformized kernel ``P_unif``, the relocation
+kernel ``Q_imp``) and the derived tables: row totals, running probabilities
+for sampling, and the index of the states that have impulses.  It loops
+over row width, never over rows, and caches the result per model object.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .model import CtmdpModel
+from .model import CtmdpModel, row_sums
 
 if TYPE_CHECKING:
     from .bellman import StationaryPolicy
@@ -46,70 +49,44 @@ class CompiledModel:
         return int(self.g_ptr[x]) + a
 
 
-def _flat_rows(rows, idx: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """CSR parts of (target label, weight) rows, plus each row's running sums."""
-    cols: list[int] = []
-    data: list[float] = []
-    cum: list[float] = []
-    indptr = [0]
-    for row in rows:
-        acc = 0.0
-        for t, w in row:
-            cols.append(idx[t])
-            data.append(w)
-            acc += w
-            cum.append(acc)
-        indptr.append(len(cols))
-    return (np.asarray(data, dtype=np.float64), np.asarray(cols, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64), np.asarray(cum, dtype=np.float64))
-
-
 @lru_cache(maxsize=64)
 def compile_model(model: CtmdpModel) -> CompiledModel:
-    st = model.states
-    N = st.N
+    if model.defects:
+        raise ValueError(f"model has structural defects: {min(model.defects, key=lambda d: d[0])[1]}")
+    N = model.states.N
     K = model.K
-    labels = st.labels
-
-    g_keys = [(s, a) for s in labels for a in model.actions.gradual[s]]
-    g_ptr = np.concatenate([[0], np.cumsum([len(model.actions.gradual[s]) for s in labels])]).astype(np.int64)
-    data, cols, indptr, cum = _flat_rows((model.rates.rows[k] for k in g_keys), st.index)
-    n_g = len(g_keys)
-    J = sp.csr_matrix((data, cols, indptr), shape=(n_g, N))
-    total = np.array([data[lo:hi].sum() for lo, hi in zip(indptr[:-1], indptr[1:])])
-    per_entry = np.repeat(total, np.diff(indptr))
+    g, im = model.gradual_pairs, model.impulse_pairs
+    n_g = len(g.names)
+    # copy=True: scipy may canonicalise a matrix in place, and the model's arrays are read-only.
+    J = sp.csr_matrix((g.weights, g.cols, g.row_ptr), shape=(n_g, N), copy=True)
+    cum, total = row_sums(g.row_ptr, g.weights)
+    per_entry = np.repeat(total, np.diff(g.row_ptr))
     J_cum = np.divide(cum, per_entry, out=cum, where=per_entry > 0)
     # Uniformized row: q-bar mass over K plus leftover on the diagonal.
-    owner = np.repeat(np.arange(N, dtype=np.int64), np.diff(g_ptr))
     P_unif = sp.csr_matrix(
-        (np.insert(data / K, indptr[1:], (K - total) / K),
-         np.insert(cols, indptr[1:], owner),
-         indptr + np.arange(n_g + 1)),
+        (np.insert(g.weights / K, g.row_ptr[1:], (K - total) / K),
+         np.insert(g.cols, g.row_ptr[1:], g.owners()),
+         g.row_ptr + np.arange(n_g + 1)),
         shape=(n_g, N),
     )
-
-    i_states = np.array([x for x, s in enumerate(labels) if model.actions.impulsive.get(s)], dtype=np.int64)
-    i_keys = [(labels[x], a) for x in i_states for a in model.actions.impulsive[labels[x]]]
-    qdata, qcols, qindptr, Q_cum = _flat_rows((model.impulses.rows[k] for k in i_keys), st.index)
-    has_imp = np.zeros(N, dtype=bool)
-    has_imp[i_states] = True
-
+    has_imp = np.diff(im.ptr) > 0
+    i_states = np.flatnonzero(has_imp)
     return CompiledModel(
         model=model,
         N=N,
         K=K,
         eta=model.costs.eta,
-        g_ptr=g_ptr,
-        g_cost=np.array([model.costs.gradual_cost[k] for k in g_keys], dtype=np.float64),
+        g_ptr=g.ptr,
+        g_cost=g.cost,
         g_total_rate=total,
         P_unif=P_unif,
         J=J,
         J_cum=J_cum,
         i_states=i_states,
-        i_ptr=np.concatenate([[0], np.cumsum([len(model.actions.impulsive[labels[x]]) for x in i_states])]).astype(np.int64),
-        i_cost=np.array([model.costs.impulse_cost[k] for k in i_keys], dtype=np.float64),
-        Q_imp=sp.csr_matrix((qdata, qcols, qindptr), shape=(len(i_keys), N)),
-        Q_cum=Q_cum,
+        i_ptr=np.append(im.ptr[i_states], im.ptr[-1]),
+        i_cost=im.cost,
+        Q_imp=sp.csr_matrix((im.weights, im.cols, im.row_ptr), shape=(len(im.names), N), copy=True),
+        Q_cum=row_sums(im.row_ptr, im.weights)[0],
         has_impulse=has_imp,
     )
 

@@ -70,7 +70,10 @@ def _effective(args: argparse.Namespace) -> dict[str, Any]:
         if not isinstance(loaded, dict):
             raise mio.ModelParseError(f"{args.config}: config must be a flat mapping")
         for k, v in loaded.items():
-            cfg[k.replace("-", "_")] = v
+            key = str(k).replace("-", "_")
+            if key not in DEFAULTS and key not in ("model", "params"):
+                raise mio.ModelParseError(f"{args.config}: unknown config key {k!r}")
+            cfg[key] = v
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
@@ -170,7 +173,7 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
         "mean": est.mean,
         "std_error": est.std_error,
         "n_replications": est.n_replications,
-        "solved_value_at_x0": report.V[model.states.index[x0]],
+        "solved_value_at_x0": report.V[model.states.index[x0]] + 0.0,  # no signed zero
         "truncation_time": sample.truncation_time,
     }
     return _emit(cfg, meta, {"trajectory0.csv": mio.trajectory_csv(sample)})

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import StationaryPolicy
-from .model import (
-    ActionCatalog,
-    CostModel,
-    CtmdpModel,
-    ImpulseKernel,
-    RateKernel,
-    StateSpace,
-)
+from .model import CtmdpModel, PairTable
 
 WAIT = "wait"
 IMMUNIZE = "immunize"
@@ -200,48 +193,42 @@ def build_epidemic_model(params: EpidemicParams) -> CtmdpModel:
 
     Carrier births are suppressed at C_max (reflecting truncation).  The
     single gradual action waits; the single impulse moves one susceptible
-    out at the immunization price.
+    out at the immunization price.  States are numbered in the order of
+    :func:`enumerate_states`, and neighbours are found by index arithmetic.
     """
     lam = params.immunization_cost
-    labels: list[str] = []
-    gradual: dict[str, tuple[str, ...]] = {}
-    impulsive: dict[str, tuple[str, ...]] = {}
-    rates: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
-    impulse_rows: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
-    gcost: dict[tuple[str, str], float] = {}
-    icost: dict[tuple[str, str], float] = {}
-    max_rate = 0.0
-    for s, c, i in enumerate_states(params):
-        lbl = state_label(s, c, i)
-        labels.append(lbl)
-        gradual[lbl] = (WAIT,)
-        row: list[tuple[str, float]] = []
-        if c < params.C_max and params.rho_b[c] > 0:
-            row.append((state_label(s, c + 1, i), params.rho_b[c]))
-        if c > 0 and params.rho_d[c] > 0:
-            row.append((state_label(s, c - 1, i), params.rho_d[c]))
-        if s > 0 and params.kappa_i[c] > 0:
-            row.append((state_label(s - 1, c, i + 1), s * params.kappa_i[c]))
-        if i > 0 and params.kappa_r > 0:
-            row.append((state_label(s, c, i - 1), i * params.kappa_r))
-        rates[(lbl, WAIT)] = tuple(row)
-        max_rate = max(max_rate, sum(r for _, r in row))
-        gcost[(lbl, WAIT)] = float(i)
-        if s > 0:
-            impulsive[lbl] = (IMMUNIZE,)
-            impulse_rows[(lbl, IMMUNIZE)] = ((state_label(s - 1, c, i), 1.0),)
-            icost[(lbl, IMMUNIZE)] = lam
-        else:
-            impulsive[lbl] = ()
-    K_cost = float(params.S + params.I)
-    return CtmdpModel(
-        states=StateSpace(tuple(labels)),
-        actions=ActionCatalog(gradual=gradual, impulsive=impulsive),
-        rates=RateKernel(rows=rates, K_rate=max_rate),
-        impulses=ImpulseKernel(rows=impulse_rows),
-        costs=CostModel(gradual_cost=gcost, impulse_cost=icost,
-                        eta=params.eta, K_cost=K_cost, c_lower=lam),
-    )
+    cap = params.S + params.I
+    width = cap + 1 - np.arange(params.S + 1)             # infective counts 0..cap-s per (s, c)
+    offset = np.concatenate([[0], np.cumsum((params.C_max + 1) * width)])
+    N = int(offset[-1])
+    s = np.repeat(np.arange(params.S + 1), (params.C_max + 1) * width)
+    c, i = np.divmod(np.arange(N) - offset[s], width[s])
+    below = np.maximum(s - 1, 0)                          # s - 1, clamped where masked out
+
+    def at(s_, c_, i_):
+        return offset[s_] + c_ * width[s_] + i_
+
+    # Candidate jumps in row order: carrier birth, carrier death, infection, recovery.
+    rates = np.stack([np.where(c < params.C_max, np.asarray(params.rho_b)[c], 0.0),
+                      np.where(c > 0, np.asarray(params.rho_d)[c], 0.0),
+                      s * np.asarray(params.kappa_i)[c],
+                      i * params.kappa_r], axis=1)
+    targets = np.stack([at(s, c + 1, i), at(s, c - 1, i), at(below, c, i + 1), at(s, c, i - 1)], axis=1)
+    keep = rates > 0
+    rates = np.where(keep, rates, 0.0)
+    total = ((rates[:, 0] + rates[:, 1]) + rates[:, 2]) + rates[:, 3]  # left to right, as a row sum
+    imm = s > 0
+    n_imm = int(np.count_nonzero(imm))
+    gradual = PairTable(ptr=np.arange(N + 1), names=(WAIT,) * N,
+                        row_ptr=np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))]),
+                        cols=targets[keep], weights=rates[keep], cost=i.astype(np.float64))
+    impulsive = PairTable(ptr=np.concatenate([[0], np.cumsum(imm)]), names=(IMMUNIZE,) * n_imm,
+                          row_ptr=np.arange(n_imm + 1), cols=at(below, c, i)[imm],
+                          weights=np.ones(n_imm), cost=np.full(n_imm, lam))
+    return CtmdpModel.from_arrays(
+        tuple(map(state_label, s.tolist(), c.tolist(), i.tolist())), gradual, impulsive,
+        K_rate=float(total.max(initial=0.0)), eta=params.eta,
+        K_cost=float(params.S + params.I), c_lower=lam)
 
 
 def analytic_value(params: EpidemicParams, cv: CarrierValue, s: int, c: int, i: int) -> float:

@@ -214,6 +214,15 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, rep)))
 
 
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """Stream of one block of the batched engine, deterministic in (seed, block).
+
+    Its spawn key sets it apart from ``replication_rng(seed, block)``, so the
+    single paths that stream seeds do not replay the estimate's replications.
+    """
+    return np.random.default_rng(np.random.SeedSequence((seed, block), spawn_key=(1,)))
+
+
 # ---------------------------------------------------------------------------
 # Batched engine: a block of replications advances together, one event at a
 # time.  Policies of the sufficient class intervene only at time zero and
@@ -281,7 +290,7 @@ def _advance(prep: _Prep, x: np.ndarray, rng: np.random.Generator, horizon: floa
 def _block_start(prep: _Prep, x0: int, seed: int, block: int,
                  n_reps: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
     """Stream of a block and its paths after the chain at time 0: (rng, states, chain costs)."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+    rng = _block_rng(seed, block)
     x = np.full(min(BLOCK, n_reps - block * BLOCK), x0, dtype=np.int64)
     return rng, x, _chains(prep, x, rng)
 

@@ -1,5 +1,7 @@
 """Model/parameter document parsing and the command-line workflows."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,10 @@ def test_cli_values_table_has_no_negative_zero(tmp_path):
     out = tmp_path / "run"
     assert cli.run(["solve", "--model", str(TWO_STATE_IMPULSE), "--out", str(out)]) == 0
     assert (out / "values.csv").read_text().splitlines()[1] == "0,0.0,gradual,wait"
+    sim = tmp_path / "sim"
+    assert cli.run(["simulate", "--model", str(TWO_STATE_IMPULSE), "--x0", "0",
+                    "--reps", "20", "--out", str(sim)]) == 0
+    assert "solved_value_at_x0: 0.0\n" in (sim / "report.yaml").read_text()
 
 
 def test_cli_solve_at_loose_tolerance(tmp_path):
@@ -148,6 +154,22 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "n_replications: 80" in out   # flag beats file
     assert "seed: 1" in out              # file beats default
+
+
+def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
+    # A misspelt key used to be ignored for its default and echoed into report.yaml.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("reps: 20\ntail-toll: 1e-4\n")
+    out = tmp_path / "run"
+    assert cli.run(["simulate", "--model", str(TWO_STATE_IMPULSE), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["code"] == 2 and "'tail-toll'" in err["message"]
+    assert not out.exists()
+    cfg.write_text("reps: 20\ntail-tol: 1.0e-4\nmodel: ignored-by-the-flag.yaml\n")
+    assert cli.run(["simulate", "--model", str(TWO_STATE_IMPULSE), "--config", str(cfg),
+                    "--out", str(out)]) == 0
+    assert "tail_tol: 0.0001" in (out / "report.yaml").read_text()
 
 
 def test_cli_config_file_initial_state_is_a_label(tmp_path, capsys):

@@ -1,9 +1,13 @@
-"""Model invariants: validation rules and the uniformized one-step kernel."""
+"""Model invariants: validation rules, the flat pair tables and the uniformized one-step kernel."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from impulsive_ctmdp import uniformized_row, validate_model
+from impulsive_ctmdp import build_epidemic_model, uniformized_row, validate_model
+from impulsive_ctmdp._ops import compile_model
 from impulsive_ctmdp.model import (
     ActionCatalog,
     CostModel,
@@ -14,7 +18,8 @@ from impulsive_ctmdp.model import (
 )
 from impulsive_ctmdp.testing import random_model
 
-from conftest import two_state, zero_cost_model
+from conftest import desk_params, two_state, zero_cost_model
+from validation_oracle import reference_validate_model
 
 
 def one_state_model(cost: float = 0.0) -> CtmdpModel:
@@ -168,3 +173,180 @@ def test_uniformized_rows_are_distributions_on_random_models():
 
 def test_zero_cost_model_is_valid():
     assert validate_model(zero_cost_model()) == []
+
+
+DEFECTS = ("negative_rate", "self_loop", "rate_bound", "substochastic", "cost_bound", "impulse_floor",
+           "unknown_target", "extra_row", "extra_cost", "missing_row", "missing_cost", "duplicate_label")
+
+
+def _insert(d: dict, key, value, rng) -> dict:
+    """``d`` with ``key`` inserted at a random position of its order."""
+    items = list(d.items())
+    items.insert(int(rng.integers(len(items) + 1)), (key, value))
+    return dict(items)
+
+
+def inject(m: CtmdpModel, defects, rng) -> tuple[CtmdpModel, list[str]]:
+    """A copy of a dict-built model with the named defects, where the model has room for them."""
+    labels = m.states.labels
+    rates = {k: list(v) for k, v in m.rates.rows.items()}
+    imps = {k: list(v) for k, v in m.impulses.rows.items()}
+    gcost, icost = dict(m.costs.gradual_cost), dict(m.costs.impulse_cost)
+    applied = []
+
+    def pick(keys):
+        keys = list(keys)
+        return keys[int(rng.integers(len(keys)))] if keys else None
+
+    # The dict walk visits missing pairs in set order, so one pair per kind goes missing.
+    missing = (pick(rates), pick(imps))
+    for d in defects:
+        use_imps = bool(imps) and rng.random() < 0.5
+        if d == "negative_rate" and (key := pick(k for k in rates if rates[k])):
+            j = int(rng.integers(len(rates[key])))
+            rates[key][j] = (rates[key][j][0], -0.25)
+        elif d == "self_loop":
+            key = pick(rates)
+            rates[key].append((key[0], 0.1))
+        elif d == "rate_bound":
+            key = pick(rates)
+            other = labels[(labels.index(key[0]) + 1) % len(labels)]
+            rates[key].append((other, m.rates.K_rate + 0.5))
+        elif d == "substochastic" and imps:
+            key = pick(imps)
+            imps[key] = [(t, 0.9 * p) for t, p in imps[key]]
+        elif d == "cost_bound":
+            gcost[pick(gcost)] = -1.5
+        elif d == "impulse_floor" and icost:
+            icost[pick(icost)] = 0.1
+        elif d == "unknown_target":
+            rows = imps if use_imps else rates
+            rows[pick(rows)].append(("ghost", float(rng.choice([0.2, -0.2]))))
+        elif d == "extra_row":
+            if use_imps:
+                imps = _insert(imps, (labels[0], "ghost"), [(labels[0], 1.0)], rng)
+            else:
+                rates = _insert(rates, (labels[0], "ghost"), [], rng)
+        elif d == "extra_cost":
+            if use_imps:
+                icost = _insert(icost, (labels[-1], "ghost"), 0.5, rng)
+            else:
+                gcost = _insert(gcost, (labels[-1], "ghost"), 0.0, rng)
+        elif d == "missing_row" and missing[use_imps]:
+            (imps if use_imps else rates).pop(missing[use_imps], None)
+        elif d == "missing_cost" and missing[use_imps]:
+            (icost if use_imps else gcost).pop(missing[use_imps], None)
+        elif d == "duplicate_label":
+            pass
+        else:
+            continue
+        applied.append(d)
+    states = m.states
+    if "duplicate_label" in defects:
+        at = int(rng.integers(len(labels) + 1))
+        states = StateSpace(labels[:at] + (labels[int(rng.integers(len(labels)))],) + labels[at:])
+    bad = CtmdpModel(
+        states=states, actions=m.actions,
+        rates=RateKernel(rows={k: tuple(v) for k, v in rates.items()}, K_rate=m.rates.K_rate),
+        impulses=ImpulseKernel(rows={k: tuple(v) for k, v in imps.items()}),
+        costs=CostModel(gradual_cost=gcost, impulse_cost=icost, eta=m.costs.eta,
+                        K_cost=m.costs.K_cost, c_lower=m.costs.c_lower),
+    )
+    return bad, applied
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.sets(st.sampled_from(DEFECTS), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_validation_matches_the_dict_walk(seed, defects, inject_seed):
+    m = random_model(seed, max_states=12)
+    bad, applied = inject(m, sorted(defects), np.random.default_rng(inject_seed))
+    got = validate_model(bad)
+    assert got == reference_validate_model(bad)
+    assert bool(got) == bool(applied)
+
+
+def test_validation_matches_the_dict_walk_in_document_order():
+    # Rows and costs listed out of state order are reported in the order given.
+    m = random_model(4)
+    rates = dict(reversed(list(m.rates.rows.items())))
+    bad = CtmdpModel(
+        states=m.states, actions=m.actions,
+        rates=RateKernel(rows={k: tuple((t, -w) for t, w in row) for k, row in rates.items()}, K_rate=0.1),
+        impulses=m.impulses,
+        costs=CostModel(gradual_cost=dict(reversed(list(m.costs.gradual_cost.items()))),
+                        impulse_cost=m.costs.impulse_cost, eta=1.0, K_cost=0.5, c_lower=1.0),
+    )
+    got = validate_model(bad)
+    assert len(got) > 10
+    assert got == reference_validate_model(bad)
+
+
+def test_structural_defects_are_data_and_block_compilation():
+    m = two_state(lam=0.3)
+    bad = CtmdpModel(
+        states=m.states, actions=m.actions,
+        rates=RateKernel(rows={("0", "wait"): (("nowhere", 0.5),)}, K_rate=1.0),
+        impulses=m.impulses, costs=m.costs,
+    )
+    assert [v.rule for v in validate_model(bad)] == ["UNKNOWN_STATE", "COVERAGE"]
+    with pytest.raises(ValueError, match="structural defects"):
+        compile_model(bad)
+
+
+def as_array_built(m: CtmdpModel) -> CtmdpModel:
+    """The same model through the array constructor (its records become views)."""
+    def pair_order(t):
+        return replace(t, row_rank=None, cost_rank=None)
+    return CtmdpModel.from_arrays(m.states.labels, pair_order(m.gradual_pairs), pair_order(m.impulse_pairs),
+                                  K_rate=m.rates.K_rate, eta=m.costs.eta, K_cost=m.costs.K_cost,
+                                  c_lower=m.costs.c_lower)
+
+
+def compiled_arrays(m: CtmdpModel) -> dict:
+    comp = compile_model(m)
+    out = {"K": np.array(m.K)}
+    for name in ("g_ptr", "g_cost", "g_total_rate", "J_cum", "i_states", "i_ptr", "i_cost", "Q_cum",
+                 "has_impulse"):
+        out[name] = getattr(comp, name)
+    for name in ("P_unif", "J", "Q_imp"):
+        mat = getattr(comp, name)
+        out.update({f"{name}.{part}": getattr(mat, part) for part in ("data", "indices", "indptr")})
+        out[f"{name}.shape"] = np.array(mat.shape)
+    return out
+
+
+@pytest.mark.parametrize("case", [f"random{seed}" for seed in range(30)] + ["epidemic"])
+def test_dict_constructor_round_trips_the_arrays(case):
+    if case == "epidemic":
+        m = build_epidemic_model(replace(desk_params(c_max=8), S=3))
+        dicts = None
+    else:
+        dicts = random_model(int(case[len("random"):]))
+        m = as_array_built(dicts)
+    rebuilt = CtmdpModel(states=m.states, actions=m.actions, rates=m.rates, impulses=m.impulses, costs=m.costs)
+    assert rebuilt.defects == ()
+    assert validate_model(m) == validate_model(rebuilt) == reference_validate_model(m) == []
+    a, b = compiled_arrays(m), compiled_arrays(rebuilt)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].dtype == b[name].dtype and a[name].tobytes() == b[name].tobytes(), name
+    if dicts is not None:
+        assert m.rates.rows == dicts.rates.rows and m.impulses.rows == dicts.impulses.rows
+        assert m.costs.gradual_cost == dicts.costs.gradual_cost
+        assert m.costs.impulse_cost == dicts.costs.impulse_cost
+        assert dict(m.actions.gradual) == dicts.actions.gradual
+        assert dict(m.actions.impulsive) == dicts.actions.impulsive
+
+
+def test_array_built_records_are_read_only_views():
+    m = build_epidemic_model(replace(desk_params(c_max=3), S=2))
+    assert m.actions.gradual["2,1,0"] == ("wait",) and m.actions.impulsive["0,1,0"] == ()
+    assert m.rates.rows[("2,1,0", "wait")] == (("2,2,0", 1.0), ("2,0,0", 1.0), ("1,1,1", 2.0))
+    assert m.impulses.rows[("2,1,0", "immunize")] == (("1,1,0", 1.0),)
+    assert ("2,1,0", "immunize") in m.costs.impulse_cost and ("0,1,0", "immunize") not in m.costs.impulse_cost
+    with pytest.raises(KeyError):
+        m.rates.rows[("2,1,0", "immunize")]
+    with pytest.raises(TypeError):
+        m.rates.rows[("2,1,0", "wait")] = ()
+    with pytest.raises(ValueError):
+        m.gradual_pairs.weights[0] = 0.0

@@ -17,7 +17,7 @@ from impulsive_ctmdp import (
     solve,
 )
 from impulsive_ctmdp.bellman import StationaryPolicy
-from impulsive_ctmdp.simulate import BLOCK
+from impulsive_ctmdp.simulate import BLOCK, _block_rng
 from impulsive_ctmdp.testing import random_model
 
 from conftest import geometric_model, improper_policy, two_state, zero_cost_model
@@ -81,6 +81,14 @@ def test_estimate_is_thread_count_invariant_across_blocks():
     runs = [estimate_cost(m, policy, "1", BLOCK + 7, seed=9, threads=k) for k in (1, 2, 3)]
     assert len({(r.mean, r.std_error) for r in runs}) == 1
     assert abs(runs[0].mean - 0.5) <= 4 * runs[0].std_error
+
+
+def test_block_streams_differ_from_replication_streams():
+    # Block 0 of the batched estimate and the single path of replication 0
+    # (the CLI's trajectory0.csv) used to draw the same numbers.
+    for seed in (0, 12345):
+        assert not np.array_equal(_block_rng(seed, 0).random(8), replication_rng(seed, 0).random(8))
+    assert np.array_equal(_block_rng(7, 3).random(8), _block_rng(7, 3).random(8))
 
 
 def test_policy_is_read_only():
