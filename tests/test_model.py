@@ -281,6 +281,19 @@ def test_validation_matches_the_dict_walk_in_document_order():
     assert got == reference_validate_model(bad)
 
 
+def test_pairs_without_costs_are_reported_in_catalog_order():
+    # The dict walk listed them in set order, which changes with the process's string hash seed.
+    labels = ("a", "b", "c")
+    m = CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={s: ("wait", "go") for s in labels}, impulsive={}),
+        rates=RateKernel(rows={(s, a): () for s in labels for a in ("wait", "go")}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={}),
+        costs=CostModel(gradual_cost={}, impulse_cost={}, eta=1.0, K_cost=1.0, c_lower=0.3),
+    )
+    assert [v.subject for v in validate_model(m)] == [f"{(s, a)}" for s in labels for a in ("wait", "go")]
+
+
 def test_structural_defects_are_data_and_block_compilation():
     m = two_state(lam=0.3)
     bad = CtmdpModel(
