@@ -10,7 +10,6 @@ over row width, never over rows, and caches the result per model object.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -198,9 +197,3 @@ def sample_rows(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) 
         open_ = lo < hi
     return lo
 
-
-def sample_row(cum: np.ndarray, lo: int, hi: int, rng: np.random.Generator) -> int:
-    """One draw of :func:`sample_rows`; a one-entry row draws no uniform."""
-    if hi - lo == 1:
-        return int(lo)
-    return bisect.bisect_right(cum, rng.random(), int(lo), int(hi) - 1)

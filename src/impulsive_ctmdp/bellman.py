@@ -197,7 +197,7 @@ def value_iterate(
     :class:`NonConvergenceError` if ``max_iter`` is hit first.  Each iterate
     is checked to move in the stated direction.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -315,7 +315,7 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     both monotone value iterations instead: V is the lower limit, ``gap`` the
     distance between the two limits, and ``evaluations`` is 0.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

@@ -15,8 +15,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from typing import Any
 
@@ -125,6 +127,37 @@ class _UsageError(Exception):
     pass
 
 
+def _number(name: str, raw: Any, kind: type, ok: Callable[[Any], bool], need: str):
+    """``raw`` converted by ``kind`` when ``ok`` holds for it; anything else is a usage error."""
+    try:
+        val = kind(raw)
+        if ok(val):
+            return val
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise _UsageError(f"{name} must be {need}, got {raw!r}")
+
+
+def _positive(name: str, raw: Any) -> float:
+    return _number(name, raw, float, lambda v: 0 < v < math.inf, "a finite number > 0")
+
+
+def _lambdas(raw: Any) -> list[float]:
+    items = raw if isinstance(raw, list) else str(raw).split(",")
+    return [_positive("lambdas", x) for x in items]
+
+
+def _check_numbers(cfg: dict[str, Any]) -> None:
+    """Reject numeric options outside their ranges, whether from flags or the config file."""
+    for key in ("tol", "tail_tol", "t_horizon"):
+        _positive(key.replace("_", "-"), cfg[key])
+    for key, least in (("reps", 2), ("threads", 1), ("seed", 0), ("c_max", 1)):
+        if cfg[key] is not None:
+            _number(key.replace("_", "-"), cfg[key], int, lambda v: v >= least, f"an integer >= {least}")
+    if cfg["lambdas"]:
+        _lambdas(cfg["lambdas"])
+
+
 def _initial_state(cfg: dict[str, Any], model) -> str:
     x0 = cfg.get("x0")
     x0 = model.states.labels[0] if x0 is None else str(x0)
@@ -181,7 +214,7 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
 
 def _load_params(cfg: dict[str, Any]):
     c_max = cfg.get("c_max")
-    return mio.load_epidemic_params(cfg["params"], c_max_override=int(c_max) if c_max else None)
+    return mio.load_epidemic_params(cfg["params"], c_max_override=None if c_max is None else int(c_max))
 
 
 def _cmd_epidemic_solve(cfg: dict[str, Any]) -> int:
@@ -200,8 +233,7 @@ def _cmd_epidemic_solve(cfg: dict[str, Any]) -> int:
 def _cmd_epidemic_sweep(cfg: dict[str, Any]) -> int:
     params = _load_params(cfg)
     if cfg.get("lambdas"):
-        raw = cfg["lambdas"]
-        lams = [float(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
+        lams = _lambdas(cfg["lambdas"])
     else:
         top = lambda_star(params)
         lams = [round(f * top, 12) for f in
@@ -275,13 +307,14 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _effective(args)
+        _check_numbers(cfg)
         needs_model = args.command in ("validate", "solve", "simulate", "dynkin-check")
         if needs_model and not cfg.get("model"):
             return _error(EXIT_PARSE, "usage", f"{args.command} requires --model")
         if args.command.startswith("epidemic") and not cfg.get("params"):
             return _error(EXIT_PARSE, "usage", f"{args.command} requires --params")
         return COMMANDS[args.command](cfg)
-    except (mio.ModelParseError, FileNotFoundError, yaml.YAMLError) as exc:
+    except (mio.ModelParseError, FileNotFoundError, UnicodeDecodeError, yaml.YAMLError) as exc:
         return _error(EXIT_PARSE, "parse", str(exc))
     except _UsageError as exc:
         return _error(EXIT_PARSE, "usage", str(exc))
@@ -289,7 +322,7 @@ def run(argv: list[str] | None = None) -> int:
         for v in exc.report:
             print(str(v), file=sys.stderr)
         return _error(EXIT_VALIDATION, "validation", "model validation failed")
-    except (CarrierContractionError, ValueError) as exc:
+    except CarrierContractionError as exc:
         return _error(EXIT_VALIDATION, "validation", str(exc))
     except (NonConvergenceError, PolicyExtractionError) as exc:
         return _error(EXIT_NONCONVERGENCE, "non-convergence", str(exc))

@@ -16,6 +16,7 @@ price lambda_star.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ class EpidemicParams:
                 tab = tab + (tab[-1],) * (n - len(tab))
             if len(tab) != n:
                 raise ValueError(f"{name} table longer than C_max+1={n}")
-            if any(v < 0 for v in tab):
+            if not all(v >= 0 for v in tab):
                 raise ValueError(f"{name} must be nonnegative")
             object.__setattr__(self, name, tab)
         if self.rho_b[0] != 0 or self.rho_d[0] != 0:
@@ -64,10 +65,10 @@ class EpidemicParams:
             raise ValueError("population counts out of range")
         if self.C_max < 1:
             raise ValueError("C_max must be >= 1")
-        if self.eta <= 0 or self.kappa_r < 0:
-            raise ValueError("eta must be > 0 and kappa_r >= 0")
-        if self.immunization_cost <= 0:
-            raise ValueError("immunization cost must be > 0")
+        if not (0 < self.eta < math.inf and 0 <= self.kappa_r < math.inf):
+            raise ValueError("eta must be finite and > 0, and kappa_r finite and >= 0")
+        if not 0 < self.immunization_cost < math.inf:
+            raise ValueError("immunization cost must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +141,8 @@ def solve_carrier_equation(params: EpidemicParams, tol: float = 1e-12) -> Carrie
     then scans for the smallest carrier count at which waiting is strictly
     worse than paying the immunization price.
     """
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     a1, a2, a3 = _alphas(params, truncated=True)
     d = float(np.max(a1 + a2))
     if d >= 1.0:

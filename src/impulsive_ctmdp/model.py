@@ -22,6 +22,7 @@ them read-only.  This module needs numpy only.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -268,7 +269,7 @@ def _flatten(st: StateSpace, catalog: Mapping, rows: Mapping, costs: Mapping, ki
         at = (kind.phase_rows, row_rank[keys[p]], e - int(row_ptr[p]))
         t, w = flat[e]
         defects.append((at + (0,), Violation("UNKNOWN_STATE", f"{keys[p]}", f"{kind.target} {t!r} unknown")))
-        if w < 0:  # the weight rule's mask skips unknown targets, whose labels it cannot name
+        if not w >= 0:  # the weight rule's mask skips unknown targets, whose labels it cannot name
             defects.append((at + (2,), Violation(kind.negative, f"{keys[p]}", kind.neg_msg.format(t, w))))
     return PairTable(
         ptr=np.cumsum([0] + [len(a) for a in acts]),
@@ -352,6 +353,7 @@ def row_sums(ptr: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return cum, total
 
 
+@np.errstate(invalid="ignore")  # a NaN in the model is reported as a violation, not warned about
 def validate_model(model: CtmdpModel) -> list[Violation]:
     """Check every model invariant; an empty report means the model is usable.
 
@@ -363,22 +365,27 @@ def validate_model(model: CtmdpModel) -> list[Violation]:
     c, K_rate = model.costs, model.rates.K_rate
     if model.states.N < 1:
         found[(0, 0, 0, 0)] = Violation("STATE_COUNT", "states", "state space is empty")
-    if c.eta <= 0:
-        found[(2, 0, 0, 0)] = Violation("DISCOUNT", "eta", f"discount rate must be > 0, got {c.eta}")
-    if c.c_lower <= 0:
-        found[(3, 0, 0, 0)] = Violation("IMPULSE_COST_FLOOR", "c_lower",
-                                        f"impulse cost floor must be > 0, got {c.c_lower}")
+    # Each numeric rule is the negation of its accepted range, so NaN fails it.
+    for key, rule, name, noun, value, positive in (
+            ((2, 0, 0, 0), "DISCOUNT", "eta", "discount rate", c.eta, True),
+            ((2, 1, 0, 0), "RATE_BOUND", "K_rate", "declared rate bound", K_rate, False),
+            ((2, 2, 0, 0), "COST_BOUND", "K_cost", "declared cost bound", c.K_cost, False),
+            ((3, 0, 0, 0), "IMPULSE_COST_FLOOR", "c_lower", "impulse cost floor", c.c_lower, True)):
+        if positive and not value > 0:
+            found[key] = Violation(rule, name, f"{noun} must be > 0, got {value}")
+        elif not math.isfinite(value):
+            found[key] = Violation(rule, name, f"{noun} must be finite, got {value}")
     g, i = model.gradual_pairs, model.impulse_pairs
     g_total = _entry_rules(model, g, _GRADUAL, found)
     i_total = _entry_rules(model, i, _IMPULSIVE, found)
-    _pair_rule(model, g, found, _GRADUAL.phase_rows, g.row_rank, _END, g_total > K_rate + ROW_SUM_TOL,
+    _pair_rule(model, g, found, _GRADUAL.phase_rows, g.row_rank, _END, ~(g_total <= K_rate + ROW_SUM_TOL),
                lambda p: ("RATE_BOUND", f"total rate {float(g_total[p])} exceeds declared bound K_rate={K_rate}"))
     _pair_rule(model, i, found, _IMPULSIVE.phase_rows, i.row_rank, _END, ~(np.abs(i_total - 1.0) <= ROW_SUM_TOL),
                lambda p: ("ROW_SUM", f"impulse row sums to {float(i_total[p])}, expected 1"))
-    _pair_rule(model, g, found, _GRADUAL.phase_costs, g.cost_rank, 0, np.abs(g.cost) > c.K_cost + ROW_SUM_TOL,
+    _pair_rule(model, g, found, _GRADUAL.phase_costs, g.cost_rank, 0, ~(np.abs(g.cost) <= c.K_cost + ROW_SUM_TOL),
                lambda p: ("COST_BOUND",
                           f"|running cost| {abs(float(g.cost[p]))} exceeds declared bound K_cost={c.K_cost}"))
-    _pair_rule(model, i, found, _IMPULSIVE.phase_costs, i.cost_rank, 0, i.cost < c.c_lower - ROW_SUM_TOL,
+    _pair_rule(model, i, found, _IMPULSIVE.phase_costs, i.cost_rank, 0, ~(i.cost >= c.c_lower - ROW_SUM_TOL),
                lambda p: ("IMPULSE_COST_FLOOR",
                           f"impulse cost {float(i.cost[p])} is below the declared floor c_lower={c.c_lower}"))
     return [found[k] for k in sorted(found)]
@@ -395,7 +402,7 @@ def _entry_rules(model: CtmdpModel, t: PairTable, kind: _Kind, found: dict) -> n
     rank = np.arange(n) if t.row_rank is None else t.row_rank
     pair = np.repeat(np.arange(n), np.diff(t.row_ptr))
     live = (rank[pair] >= 0) & (t.cols >= 0)  # rows the records hold, targets they name
-    checks = [(2, live & (t.weights < 0))]
+    checks = [(2, live & ~(t.weights >= 0))]
     if kind is _GRADUAL:
         checks.append((1, live & (t.cols == t.owners()[pair])))
     for order, mask in checks:

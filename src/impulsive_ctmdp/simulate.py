@@ -1,10 +1,19 @@
 """Monte Carlo simulation of the controlled jump process.
 
 Trajectories follow a stationary policy of the sufficient class:
-interventions fire at time zero and immediately after natural jumps.
-Sojourns are exponential at the state's total gradual rate, running cost is
-integrated in closed form between epochs, and sampling stops once the
-discounted tail is provably below ``tail_tol``.
+interventions fire at time zero and immediately after natural jumps.  So
+every path repeats one step: an exponential sojourn at the state's gradual
+rate, a natural jump, then the impulse chain if the jump lands in the
+flagged set.  One engine runs that step for a batch of paths: :func:`_chains`
+applies the chains and :func:`_advance` the sojourns and jumps.  Running
+cost is integrated in closed form between epochs, and sampling stops once
+the discounted tail is provably below ``tail_tol``.
+
+:func:`estimate_cost` and :func:`dynkin_check` run blocks of ``BLOCK``
+paths.  :func:`simulate_trajectory`, :func:`sample_chain` and
+:func:`simulate_spaced` run a one-path batch with a recorder of its epochs;
+:func:`simulate_spaced` adds a wait before each impulse, a sojourn with a
+deadline.
 """
 
 from __future__ import annotations
@@ -16,15 +25,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._ops import CompiledModel, compile_model, policy_pairs, sample_row, sample_rows
+from ._ops import CompiledModel, compile_model, policy_pairs, sample_rows
 from .bellman import StationaryPolicy, ValueFunction
-from .intervention import (
-    ImproperChainError,
-    InterventionChain,
-    analyze_chains,
-    chain_guard,
-    expected_landing_value,
-)
+from .intervention import ImproperChainError, InterventionChain, analyze_chains, chain_guard, expected_landing_value
 from .model import CtmdpModel
 
 DEFAULT_TAIL_TOL = 1e-8
@@ -91,6 +94,9 @@ class _Prep:
     chain_cost_bound: float  # max expected chain cost (properness witness)
 
     def horizon(self, tail_tol: float) -> float:
+        """Time after which the discounted tail of any path is below ``tail_tol``."""
+        if not tail_tol > 0:
+            raise ValueError("tail_tol must be > 0")
         bound = 3.0 * self.comp.K / self.comp.eta + self.chain_cost_bound
         if bound <= tail_tol:
             return 0.0
@@ -124,91 +130,6 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
     )
 
 
-def _guard_error(prep: _Prep, x: int) -> ImproperChainError:
-    return ImproperChainError(
-        f"chain exceeded the {prep.guard}-step guard without reaching a gradual state",
-        prep.comp.model.states.labels[x],
-    )
-
-
-def _jump(prep: _Prep, x: int, rng: np.random.Generator) -> int:
-    """Target of a natural jump from ``x`` under phi_g."""
-    comp = prep.comp
-    return int(comp.J.indices[sample_row(comp.J_cum, prep.jump_lo[x], prep.jump_hi[x], rng)])
-
-
-def _impulse(prep: _Prep, x: int, rng: np.random.Generator) -> int:
-    """Landing of one impulse at flagged state ``x`` under phi_i."""
-    comp = prep.comp
-    return int(comp.Q_imp.indices[sample_row(comp.Q_cum, prep.imp_lo[x], prep.imp_hi[x], rng)])
-
-
-def _chain_recorded(prep: _Prep, x: int, rng: np.random.Generator) -> tuple[int, InterventionChain]:
-    labels = prep.comp.model.states.labels
-    actions = prep.comp.model.actions.impulsive
-    steps: list[tuple[str, str]] = []
-    cost = 0.0
-    while prep.policy.impulsive[x]:
-        if len(steps) >= prep.guard:
-            raise _guard_error(prep, x)
-        steps.append((labels[x], actions[labels[x]][prep.policy.phi_i[x]]))
-        cost += float(prep.imp_cost[x])
-        x = _impulse(prep, x, rng)
-    return x, InterventionChain(steps=tuple(steps), landing=labels[x], total_cost=cost)
-
-
-def sample_chain(model: CtmdpModel, policy: StationaryPolicy, x: str, rng: np.random.Generator) -> InterventionChain:
-    """Sample one intervention chain started at a flagged state."""
-    k = model.states.index[x]
-    if not policy.impulsive[k]:
-        raise ValueError(f"state {x!r} is not flagged for intervention under this policy")
-    return _chain_recorded(_prepare(model, policy), k, rng)[1]
-
-
-def simulate_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: str,
-                        rng: np.random.Generator, tail_tol: float = DEFAULT_TAIL_TOL) -> Trajectory:
-    """Sample one trajectory from ``x0``, recording every epoch."""
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be > 0")
-    prep = _prepare(model, policy)
-    horizon = prep.horizon(tail_tol)
-    eta = prep.comp.eta
-    labels = model.states.labels
-    epochs: list[Epoch] = []
-    cost_g = 0.0
-    cost_i = 0.0
-    x = model.states.index[x0]
-    if prep.policy.impulsive[x]:
-        pre = labels[x]
-        x, chain = _chain_recorded(prep, x, rng)
-        epochs.append(Epoch(0.0, pre, pre, chain, labels[x]))
-        cost_i += chain.total_cost
-    else:
-        epochs.append(Epoch(0.0, labels[x], labels[x], None, labels[x]))
-    t = 0.0
-    while True:
-        rate = prep.total_rate[x]
-        if rate == 0.0:
-            # Absorbed: remaining discounted running cost in closed form.
-            cost_g += prep.run_cost[x] * math.exp(-eta * t) / eta
-            return Trajectory(tuple(epochs), cost_g, cost_i, math.inf)
-        t_next = t + rng.standard_exponential() / rate
-        if t_next > horizon:
-            cost_g += prep.run_cost[x] * (math.exp(-eta * t) - math.exp(-eta * horizon)) / eta
-            return Trajectory(tuple(epochs), cost_g, cost_i, horizon)
-        cost_g += prep.run_cost[x] * (math.exp(-eta * t) - math.exp(-eta * t_next)) / eta
-        z = _jump(prep, x, rng)
-        if prep.policy.impulsive[z]:
-            post, chain = _chain_recorded(prep, z, rng)
-            epochs.append(Epoch(t_next, labels[x], labels[z], chain, labels[post]))
-            cost_i += chain.total_cost * math.exp(-eta * t_next)
-            z = post
-        else:
-            epochs.append(Epoch(t_next, labels[x], labels[z], None, labels[z]))
-        x = z
-        t = t_next
-
-
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
     """Independent substream for one replication, deterministic in (seed, rep)."""
     return np.random.default_rng(np.random.SeedSequence((seed, rep)))
@@ -224,27 +145,62 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Batched engine: a block of replications advances together, one event at a
-# time.  Policies of the sufficient class intervene only at time zero and
-# right after natural jumps, so every path repeats the same step: a sojourn,
-# a natural jump, then the impulse chain if the jump lands in the flagged set.
+# The engine.  A batch of paths advances one event at a time.  A one-path
+# batch may pass a recorder and a wait schedule (its next waits, next last).
 
 
-def _chains(prep: _Prep, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+class _Recorder:
+    """Epochs of a one-path batch: one at time 0 and one per natural jump,
+    each with the impulses of the chain that started there."""
+
+    def __init__(self) -> None:
+        self.epochs: list[tuple[float, int, int, list[int] | None]] = []
+        self.end = math.inf  # where the path stopped: the horizon, or inf once absorbed
+
+    def epoch(self, t: float, pre: int, target: int, chain: bool) -> None:
+        self.epochs.append((float(t), int(pre), int(target), [] if chain else None))
+
+    def impulse(self, x: int) -> None:
+        self.epochs[-1][3].append(int(x))
+
+    def trajectory(self, prep: _Prep, x: int, gradual: float, impulse: float) -> Trajectory:
+        """The recorded path; it ends at state ``x``."""
+        labels = prep.comp.model.states.labels
+        actions = prep.comp.model.actions.impulsive
+        posts = [pre for _, pre, _, _ in self.epochs[1:]] + [x]  # where each chain left the path
+        epochs = []
+        for (t, pre, target, steps), post in zip(self.epochs, posts):
+            chain = None if steps is None else InterventionChain(
+                steps=tuple((labels[s], actions[labels[s]][prep.policy.phi_i[s]]) for s in steps),
+                landing=labels[post],
+                total_cost=sum((float(prep.imp_cost[s]) for s in steps), 0.0),
+            )
+            epochs.append(Epoch(t, labels[pre], labels[target], chain, labels[post]))
+        return Trajectory(tuple(epochs), gradual, impulse, self.end)
+
+
+def _chains(prep: _Prep, x: np.ndarray, rng: np.random.Generator,
+            rec: _Recorder | None = None, waits: list[float] | None = None) -> np.ndarray:
     """Run the impulse chains of a batch of paths; ``x`` ends at the landings.
 
     Returns each path's undiscounted chain cost (0 where it starts unflagged).
+    A path with ``waits`` stops before an impulse whose wait is positive.
     """
     comp = prep.comp
     flagged = prep.policy.impulsive
     cost = np.zeros(x.size)
     act = np.flatnonzero(flagged[x])
     steps = 0
-    while act.size:
+    while act.size and not (waits and waits[-1] > 0.0):
         if steps >= prep.guard:
-            raise _guard_error(prep, int(x[act[0]]))
+            raise ImproperChainError(f"chain exceeded the {prep.guard}-step guard without reaching a gradual state",
+                                     prep.comp.model.states.labels[x[act[0]]])
         at = x[act]
         cost[act] += prep.imp_cost[at]
+        if rec is not None:
+            rec.impulse(at[0])
+        if waits:
+            waits.pop()
         pos = sample_rows(comp.Q_cum, prep.imp_lo[at], prep.imp_hi[at], rng.random(act.size))
         x[act] = comp.Q_imp.indices[pos]
         act = act[flagged[x[act]]]
@@ -253,15 +209,20 @@ def _chains(prep: _Prep, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _advance(prep: _Prep, x: np.ndarray, rng: np.random.Generator, horizon: float,
-             flow_rate: np.ndarray, absorbed_end: float) -> tuple[np.ndarray, np.ndarray]:
+             flow_rate: np.ndarray, absorbed_end: float,
+             rec: _Recorder | None = None, waits: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of paths from time 0 to ``horizon``; ``x`` ends at their final states.
 
-    ``x`` starts outside the flagged set.  Returns, per path, the discounted
-    integral of ``flow_rate`` (a rate per state) and the discounted impulse
-    cost.  A path at a state without jumps integrates up to ``absorbed_end``.
+    ``x`` starts outside the flagged set, or paused before a wait.  Returns,
+    per path, the discounted integral of ``flow_rate`` (a rate per state) and
+    the discounted impulse cost.  A path at a state without jumps integrates
+    up to ``absorbed_end``.  A wait is a sojourn at the flagged state with a
+    deadline: if the deadline comes first, the chain resumes there; if a
+    natural jump comes first, the path jumps and intervenes no more.
     """
     comp = prep.comp
     eta = comp.eta
+    flagged = prep.policy.impulsive
     flow = np.zeros(x.size)
     impulses = np.zeros(x.size)
     live = np.arange(x.size)
@@ -272,19 +233,81 @@ def _advance(prep: _Prep, x: np.ndarray, rng: np.random.Generator, horizon: floa
         moves = rate > 0.0
         wait = np.divide(rng.standard_exponential(live.size), rate, out=np.full(live.size, np.inf), where=moves)
         t_next = t + wait
+        # A paused path's sojourn runs against the end of its wait.
+        paused = waits is not None and bool(flagged[at[0]])
+        resume = paused and bool(t[0] + waits[-1] < t_next[0])
+        if resume:
+            t_next, moves = t + waits[-1], np.ones(1, dtype=bool)
         end = np.where(moves, np.minimum(t_next, horizon), absorbed_end)
         flow[live] += flow_rate[at] * (np.exp(-eta * t) - np.exp(-eta * end)) / eta
+        if rec is not None:
+            rec.end = float(end[0])
         go = moves & (t_next <= horizon)
         live, at, t = live[go], at[go], t_next[go]
-        pos = sample_rows(comp.J_cum, prep.jump_lo[at], prep.jump_hi[at], rng.random(live.size))
-        z = comp.J.indices[pos]
-        hit = prep.policy.impulsive[z]
+        if resume:  # the wait is served and the chain resumes in place
+            waits[-1] = 0.0
+            z, hit = at.copy(), np.ones(live.size, dtype=bool)
+        else:
+            if paused:  # a natural jump came first: the path intervenes no more
+                flagged = np.zeros_like(flagged)
+            pos = sample_rows(comp.J_cum, prep.jump_lo[at], prep.jump_hi[at], rng.random(live.size))
+            z = comp.J.indices[pos]
+            hit = flagged[z]
+            if rec is not None and live.size:
+                rec.epoch(t[0], at[0], z[0], hit[0])
         if hit.any():
             landed = z[hit]
-            impulses[live[hit]] += _chains(prep, landed, rng) * np.exp(-eta * t[hit])
+            impulses[live[hit]] += _chains(prep, landed, rng, rec, waits) * np.exp(-eta * t[hit])
             z[hit] = landed
         x[live] = z
     return flow, impulses
+
+
+def _one_path(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.Generator,
+              tail_tol: float | None, deltas: list[float] | None = None) -> Trajectory:
+    """Record a one-path batch from ``x0``; without ``tail_tol`` it stops after the chain at time 0."""
+    prep = _prepare(model, policy)
+    horizon = None if tail_tol is None else prep.horizon(tail_tol)
+    k = model.states.index[x0]
+    x = np.array([k])
+    rec = _Recorder()
+    rec.epoch(0.0, k, k, prep.policy.impulsive[k])
+    waits = None if deltas is None else [float(d) for d in reversed(deltas)]
+    first = float(_chains(prep, x, rng, rec, waits)[0])
+    if horizon is None:
+        return rec.trajectory(prep, int(x[0]), 0.0, first)
+    flow, impulses = _advance(prep, x, rng, horizon, prep.run_cost, math.inf, rec, waits)
+    return rec.trajectory(prep, int(x[0]), float(flow[0]), first + float(impulses[0]))
+
+
+def sample_chain(model: CtmdpModel, policy: StationaryPolicy, x: str, rng: np.random.Generator) -> InterventionChain:
+    """Sample one intervention chain started at a flagged state."""
+    if not policy.impulsive[model.states.index[x]]:
+        raise ValueError(f"state {x!r} is not flagged for intervention under this policy")
+    return _one_path(model, policy, x, rng, None).epochs[0].chain
+
+
+def simulate_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: str,
+                        rng: np.random.Generator, tail_tol: float = DEFAULT_TAIL_TOL) -> Trajectory:
+    """Sample one trajectory from ``x0``, recording every epoch."""
+    return _one_path(model, policy, x0, rng, tail_tol)
+
+
+def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
+                    rng: np.random.Generator, deltas: list[float],
+                    tail_tol: float = DEFAULT_TAIL_TOL) -> Trajectory:
+    """Trajectory with impulses separated by small waits instead of fired instantly.
+
+    The path's impulse n is preceded by the wait ``deltas[n]`` (zero once the
+    list is exhausted), during which the gradual control of the current state
+    applies.  If a natural jump lands during a wait, the rest of the
+    trajectory runs under gradual control only, with no further
+    interventions.  A zero wait draws nothing, so with all-zero waits the
+    sampled path coincides, draw for draw, with :func:`simulate_trajectory`.
+    """
+    if not all(d >= 0 for d in deltas):
+        raise ValueError("waits must be nonnegative")
+    return _one_path(model, policy, x0, rng, tail_tol, deltas)
 
 
 def _block_start(prep: _Prep, x0: int, seed: int, block: int,
@@ -344,7 +367,7 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     common random numbers, so the reported standard error is that of the
     paired difference.  Replications run in blocks as in :func:`estimate_cost`.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be > 0")
     prep = _prepare(model, policy)
     comp = prep.comp
@@ -373,125 +396,3 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
         std_error=float(np.std(d, ddof=1) / math.sqrt(n_reps)),
         n_replications=n_reps,
     )
-
-
-def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
-                    rng: np.random.Generator, deltas: list[float],
-                    tail_tol: float = DEFAULT_TAIL_TOL) -> Trajectory:
-    """Trajectory with impulses separated by small waits instead of fired instantly.
-
-    Each impulse of a chain is preceded by the next wait from ``deltas``
-    (zero once the list is exhausted), during which the gradual control of
-    the current state applies.  If a natural jump lands during a wait, the
-    rest of the trajectory runs under gradual control only, with no further
-    interventions.  With all-zero waits the sampled path coincides, draw for
-    draw, with :func:`simulate_trajectory`.
-    """
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be > 0")
-    if any(d < 0 for d in deltas):
-        raise ValueError("waits must be nonnegative")
-    prep = _prepare(model, policy)
-    comp = prep.comp
-    eta = comp.eta
-    labels = comp.model.states.labels
-    horizon = prep.horizon(tail_tol)
-    delta_iter = iter(deltas)
-
-    epochs: list[Epoch] = []
-    cost_g = 0.0
-    cost_i = 0.0
-
-    def accrue(x: int, a: float, b: float) -> None:
-        nonlocal cost_g
-        cost_g += prep.run_cost[x] * (math.exp(-eta * a) - math.exp(-eta * b)) / eta
-
-    def gradual_only(x: int, t: float) -> float:
-        """Finish the path without interventions; returns truncation time."""
-        nonlocal cost_g
-        while True:
-            rate = prep.total_rate[x]
-            if rate == 0.0:
-                cost_g += prep.run_cost[x] * math.exp(-eta * t) / eta
-                return math.inf
-            t_next = t + rng.standard_exponential() / rate
-            if t_next > horizon:
-                accrue(x, t, horizon)
-                return horizon
-            accrue(x, t, t_next)
-            z = _jump(prep, x, rng)
-            epochs.append(Epoch(t_next, labels[x], labels[z], None, labels[z]))
-            x = z
-            t = t_next
-
-    def spaced_chain(x: int, t: float) -> tuple[int, float, bool]:
-        """Apply the chain at ``x`` with waits; returns (state, time, interrupted)."""
-        nonlocal cost_i
-        steps: list[tuple[str, str]] = []
-        chain_cost = 0.0
-        start_pre = labels[x]
-        while prep.policy.impulsive[x]:
-            if len(steps) >= prep.guard:
-                raise _guard_error(prep, x)
-            d = next(delta_iter, 0.0)
-            if d > 0.0:
-                rate = prep.total_rate[x]
-                jump_at = t + rng.standard_exponential() / rate if rate > 0 else math.inf
-                wait_end = t + d
-                if jump_at < wait_end:
-                    if jump_at > horizon:
-                        accrue(x, t, horizon)
-                        epochs.append(Epoch(t, start_pre, start_pre,
-                                            InterventionChain(tuple(steps), labels[x], chain_cost), labels[x]))
-                        return x, horizon, True
-                    accrue(x, t, jump_at)
-                    z = _jump(prep, x, rng)
-                    epochs.append(Epoch(t, start_pre, start_pre,
-                                        InterventionChain(tuple(steps), labels[x], chain_cost), labels[x]))
-                    epochs.append(Epoch(jump_at, labels[x], labels[z], None, labels[z]))
-                    trunc = gradual_only(z, jump_at)
-                    return z, trunc, True
-                if wait_end > horizon:
-                    accrue(x, t, horizon)
-                    epochs.append(Epoch(t, start_pre, start_pre,
-                                        InterventionChain(tuple(steps), labels[x], chain_cost), labels[x]))
-                    return x, horizon, True
-                accrue(x, t, wait_end)
-                t = wait_end
-            c = float(prep.imp_cost[x])
-            steps.append((labels[x], comp.model.actions.impulsive[labels[x]][prep.policy.phi_i[x]]))
-            cost_i += c * math.exp(-eta * t)
-            chain_cost += c
-            x = _impulse(prep, x, rng)
-        epochs.append(Epoch(t, start_pre, start_pre,
-                            InterventionChain(tuple(steps), labels[x], chain_cost), labels[x]))
-        return x, t, False
-
-    x = model.states.index[x0]
-    t = 0.0
-    if prep.policy.impulsive[x]:
-        x, t, interrupted = spaced_chain(x, 0.0)
-        if interrupted:
-            return Trajectory(tuple(epochs), cost_g, cost_i, t)
-    else:
-        epochs.append(Epoch(0.0, labels[x], labels[x], None, labels[x]))
-    while True:
-        rate = prep.total_rate[x]
-        if rate == 0.0:
-            cost_g += prep.run_cost[x] * math.exp(-eta * t) / eta
-            return Trajectory(tuple(epochs), cost_g, cost_i, math.inf)
-        t_next = t + rng.standard_exponential() / rate
-        if t_next > horizon:
-            accrue(x, t, horizon)
-            return Trajectory(tuple(epochs), cost_g, cost_i, horizon)
-        accrue(x, t, t_next)
-        z = _jump(prep, x, rng)
-        if prep.policy.impulsive[z]:
-            epochs.append(Epoch(t_next, labels[x], labels[z], None, labels[z]))
-            z, t_land, interrupted = spaced_chain(z, t_next)
-            if interrupted:
-                return Trajectory(tuple(epochs), cost_g, cost_i, t_land)
-            x, t = z, t_land
-        else:
-            epochs.append(Epoch(t_next, labels[x], labels[z], None, labels[z]))
-            x, t = z, t_next

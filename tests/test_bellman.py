@@ -73,6 +73,11 @@ def test_value_iterate_rejects_bad_arguments():
         value_iterate(m, Direction.FROM_BELOW, tol=0.0)
     with pytest.raises(ValueError):
         value_iterate(m, Direction.FROM_BELOW, max_iter=0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            value_iterate(m, Direction.FROM_ABOVE, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            solve(m, tol=bad)
 
 
 def test_value_iterate_nonconvergence_carries_state():

@@ -1,5 +1,6 @@
 """Epidemic-with-carriers instance: builder, carrier fixed point, thresholds."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,25 @@ def test_params_reject_bad_scalars():
         replace(desk_params(), immunization_cost=0.0)
     with pytest.raises(ValueError):
         replace(desk_params(), c0=99)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rho_b", (0.0, math.nan, 1.0)), ("rho_d", (0.0, math.nan)), ("kappa_i", (0.0, 1.0, math.nan)),
+    ("eta", math.nan), ("eta", math.inf), ("kappa_r", math.nan), ("kappa_r", math.inf),
+    ("immunization_cost", math.nan), ("immunization_cost", math.inf),
+])
+def test_params_reject_non_finite_numbers(field, value):
+    # A NaN rate used to pass the sign check, and the model builder dropped its jump.
+    small = EpidemicParams(S=1, I=0, c0=0, C_max=2, eta=1.0, kappa_r=0.5, immunization_cost=0.2,
+                           rho_b=(0.0, 1.0, 1.0), rho_d=(0.0, 1.0), kappa_i=(0.0, 1.0, 1.0))
+    with pytest.raises(ValueError):
+        replace(small, **{field: value})
+
+
+def test_carrier_equation_checks_its_tolerance():
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            solve_carrier_equation(desk_params(), tol=bad)
 
 
 def test_rate_tables_pad_as_constant():

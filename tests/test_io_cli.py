@@ -231,3 +231,50 @@ def test_cli_policy_extraction_exit_code(monkeypatch, capsys):
 def test_cli_unknown_initial_state_exit_code(capsys):
     assert cli.run(["simulate", "--model", str(TWO_STATE_IMPULSE), "--x0", "x5"]) == 2
     assert '"code": 2' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, config, name", [
+    (["simulate", "--model", TWO_STATE, "--tail-tol", "0"], None, "tail-tol"),
+    (["solve", "--model", TWO_STATE, "--tol", "nan"], None, "tol"),
+    (["simulate", "--model", TWO_STATE, "--reps", "1"], None, "reps"),
+    (["simulate", "--model", TWO_STATE, "--threads", "0"], None, "threads"),
+    (["simulate", "--model", TWO_STATE, "--seed", "-1"], None, "seed"),
+    (["dynkin-check", "--model", TWO_STATE, "--t-horizon", "0"], None, "t-horizon"),
+    (["dynkin-check", "--model", TWO_STATE, "--t-horizon", "inf"], None, "t-horizon"),
+    (["epidemic-solve", "--params", EPIDEMIC, "--tol", "0"], None, "tol"),
+    (["epidemic-solve", "--params", EPIDEMIC, "--c-max", "0"], None, "c-max"),
+    (["epidemic-sweep", "--params", EPIDEMIC, "--lambdas", "abc"], None, "lambdas"),
+    (["epidemic-sweep", "--params", EPIDEMIC, "--lambdas", "0.1,-1"], None, "lambdas"),
+    (["epidemic-sweep", "--params", EPIDEMIC, "--lambdas", "nan"], None, "lambdas"),
+    (["solve", "--model", TWO_STATE], "tol: abc\n", "tol"),
+    (["simulate", "--model", TWO_STATE], "reps: .inf\n", "reps"),
+    (["epidemic-sweep", "--params", EPIDEMIC], "lambdas: [0.1, 0.0]\n", "lambdas"),
+], ids=["tail-tol-0", "tol-nan", "reps-1", "threads-0", "seed-negative", "t-horizon-0", "t-horizon-inf",
+        "carrier-tol-0", "c-max-0", "lambdas-abc", "lambdas-negative", "lambdas-nan", "config-tol-abc",
+        "config-reps-inf", "config-lambdas-zero"])
+def test_cli_numeric_options_out_of_range_are_usage_errors(tmp_path, capsys, args, config, name):
+    argv = [str(a) for a in args]
+    if config is not None:
+        (tmp_path / "cfg.yaml").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.yaml")]
+    assert cli.run(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["code"] == 2 and err["type"] == "usage"
+    assert err["message"].startswith(f"{name} must be ")
+
+
+def test_cli_internal_value_error_is_not_a_validation_failure(monkeypatch):
+    def boom(model, tol):
+        raise ValueError("a bug, not bad input")
+    monkeypatch.setattr(cli, "solve", boom)
+    with pytest.raises(ValueError, match="a bug"):
+        cli.run(["solve", "--model", str(TWO_STATE)])
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_cli_nan_rate_fails_validation(tmp_path, capsys, command):
+    bad = tmp_path / "nan.yaml"
+    bad.write_text(TWO_STATE.read_text().replace('"0": 1.0', '"0": nan'))
+    assert cli.run([command, "--model", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert "NEGATIVE_RATE" in captured.out + captured.err

@@ -114,6 +114,36 @@ def test_invalid_scalars_flagged():
     assert "DISCOUNT" in got and "IMPULSE_COST_FLOOR" in got
 
 
+def two_state_with(rate=1.0, prob=1.0, run_cost=1.0, imp_cost=0.3, eta=1.0, K_rate=1.0, K_cost=1.0,
+                   c_lower=0.3) -> CtmdpModel:
+    """The two-state model with a reset impulse, one number of each kind set by keyword."""
+    return CtmdpModel(
+        states=StateSpace(("0", "1")),
+        actions=ActionCatalog(gradual={"0": ("wait",), "1": ("wait",)}, impulsive={"0": (), "1": ("reset",)}),
+        rates=RateKernel(rows={("0", "wait"): (), ("1", "wait"): (("0", rate),)}, K_rate=K_rate),
+        impulses=ImpulseKernel(rows={("1", "reset"): (("0", prob),)}),
+        costs=CostModel(gradual_cost={("0", "wait"): 0.0, ("1", "wait"): run_cost},
+                        impulse_cost={("1", "reset"): imp_cost}, eta=eta, K_cost=K_cost, c_lower=c_lower),
+    )
+
+
+@pytest.mark.parametrize("field, rule", [
+    ("rate", "NEGATIVE_RATE"), ("prob", "NEGATIVE_PROB"), ("run_cost", "COST_BOUND"),
+    ("imp_cost", "IMPULSE_COST_FLOOR"), ("eta", "DISCOUNT"), ("K_rate", "RATE_BOUND"),
+    ("K_cost", "COST_BOUND"), ("c_lower", "IMPULSE_COST_FLOOR"),
+])
+def test_nan_in_any_number_is_a_violation(field, rule):
+    assert validate_model(two_state_with()) == []
+    assert rule in rules(validate_model(two_state_with(**{field: float("nan")})))
+
+
+@pytest.mark.parametrize("field", ["eta", "K_rate", "K_cost", "c_lower"])
+def test_non_finite_constants_are_named(field):
+    for bad in (float("nan"), float("inf")):
+        report = validate_model(two_state_with(**{field: bad}))
+        assert any(v.subject == field for v in report), (field, bad, report)
+
+
 def test_duplicate_state_label():
     m = CtmdpModel(
         states=StateSpace(("a", "a")),

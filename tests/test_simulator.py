@@ -8,15 +8,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from impulsive_ctmdp import (
     ValueFunction,
+    analyze_chains,
     dynkin_check,
     estimate_cost,
     extract_policy,
     replication_rng,
+    sample_chain,
     simulate_spaced,
     simulate_trajectory,
     solve,
 )
 from impulsive_ctmdp.bellman import StationaryPolicy
+from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseKernel, RateKernel, StateSpace
 from impulsive_ctmdp.simulate import BLOCK, _block_rng
 from impulsive_ctmdp.testing import random_model
 
@@ -115,18 +118,22 @@ def test_policy_is_read_only():
     assert estimate_cost(m, copy, "1", 200, seed=3).mean == before.mean
 
 
+def moving_start(m, policy):
+    """The first state where the policy waits under an action that jumps, or None."""
+    moving = [k for k, s in enumerate(m.states.labels)
+              if not policy.impulsive[k] and m.rates.total_rate(s, policy.gradual_action(m, s)) > 0]
+    return moving[0] if moving else None
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(0, 10_000))
 def test_estimate_matches_value_on_random_models(seed):
     m = random_model(seed)
     report, policy = solved(m)
-    # The first state where the policy waits under an action that jumps.
-    moving = [k for k, s in enumerate(m.states.labels)
-              if not policy.impulsive[k] and m.rates.total_rate(s, policy.gradual_action(m, s)) > 0]
-    assume(moving)
-    x0 = m.states.labels[moving[0]]
-    est = estimate_cost(m, policy, x0, 2_000, seed=seed)
-    assert abs(est.mean - report.V[moving[0]]) <= 4 * est.std_error + report.gap
+    k = moving_start(m, policy)
+    assume(k is not None)
+    est = estimate_cost(m, policy, m.states.labels[k], 2_000, seed=seed)
+    assert abs(est.mean - report.V[k]) <= 4 * est.std_error + report.gap
 
 
 def test_long_proper_chains_are_simulated():
@@ -166,6 +173,20 @@ def test_argument_validation():
         dynkin_check(m, policy, ValueFunction(np.zeros(2)), "1", 0.0, 10, 0)
     with pytest.raises(ValueError):
         simulate_spaced(m, policy, "1", replication_rng(0, 0), [-0.1])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-8, math.nan])
+def test_tail_tol_is_checked_by_the_engine(bad):
+    m = two_state()
+    _, policy = solved(m)
+    with pytest.raises(ValueError, match="tail_tol"):
+        estimate_cost(m, policy, "1", 10, seed=0, tail_tol=bad)
+    with pytest.raises(ValueError, match="tail_tol"):
+        simulate_trajectory(m, policy, "1", replication_rng(0, 0), tail_tol=bad)
+    with pytest.raises(ValueError, match="tail_tol"):
+        simulate_spaced(m, policy, "1", replication_rng(0, 0), [0.1], tail_tol=bad)
+    with pytest.raises(ValueError, match="waits"):
+        simulate_spaced(m, policy, "1", replication_rng(0, 0), [math.nan])
 
 
 def test_dynkin_zero_function_is_exact():
@@ -240,3 +261,66 @@ def test_natural_jump_count_bounded_by_uniform_rate():
     counts = np.array(counts, dtype=float)
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert counts.mean() <= m.K * t_cap + 3 * se
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_trajectory_mean_matches_value_on_random_models(seed):
+    m = random_model(seed, max_states=12)
+    report, policy = solved(m)
+    k = moving_start(m, policy)
+    assume(k is not None)
+    costs = np.array([simulate_trajectory(m, policy, m.states.labels[k], replication_rng(seed, i)).total_cost
+                      for i in range(300)])
+    se = costs.std(ddof=1) / math.sqrt(costs.size)
+    assert abs(costs.mean() - report.V[k]) <= 4 * se + report.gap
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_sampled_chain_landings_match_the_chain_analysis(seed):
+    # Flag every state with an impulse; its full-support rows make the chains proper.
+    m = random_model(seed, max_states=8)
+    policy = improper_policy(m)
+    assume(0 < policy.impulsive.sum() < m.states.N)
+    ana = analyze_chains(m, policy)
+    x = ana.states[0]
+    n = 400
+    counts = np.zeros(m.states.N)
+    for i in range(n):
+        counts[m.states.index[sample_chain(m, policy, x, replication_rng(seed, i)).landing]] += 1
+    p = ana.landing_row(0)
+    assert np.all(counts[policy.impulsive] == 0)
+    assert np.all(np.abs(counts / n - p) <= 4 * np.sqrt(p * (1 - p) / n) + 1 / n)
+
+
+def chain_abc() -> tuple[CtmdpModel, StationaryPolicy]:
+    """a -> b -> c at rate 1; b is flagged, and its impulse moves it to the absorbing c."""
+    m = CtmdpModel(
+        states=StateSpace(("a", "b", "c")),
+        actions=ActionCatalog(gradual={"a": ("wait",), "b": ("wait",), "c": ("wait",)},
+                              impulsive={"a": (), "b": ("fix",), "c": ()}),
+        rates=RateKernel(rows={("a", "wait"): (("b", 1.0),), ("b", "wait"): (("c", 1.0),),
+                               ("c", "wait"): ()}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={("b", "fix"): (("c", 1.0),)}),
+        costs=CostModel(gradual_cost={("a", "wait"): 1.0, ("b", "wait"): 1.0, ("c", "wait"): 0.0},
+                        impulse_cost={("b", "fix"): 0.5}, eta=1.0, K_cost=1.0, c_lower=0.5),
+    )
+    policy = StationaryPolicy(impulsive=np.array([False, True, False]), phi_g=np.zeros(3, dtype=np.int64),
+                              phi_i={1: 0})
+    return m, policy
+
+
+def test_spaced_paths_count_natural_jumps_only():
+    m, policy = chain_abc()
+    for rep in range(20):
+        plain = simulate_trajectory(m, policy, "a", replication_rng(23, rep))
+        zero = simulate_spaced(m, policy, "a", replication_rng(23, rep), [0.0])
+        assert plain.natural_jump_count == zero.natural_jump_count == 1
+        assert [ep.chain.steps for ep in zero.epochs[1:]] == [(("b", "fix"),)]
+        # A long wait at b: the jump to c usually comes first and cuts the chain off.
+        long = simulate_spaced(m, policy, "a", replication_rng(23, rep), [10.0])
+        fired = long.discounted_impulse_cost > 0
+        assert long.natural_jump_count == (1 if fired else 2)
+        assert [ep.natural_target for ep in long.epochs] == ["a", "b"] + ([] if fired else ["c"])
+        assert len(long.epochs[1].chain.steps) == int(fired) and long.epochs[1].post_state == ("c" if fired else "b")
