@@ -1,9 +1,10 @@
 """Discounted CTMDPs with gradual and impulsive controls.
 
-Solver (policy iteration with monotone value iteration as warm start and
-fallback), intervention-chain analysis, batched jump-process Monte Carlo,
-and the epidemic-with-carriers instance with its analytic threshold
-solution.
+Solver (policy iteration from an embedded-chain warm start; every answer
+carries a certified gap within the requested tolerance, and monotone value
+iteration stays as the reference), intervention-chain analysis, batched
+jump-process Monte Carlo, and the epidemic-with-carriers instance with its
+analytic threshold solution.
 """
 
 from ._ops import uniformized_row

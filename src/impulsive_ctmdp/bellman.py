@@ -8,8 +8,8 @@ non-decreasing one; both converge to the unique bounded fixed point, which
 is the optimal discounted cost.  :func:`solve` finds that fixed point
 exactly, up to roundoff, by policy iteration started from a short run of
 the embedded jump chain's operator from above (no self-loop, so each state
-contracts at its own rate q/(eta+q)); the two monotone iterations of the
-optimality operator remain its fallback.
+contracts at its own rate q/(eta+q)).  :func:`value_iterate` is the
+reference those monotone iterations define; :func:`solve` does not use it.
 """
 
 from __future__ import annotations
@@ -116,14 +116,11 @@ class StationaryPolicy:
 class SolveReport:
     """Result of :func:`solve`.
 
-    ``gap`` bounds max |V - V*|: U * ``residual`` after policy iteration, the
-    distance between the two monotone limits after the fallback.
-    ``residual`` is max |T V - V|.  ``iterations_above`` counts sweeps from
-    +K/eta (the warm start's embedded-chain sweeps, or the fallback's upper
-    iteration);
-    ``iterations_below`` counts sweeps from -K/eta and is 0 unless the
-    fallback ran.  ``evaluations`` counts policy evaluations and is 0 exactly
-    when the fallback produced the result.
+    ``gap`` = U * ``residual`` bounds max |V - V*| and is at most the
+    requested tol; ``residual`` is max |T V - V|.  ``iterations_above``
+    counts the warm start's embedded-chain sweeps from +K/eta,
+    ``evaluations`` the policy evaluations.  ``iterations_below`` is always
+    0; it stays so that readers of earlier reports keep their key.
     """
 
     V: ValueFunction
@@ -135,7 +132,10 @@ class SolveReport:
 
 
 class NonConvergenceError(RuntimeError):
-    """Iteration budget exhausted, or a policy system singular or off its tolerance."""
+    """No answer within tolerance: an iteration budget exhausted, a policy
+    system singular or off its tolerance, a policy iteration that cycles, or
+    a certified gap above tol.  ``last`` is the last iterate, ``step`` its
+    step, defect or gap."""
 
     def __init__(self, message: str, last: np.ndarray, step: float, iterations: int):
         super().__init__(message)
@@ -292,7 +292,7 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     return ValueFunction(V)
 
 
-def solve(model: CtmdpModel, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
+def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     """Optimal value by Howard policy iteration, with a certified error bound.
 
     The warm start iterates the embedded-chain operator
@@ -310,33 +310,14 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     bounds |V - V*| by U * |T V - V|, where U = (K+eta)/eta + 2K/(eta c_lower)
     bounds the discounted count of uniformized steps and impulses.
 
-    When an evaluation fails, the policy cycles, the warm start exceeds
-    ``max_iter`` sweeps, or the bound exceeds ``tol``, the result is that of
-    both monotone value iterations instead: V is the lower limit, ``gap`` the
-    distance between the two limits, and ``evaluations`` is 0.
+    A returned report always has ``gap <= tol``.  Anything else raises
+    :class:`NonConvergenceError`: a failed evaluation as it is, a policy that
+    cycles, a warm start that would pass ``DEFAULT_MAX_ITER`` sweeps, and a
+    certificate above ``tol`` (with ``last`` the policy's V and ``step`` its
+    ``gap``; a ``tol`` below the roundoff floor ends here).
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    report = _policy_iteration(model, tol, max_iter)
-    if report is not None and report.gap <= tol:
-        return report
-    V_above, it_above = value_iterate(model, Direction.FROM_ABOVE, tol, max_iter)
-    V_below, it_below = value_iterate(model, Direction.FROM_BELOW, tol, max_iter)
-    gap = float(np.max(np.abs(V_above.values - V_below.values)))
-    return SolveReport(
-        V=V_below,
-        iterations_above=it_above,
-        iterations_below=it_below,
-        residual=bellman_residual(model, V_below),
-        gap=gap,
-        evaluations=0,
-    )
-
-
-def _policy_iteration(model: CtmdpModel, tol: float, max_iter: int) -> SolveReport | None:
-    """Warm-started Howard iteration; None where :func:`solve` must fall back."""
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
     n_g = comp.g_cost.size
@@ -359,8 +340,9 @@ def _policy_iteration(model: CtmdpModel, tol: float, max_iter: int) -> SolveRepo
     V = np.full(comp.N, K / eta)
     sweeps, pick, step = 0, None, np.inf
     while step >= tol:
-        if sweeps + block > max_iter:
-            return None
+        if sweeps + block > DEFAULT_MAX_ITER:
+            raise NonConvergenceError(
+                f"warm start would pass {DEFAULT_MAX_ITER} sweeps (last step {step})", V, step, sweeps)
         for _ in range(block):
             Vn = apply_embedded(comp, V)
             step = float(np.max(np.abs(V - Vn)))
@@ -375,23 +357,20 @@ def _policy_iteration(model: CtmdpModel, tol: float, max_iter: int) -> SolveRepo
     seen: set[bytes] = set()
     while pick.tobytes() not in seen:
         seen.add(pick.tobytes())
-        try:
-            value = evaluate_policy(model, _as_policy(comp, pick), tol)
-        except NonConvergenceError:
-            return None
+        value = evaluate_policy(model, _as_policy(comp, pick), tol)
         improved = greedy(value.values, pick)
         if np.array_equal(improved, pick):
-            residual = bellman_residual(model, value)
-            return SolveReport(
-                V=value,
-                iterations_above=sweeps,
-                iterations_below=0,
-                residual=residual,
-                gap=((K + eta) / eta + 2.0 * K / (eta * model.costs.c_lower)) * residual,
-                evaluations=len(seen),
-            )
+            break
         pick = improved
-    return None  # the policy cycled
+    else:
+        raise NonConvergenceError(
+            f"policy iteration cycled after {len(seen)} evaluations", value.values, np.inf, len(seen))
+    residual = bellman_residual(model, value)
+    gap = ((K + eta) / eta + 2.0 * K / (eta * model.costs.c_lower)) * residual
+    if not gap <= tol:
+        raise NonConvergenceError(f"certified gap {gap} exceeds tol={tol}", value.values, gap, len(seen))
+    return SolveReport(V=value, iterations_above=sweeps, iterations_below=0,
+                       residual=residual, gap=gap, evaluations=len(seen))
 
 
 def _as_policy(comp: CompiledModel, pair: np.ndarray) -> StationaryPolicy:

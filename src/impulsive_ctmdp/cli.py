@@ -128,10 +128,14 @@ class _UsageError(Exception):
 
 
 def _number(name: str, raw: Any, kind: type, ok: Callable[[Any], bool], need: str):
-    """``raw`` converted by ``kind`` when ``ok`` holds for it; anything else is a usage error."""
+    """``raw`` converted by ``kind`` when ``ok`` holds for it; anything else is a usage error.
+
+    A YAML boolean is no number, and a fractional float is no integer (``int``
+    would truncate it, so the run would differ from the recorded config).
+    """
     try:
         val = kind(raw)
-        if ok(val):
+        if ok(val) and not isinstance(raw, bool) and not (isinstance(raw, float) and val != raw):
             return val
     except (TypeError, ValueError, OverflowError):
         pass
@@ -314,7 +318,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command.startswith("epidemic") and not cfg.get("params"):
             return _error(EXIT_PARSE, "usage", f"{args.command} requires --params")
         return COMMANDS[args.command](cfg)
-    except (mio.ModelParseError, FileNotFoundError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    except (mio.ModelParseError, OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         return _error(EXIT_PARSE, "parse", str(exc))
     except _UsageError as exc:
         return _error(EXIT_PARSE, "usage", str(exc))

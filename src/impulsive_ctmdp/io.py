@@ -45,6 +45,20 @@ def _as_map(field: str, node: yaml.Node) -> list[tuple[yaml.Node, yaml.Node]]:
     return node.value
 
 
+def _put(field: str, out: dict, key: Any, value: Any, node: yaml.Node) -> None:
+    """``out[key] = value``; a key already there is a repeat, cited at ``node``."""
+    if key in out:
+        _fail(field, node, f"repeated entry {key!r}")
+    out[key] = value
+
+
+def _as_dict(field: str, node: yaml.Node) -> dict[str, yaml.Node]:
+    out: dict[str, yaml.Node] = {}
+    for k, v in _as_map(field, node):
+        _put(field, out, _as_str(field, k), v, k)
+    return out
+
+
 def _as_seq(field: str, node: yaml.Node) -> list[yaml.Node]:
     if not isinstance(node, yaml.SequenceNode):
         _fail(field, node, "expected a list")
@@ -92,7 +106,7 @@ def _compose(text: str, source: str) -> yaml.Node:
 def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
     """Parse a model document.  See README for the schema."""
     root = _compose(text, source)
-    sections = {_as_str("section", k): v for k, v in _as_map("document", root)}
+    sections = _as_dict("document", root)
     required = ["states", "gradual_actions", "rates", "costs", "constants"]
     for name in required:
         if name not in sections:
@@ -105,7 +119,7 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
         out: dict[str, tuple[str, ...]] = {}
         for k, v in _as_map(field, node):
             s = _as_str(field, k)
-            out[s] = tuple(_as_str(f"{field}.{s}[]", n) for n in _as_seq(f"{field}.{s}", v))
+            _put(field, out, s, tuple(_as_str(f"{field}.{s}[]", n) for n in _as_seq(f"{field}.{s}", v)), k)
         return out
 
     gradual = action_map("gradual_actions", sections["gradual_actions"])
@@ -128,7 +142,7 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
     for s, a, tnode, item in pair_entries("rates", sections["rates"], "targets"):
         row = tuple((_as_str("rates.targets", k), _as_float(f"rates.targets.{_as_str('rates.targets', k)}", v))
                     for k, v in _as_map("rates.targets", tnode))
-        rate_rows[(s, a)] = row
+        _put("rates[]", rate_rows, (s, a), row, item)
     # Absent rate rows mean "no jumps" for that pair.
     for s, acts in gradual.items():
         for a in acts:
@@ -140,19 +154,19 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
             row = tuple((_as_str("impulse_rows.distribution", k),
                          _as_float("impulse_rows.distribution", v))
                         for k, v in _as_map("impulse_rows.distribution", dnode))
-            impulse_rows[(s, a)] = row
+            _put("impulse_rows[]", impulse_rows, (s, a), row, item)
 
-    cost_sections = {_as_str("costs", k): v for k, v in _as_map("costs", sections["costs"])}
+    cost_sections = _as_dict("costs", sections["costs"])
     gcost: dict[tuple[str, str], float] = {}
     if "gradual" in cost_sections:
-        for s, a, vnode, _ in pair_entries("costs.gradual", cost_sections["gradual"], "value"):
-            gcost[(s, a)] = _as_float("costs.gradual.value", vnode)
+        for s, a, vnode, item in pair_entries("costs.gradual", cost_sections["gradual"], "value"):
+            _put("costs.gradual[]", gcost, (s, a), _as_float("costs.gradual.value", vnode), item)
     icost: dict[tuple[str, str], float] = {}
     if "impulse" in cost_sections:
-        for s, a, vnode, _ in pair_entries("costs.impulse", cost_sections["impulse"], "value"):
-            icost[(s, a)] = _as_float("costs.impulse.value", vnode)
+        for s, a, vnode, item in pair_entries("costs.impulse", cost_sections["impulse"], "value"):
+            _put("costs.impulse[]", icost, (s, a), _as_float("costs.impulse.value", vnode), item)
 
-    consts = {_as_str("constants", k): v for k, v in _as_map("constants", sections["constants"])}
+    consts = _as_dict("constants", sections["constants"])
     for key in ("eta", "K_rate", "K_cost", "c_lower"):
         if key not in consts:
             raise ModelParseError(f"{source}: constants missing {key!r}")
@@ -178,7 +192,7 @@ def load_model(path: str) -> CtmdpModel:
 
 def parse_epidemic_params(text: str, source: str = "<string>", c_max_override: int | None = None) -> EpidemicParams:
     root = _compose(text, source)
-    entries = {_as_str("document", k): v for k, v in _as_map("document", root)}
+    entries = _as_dict("document", root)
     for key in ("S", "I", "c0", "C_max", "eta", "kappa_r", "lambda", "rho_b", "rho_d", "kappa_i"):
         if key not in entries:
             raise ModelParseError(f"{source}: missing required field {key!r}")

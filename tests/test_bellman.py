@@ -17,7 +17,7 @@ from impulsive_ctmdp import (
     solve,
     value_iterate,
 )
-from impulsive_ctmdp import bellman
+from impulsive_ctmdp import bellman, cli
 from impulsive_ctmdp._ops import apply_embedded, compile_model
 from impulsive_ctmdp.bellman import StationaryPolicy, check_policy
 from impulsive_ctmdp.epidemic import build_epidemic_model
@@ -245,18 +245,31 @@ def test_value_iteration_limits_meet_and_hold_the_solution():
         assert np.all(report.V.values <= V_above.values + report.gap), seed
 
 
-def test_solve_falls_back_to_two_sided_value_iteration(monkeypatch):
+def test_solve_raises_when_an_evaluation_fails(monkeypatch, capsys):
+    # Contract change: solve runs policy iteration only, so a failed
+    # evaluation reaches the caller instead of starting a second algorithm.
+    failure = NonConvergenceError("singular", np.zeros(1), np.inf, 0)
+
     def boom(model, policy, tol):
-        raise NonConvergenceError("singular", np.zeros(1), np.inf, 0)
+        raise failure
     monkeypatch.setattr(bellman, "evaluate_policy", boom)
-    m = random_model(7)
-    report = solve(m)
-    V_below, it_below = value_iterate(m, Direction.FROM_BELOW)
-    V_above, it_above = value_iterate(m, Direction.FROM_ABOVE)
-    assert report.evaluations == 0
-    assert np.array_equal(report.V.values, V_below.values)
-    assert (report.iterations_above, report.iterations_below) == (it_above, it_below)
-    assert report.gap == float(np.max(np.abs(V_above.values - V_below.values)))
+    with pytest.raises(NonConvergenceError) as info:
+        solve(random_model(7))
+    assert info.value is failure
+    assert cli.run(["solve", "--model", str(MODELS_DIR / "two_state.yaml")]) == 4
+    assert '"code": 4' in capsys.readouterr().err
+
+
+def test_solve_below_the_roundoff_floor_raises(desk_solved):
+    # The desk model's certified gap sits near 1e-12, the roundoff floor of
+    # its policy value; a tighter tol raises with that policy's V and gap
+    # rather than returning an uncertified answer.
+    m, report = desk_solved["model"], desk_solved["report"]
+    assert report.gap > 1e-12
+    with pytest.raises(NonConvergenceError, match="exceeds tol") as info:
+        solve(m, tol=1e-12)
+    assert info.value.step == report.gap
+    assert np.array_equal(info.value.last, report.V.values)
 
 
 def test_desk_warm_start_converges_within_one_block():

@@ -1,6 +1,7 @@
 """Model/parameter document parsing and the command-line workflows."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,32 @@ def test_wrong_shape_cites_field():
         parse_model("")
 
 
+@pytest.mark.parametrize("old, new, field, line", [
+    ("c_lower: 0.3\n", "c_lower: 0.3\nimpulsive_actions: {}\n", "document", 30),
+    ("c_lower: 0.3\n", "c_lower: 0.3\n  eta: 2.0\n", "constants", 30),
+    ('  "1": [wait]\n', '  "1": [wait]\n  "1": [wait]\n', "gradual_actions", 7),
+    ('  "1": [reset]\n', '  "1": [reset]\n  "1": [reset]\n', "impulsive_actions", 9),
+    ("rates:\n", 'rates:\n  - {state: "1", action: wait, targets: {"0": 2.0}}\n', "rates[]", 11),
+    ("impulse_rows:\n", 'impulse_rows:\n  - {state: "1", action: reset, distribution: {"0": 1.0}}\n',
+     "impulse_rows[]", 16),
+    ('    - {state: "1", action: wait, value: 1.0}\n', '    - {state: "1", action: wait, value: 1.0}\n' * 2,
+     "costs.gradual[]", 23),
+    ('    - {state: "1", action: reset, value: 0.3}\n', '    - {state: "1", action: reset, value: 0.3}\n' * 2,
+     "costs.impulse[]", 25),
+], ids=["section", "constant", "gradual-state", "impulsive-state", "rates-pair", "impulse-rows-pair",
+        "gradual-cost-pair", "impulse-cost-pair"])
+def test_repeated_entries_are_parse_errors(tmp_path, capsys, old, new, field, line):
+    # A repeat used to overwrite the first entry silently.
+    text = TWO_STATE_IMPULSE.read_text()
+    assert text.count(old) == 1
+    with pytest.raises(ModelParseError, match=rf"^{re.escape(field)} \(line {line}\): repeated entry"):
+        parse_model(text.replace(old, new))
+    doc = tmp_path / "repeat.yaml"
+    doc.write_text(text.replace(old, new))
+    assert cli.run(["validate", "--model", str(doc)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "parse"
+
+
 def test_params_missing_field():
     with pytest.raises(ModelParseError, match="missing required field 'kappa_i'"):
         parse_epidemic_params("S: 1\nI: 1\nc0: 0\nC_max: 2\neta: 1\nkappa_r: 1\n"
@@ -96,6 +123,14 @@ def test_cli_validate_bad_model(tmp_path, capsys):
 def test_cli_missing_file_is_parse_error(capsys):
     assert cli.run(["solve", "--model", "does-not-exist.yaml"]) == 2
     assert '"code": 2' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--model", "--config"])
+def test_cli_directory_path_is_parse_error(capsys, flag):
+    argv = ["validate", "--model", str(TWO_STATE)] if flag == "--config" else ["validate"]
+    assert cli.run(argv + [flag, str(MODELS_DIR)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["code"] == 2 and "Is a directory" in err["message"]
 
 
 def test_cli_missing_required_flag(capsys):
@@ -249,9 +284,16 @@ def test_cli_unknown_initial_state_exit_code(capsys):
     (["solve", "--model", TWO_STATE], "tol: abc\n", "tol"),
     (["simulate", "--model", TWO_STATE], "reps: .inf\n", "reps"),
     (["epidemic-sweep", "--params", EPIDEMIC], "lambdas: [0.1, 0.0]\n", "lambdas"),
+    (["simulate", "--model", TWO_STATE], "reps: 20.9\n", "reps"),
+    (["simulate", "--model", TWO_STATE], "threads: 1.5\n", "threads"),
+    (["simulate", "--model", TWO_STATE], "seed: 1.5\n", "seed"),
+    (["epidemic-solve", "--params", EPIDEMIC], "c_max: 10.5\n", "c-max"),
+    (["solve", "--model", TWO_STATE], "tol: true\n", "tol"),
+    (["simulate", "--model", TWO_STATE], "seed: false\n", "seed"),
 ], ids=["tail-tol-0", "tol-nan", "reps-1", "threads-0", "seed-negative", "t-horizon-0", "t-horizon-inf",
         "carrier-tol-0", "c-max-0", "lambdas-abc", "lambdas-negative", "lambdas-nan", "config-tol-abc",
-        "config-reps-inf", "config-lambdas-zero"])
+        "config-reps-inf", "config-lambdas-zero", "config-reps-fraction", "config-threads-fraction",
+        "config-seed-fraction", "config-c-max-fraction", "config-tol-bool", "config-seed-bool"])
 def test_cli_numeric_options_out_of_range_are_usage_errors(tmp_path, capsys, args, config, name):
     argv = [str(a) for a in args]
     if config is not None:
