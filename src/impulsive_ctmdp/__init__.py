@@ -1,8 +1,8 @@
 """Discounted CTMDPs with gradual and impulsive controls.
 
 Solver (policy iteration from an embedded-chain warm start; every answer
-carries a certified gap within the requested tolerance, and monotone value
-iteration stays as the reference), intervention-chain analysis, batched
+carries the policy it ended on and a certified gap within the requested
+tolerance, and monotone value iteration stays as the reference), intervention-chain analysis, batched
 jump-process Monte Carlo, and the epidemic-with-carriers instance with its
 analytic threshold solution.
 """
@@ -11,7 +11,6 @@ from ._ops import uniformized_row
 from .bellman import (
     Direction,
     NonConvergenceError,
-    PolicyExtractionError,
     SolveReport,
     StationaryPolicy,
     ValueFunction,
@@ -64,7 +63,7 @@ __all__ = [
     "ActionCatalog", "CarrierContractionError", "CarrierValue", "ChainAnalysis",
     "CostEstimate", "CostModel", "CtmdpModel", "Direction", "DynkinReport",
     "EpidemicParams", "ImproperChainError", "ImpulseKernel", "InterventionChain",
-    "NonConvergenceError", "PolicyExtractionError", "RateKernel", "SolveReport",
+    "NonConvergenceError", "RateKernel", "SolveReport",
     "StateSpace", "StationaryPolicy", "Trajectory", "ValueFunction", "Violation",
     "analytic_value", "analyze_chains", "bellman_apply", "bellman_residual",
     "build_epidemic_model", "dynkin_check", "estimate_cost", "evaluate_policy",

@@ -42,7 +42,6 @@ class CompiledModel:
     i_cost: np.ndarray         # (n_i,) impulse cost per pair
     Q_imp: sp.csr_matrix       # (n_i, N) relocation kernel
     Q_cum: np.ndarray          # (nnz(Q_imp),) row-wise cumulative relocation probabilities
-    has_impulse: np.ndarray    # (N,) bool
 
     def g_pair(self, x: int, a: int) -> int:
         return int(self.g_ptr[x]) + a
@@ -68,8 +67,7 @@ def compile_model(model: CtmdpModel) -> CompiledModel:
          g.row_ptr + np.arange(n_g + 1)),
         shape=(n_g, N),
     )
-    has_imp = np.diff(im.ptr) > 0
-    i_states = np.flatnonzero(has_imp)
+    i_states = np.flatnonzero(np.diff(im.ptr))
     return CompiledModel(
         model=model,
         N=N,
@@ -86,7 +84,6 @@ def compile_model(model: CtmdpModel) -> CompiledModel:
         i_cost=im.cost,
         Q_imp=sp.csr_matrix((im.weights, im.cols, im.row_ptr), shape=(len(im.names), N), copy=True),
         Q_cum=row_sums(im.row_ptr, im.weights)[0],
-        has_impulse=has_imp,
     )
 
 

@@ -10,6 +10,8 @@ exactly, up to roundoff, by policy iteration started from a short run of
 the embedded jump chain's operator from above (no self-loop, so each state
 contracts at its own rate q/(eta+q)).  :func:`value_iterate` is the
 reference those monotone iterations define; :func:`solve` does not use it.
+One greedy rule, :func:`_greedy`, picks the policy in :func:`solve` and in
+:func:`extract_policy`.
 """
 
 from __future__ import annotations
@@ -116,14 +118,16 @@ class StationaryPolicy:
 class SolveReport:
     """Result of :func:`solve`.
 
-    ``gap`` = U * ``residual`` bounds max |V - V*| and is at most the
-    requested tol; ``residual`` is max |T V - V|.  ``iterations_above``
-    counts the warm start's embedded-chain sweeps from +K/eta,
-    ``evaluations`` the policy evaluations.  ``iterations_below`` is always
-    0; it stays so that readers of earlier reports keep their key.
+    ``policy`` is the greedy policy that policy iteration ended on and ``V``
+    its value, so V* lies in [V - ``gap``, V] up to roundoff.  ``gap`` = U *
+    ``residual`` is at most the requested tol; ``residual`` is max |T V - V|.
+    ``iterations_above`` counts the warm start's embedded-chain sweeps from
+    +K/eta, ``evaluations`` the policy evaluations.  ``iterations_below`` is
+    always 0; it stays so that readers of earlier reports keep their key.
     """
 
     V: ValueFunction
+    policy: StationaryPolicy
     iterations_above: int
     iterations_below: int
     residual: float
@@ -142,10 +146,6 @@ class NonConvergenceError(RuntimeError):
         self.last = last
         self.step = step
         self.iterations = iterations
-
-
-class PolicyExtractionError(RuntimeError):
-    """A state was flagged for intervention but admits no impulsive action."""
 
 
 def check_policy(model: CtmdpModel, policy: StationaryPolicy) -> None:
@@ -225,28 +225,14 @@ def value_iterate(
 
 
 def extract_policy(model: CtmdpModel, V: ValueFunction, tol_set: float = DEFAULT_TOL_SET) -> StationaryPolicy:
-    """Classify states as wait/intervene and pick minimizing actions.
+    """The greedy policy at ``V``, by the rule :func:`solve` uses.
 
-    A state stays gradual when the gradual branch attains V(x) within
-    ``tol_set`` (ties prefer gradual); otherwise the impulsive branch must be
-    active.  Ties among actions break to the lowest catalog index.
+    A state keeps its best gradual action unless an impulse beats it by more
+    than ``tol_set``.  Exact ties go to the gradual branch and then to the
+    lowest catalog index.
     """
     comp = compile_model(model)
-    g_best, phi_g = segment_argmin(gradual_branch(comp, V.values), comp.g_ptr)
-    impulsive = ~(g_best <= V.values + tol_set)
-    stuck = np.flatnonzero(impulsive & ~comp.has_impulse)
-    if stuck.size:
-        raise PolicyExtractionError(
-            f"state {model.states.labels[stuck[0]]!r} rejects the gradual branch but has no impulsive action; "
-            "V is not a fixed point at the given tolerance"
-        )
-    pick = comp.g_ptr[:-1] + phi_g
-    flagged = np.flatnonzero(impulsive)
-    if flagged.size:
-        _, i_best = segment_argmin(impulsive_branch(comp, V.values), comp.i_ptr)
-        slot = np.searchsorted(comp.i_states, flagged)
-        pick[flagged] = comp.g_cost.size + comp.i_ptr[slot] + i_best[slot]
-    return _as_policy(comp, pick)
+    return _as_policy(comp, _greedy(comp, V.values, slack=tol_set)[0])
 
 
 def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DEFAULT_TOL) -> ValueFunction:
@@ -299,16 +285,17 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     (:func:`~impulsive_ctmdp._ops.apply_embedded`) from +K/eta in blocks of
     ceil((K+eta)/eta) sweeps until the greedy policy's intervene region
     repeats across two blocks, or until a sweep moves V by less than ``tol``.
-    Here and in the improvement step, "greedy" keeps a state's current
-    decision unless another is better by more than roundoff, so a tie cannot
-    flip on last-digit noise.  The embedded-chain operator is monotone and
+    Here and in the improvement step, "greedy" is :func:`_greedy` keeping a
+    state's current decision unless another is better by more than roundoff,
+    so a tie cannot flip on last-digit noise.  The embedded-chain operator is monotone and
     has the optimality operator's fixed point, so every warm-start iterate
     is a supersolution of both; and impulses cost at least c_lower > 0, so
     that greedy policy has no closed impulse cycle.  Policy iteration then
     alternates :func:`evaluate_policy` with a greedy improvement, and stops
-    when the policy repeats.  The returned V is that policy's value, and ``gap``
-    bounds |V - V*| by U * |T V - V|, where U = (K+eta)/eta + 2K/(eta c_lower)
-    bounds the discounted count of uniformized steps and impulses.
+    when the policy repeats.  The report carries that policy and its value V,
+    and ``gap`` bounds V - V* >= 0 by U * |T V - V|, where
+    U = (K+eta)/eta + 2K/(eta c_lower) bounds the discounted count of
+    uniformized steps and impulses.
 
     A returned report always has ``gap <= tol``.  Anything else raises
     :class:`NonConvergenceError`: a failed evaluation as it is, a policy that
@@ -321,21 +308,7 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
     n_g = comp.g_cost.size
-    # All decisions of a state in one segment, gradual pairs first, so exact
-    # ties go to the gradual branch and then to the lowest catalog index.
-    owner = np.concatenate([np.repeat(np.arange(comp.N), np.diff(comp.g_ptr)),
-                            np.repeat(comp.i_states, np.diff(comp.i_ptr))])
-    order = np.argsort(owner, kind="stable")
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=comp.N))])
     roundoff = ROUNDOFF * (1.0 + K / eta)
-
-    def greedy(V: np.ndarray, current: np.ndarray | None = None) -> np.ndarray:
-        """Each state's best position in (gradual pairs, impulse pairs)."""
-        q = np.concatenate([gradual_branch(comp, V), impulsive_branch(comp, V)])
-        best, offset = segment_argmin(q[order], ptr)
-        pick = order[ptr[:-1] + offset]
-        return pick if current is None else np.where(q[current] <= best + roundoff, current, pick)
-
     block = math.ceil((K + eta) / eta)
     V = np.full(comp.N, K / eta)
     sweeps, pick, step = 0, None, np.inf
@@ -350,27 +323,50 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
             sweeps += 1
             if step < tol:
                 break
-        previous, pick = pick, greedy(V, pick)
+        previous = pick
+        pick, _ = _greedy(comp, V, previous, 0.0 if previous is None else roundoff)
         if previous is not None and np.array_equal(pick >= n_g, previous >= n_g):
             break
 
     seen: set[bytes] = set()
     while pick.tobytes() not in seen:
         seen.add(pick.tobytes())
-        value = evaluate_policy(model, _as_policy(comp, pick), tol)
-        improved = greedy(value.values, pick)
+        policy = _as_policy(comp, pick)
+        value = evaluate_policy(model, policy, tol)
+        improved, TV = _greedy(comp, value.values, pick, roundoff)
         if np.array_equal(improved, pick):
             break
         pick = improved
     else:
         raise NonConvergenceError(
             f"policy iteration cycled after {len(seen)} evaluations", value.values, np.inf, len(seen))
-    residual = bellman_residual(model, value)
+    residual = float(np.max(np.abs(TV - value.values)))
     gap = ((K + eta) / eta + 2.0 * K / (eta * model.costs.c_lower)) * residual
     if not gap <= tol:
         raise NonConvergenceError(f"certified gap {gap} exceeds tol={tol}", value.values, gap, len(seen))
-    return SolveReport(V=value, iterations_above=sweeps, iterations_below=0,
+    return SolveReport(V=value, policy=policy, iterations_above=sweeps, iterations_below=0,
                        residual=residual, gap=gap, evaluations=len(seen))
+
+
+def _greedy(comp: CompiledModel, V: np.ndarray, keep: np.ndarray | None = None,
+            slack: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's greedy position in (gradual pairs, impulse pairs) at ``V``, and T V.
+
+    Exact ties go to the gradual branch and then to the lowest catalog index.
+    A state keeps its position in ``keep`` (by default its best gradual pair)
+    unless another decision is better by more than ``slack``.
+    """
+    g = gradual_branch(comp, V)
+    q = np.concatenate([g, impulsive_branch(comp, V)])
+    TV, g_off = segment_argmin(g, comp.g_ptr)
+    g_best = comp.g_ptr[:-1] + g_off
+    i_min, i_off = segment_argmin(q[g.size:], comp.i_ptr)
+    wins = i_min < TV[comp.i_states]
+    TV[comp.i_states[wins]] = i_min[wins]
+    best = g_best.copy()
+    best[comp.i_states[wins]] = g.size + comp.i_ptr[:-1][wins] + i_off[wins]
+    keep = g_best if keep is None else keep
+    return np.where(q[keep] <= TV + slack, keep, best), TV
 
 
 def _as_policy(comp: CompiledModel, pair: np.ndarray) -> StationaryPolicy:

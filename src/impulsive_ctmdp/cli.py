@@ -25,7 +25,7 @@ from typing import Any
 import yaml
 
 from . import io as mio
-from .bellman import NonConvergenceError, PolicyExtractionError, extract_policy, solve
+from .bellman import NonConvergenceError, solve
 from .epidemic import (
     CarrierContractionError,
     carrier_residual,
@@ -151,8 +151,12 @@ def _lambdas(raw: Any) -> list[float]:
     return [_positive("lambdas", x) for x in items]
 
 
-def _check_numbers(cfg: dict[str, Any]) -> None:
-    """Reject numeric options outside their ranges, whether from flags or the config file."""
+def _check_options(cfg: dict[str, Any]) -> None:
+    """Reject path options that are not strings and numeric options outside
+    their ranges, whether from flags or the config file."""
+    for key in ("model", "params", "out"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise _UsageError(f"{key} must be a path, got {cfg[key]!r}")
     for key in ("tol", "tail_tol", "t_horizon"):
         _positive(key.replace("_", "-"), cfg[key])
     for key, least in (("reps", 2), ("threads", 1), ("seed", 0), ("c_max", 1)):
@@ -184,26 +188,20 @@ def _cmd_validate(cfg: dict[str, Any]) -> int:
     return EXIT_OK if not report else EXIT_VALIDATION
 
 
-def _solve_and_policy(model, tol: float):
-    report = solve(model, tol=tol)
-    policy = extract_policy(model, report.V)
-    return report, policy
-
-
 def _cmd_solve(cfg: dict[str, Any]) -> int:
     model = _load_valid_model(cfg)
-    report, policy = _solve_and_policy(model, float(cfg["tol"]))
+    report = solve(model, tol=float(cfg["tol"]))
     return _emit(cfg, mio.solve_report_meta(report),
-                 {"values.csv": mio.solve_report_table(model, report, policy)})
+                 {"values.csv": mio.solve_report_table(model, report, report.policy)})
 
 
 def _cmd_simulate(cfg: dict[str, Any]) -> int:
     model = _load_valid_model(cfg)
     x0 = _initial_state(cfg, model)
-    report, policy = _solve_and_policy(model, float(cfg["tol"]))
-    est = estimate_cost(model, policy, x0, int(cfg["reps"]), int(cfg["seed"]),
+    report = solve(model, tol=float(cfg["tol"]))
+    est = estimate_cost(model, report.policy, x0, int(cfg["reps"]), int(cfg["seed"]),
                         tail_tol=float(cfg["tail_tol"]), threads=int(cfg["threads"]))
-    sample = simulate_trajectory(model, policy, x0, replication_rng(int(cfg["seed"]), 0),
+    sample = simulate_trajectory(model, report.policy, x0, replication_rng(int(cfg["seed"]), 0),
                                  tail_tol=float(cfg["tail_tol"]))
     meta = {
         "x0": x0,
@@ -256,8 +254,8 @@ def _cmd_epidemic_sweep(cfg: dict[str, Any]) -> int:
 def _cmd_dynkin(cfg: dict[str, Any]) -> int:
     model = _load_valid_model(cfg)
     x0 = _initial_state(cfg, model)
-    report, policy = _solve_and_policy(model, float(cfg["tol"]))
-    res = dynkin_check(model, policy, report.V, x0, float(cfg["t_horizon"]),
+    report = solve(model, tol=float(cfg["tol"]))
+    res = dynkin_check(model, report.policy, report.V, x0, float(cfg["t_horizon"]),
                        int(cfg["reps"]), int(cfg["seed"]))
     meta = {
         "x0": x0,
@@ -311,7 +309,7 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _effective(args)
-        _check_numbers(cfg)
+        _check_options(cfg)
         needs_model = args.command in ("validate", "solve", "simulate", "dynkin-check")
         if needs_model and not cfg.get("model"):
             return _error(EXIT_PARSE, "usage", f"{args.command} requires --model")
@@ -328,7 +326,7 @@ def run(argv: list[str] | None = None) -> int:
         return _error(EXIT_VALIDATION, "validation", "model validation failed")
     except CarrierContractionError as exc:
         return _error(EXIT_VALIDATION, "validation", str(exc))
-    except (NonConvergenceError, PolicyExtractionError) as exc:
+    except NonConvergenceError as exc:
         return _error(EXIT_NONCONVERGENCE, "non-convergence", str(exc))
     except ImproperChainError as exc:
         return _error(EXIT_IMPROPER_CHAIN, "improper-chain", str(exc))

@@ -59,6 +59,15 @@ def _as_dict(field: str, node: yaml.Node) -> dict[str, yaml.Node]:
     return out
 
 
+def _row(field: str, node: yaml.Node) -> tuple[tuple[str, float], ...]:
+    """A ``{target: number}`` mapping as (label, value) pairs; each label may appear once."""
+    out: dict[str, float] = {}
+    for k, v in _as_map(field, node):
+        label = _as_str(field, k)
+        _put(field, out, label, _as_float(f"{field}.{label}", v), k)
+    return tuple(out.items())
+
+
 def _as_seq(field: str, node: yaml.Node) -> list[yaml.Node]:
     if not isinstance(node, yaml.SequenceNode):
         _fail(field, node, "expected a list")
@@ -140,9 +149,7 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
 
     rate_rows: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
     for s, a, tnode, item in pair_entries("rates", sections["rates"], "targets"):
-        row = tuple((_as_str("rates.targets", k), _as_float(f"rates.targets.{_as_str('rates.targets', k)}", v))
-                    for k, v in _as_map("rates.targets", tnode))
-        _put("rates[]", rate_rows, (s, a), row, item)
+        _put("rates[]", rate_rows, (s, a), _row("rates.targets", tnode), item)
     # Absent rate rows mean "no jumps" for that pair.
     for s, acts in gradual.items():
         for a in acts:
@@ -151,10 +158,7 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
     impulse_rows: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
     if "impulse_rows" in sections:
         for s, a, dnode, item in pair_entries("impulse_rows", sections["impulse_rows"], "distribution"):
-            row = tuple((_as_str("impulse_rows.distribution", k),
-                         _as_float("impulse_rows.distribution", v))
-                        for k, v in _as_map("impulse_rows.distribution", dnode))
-            _put("impulse_rows[]", impulse_rows, (s, a), row, item)
+            _put("impulse_rows[]", impulse_rows, (s, a), _row("impulse_rows.distribution", dnode), item)
 
     cost_sections = _as_dict("costs", sections["costs"])
     gcost: dict[tuple[str, str], float] = {}

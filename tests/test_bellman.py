@@ -18,11 +18,11 @@ from impulsive_ctmdp import (
     value_iterate,
 )
 from impulsive_ctmdp import bellman, cli
-from impulsive_ctmdp._ops import apply_embedded, compile_model
+from impulsive_ctmdp._ops import apply_embedded, compile_model, gradual_branch, impulsive_branch
 from impulsive_ctmdp.bellman import StationaryPolicy, check_policy
 from impulsive_ctmdp.epidemic import build_epidemic_model
 from impulsive_ctmdp.io import load_epidemic_params
-from impulsive_ctmdp.testing import random_model
+from impulsive_ctmdp.testing import random_model, random_value_vector
 
 from conftest import MODELS_DIR, improper_model, improper_policy, two_state, zero_cost_model
 from test_model import one_state_model
@@ -138,6 +138,39 @@ def test_evaluate_policy_optimal_matches_value():
     policy = extract_policy(m, report.V)
     W = evaluate_policy(m, policy)
     assert np.max(np.abs(W.values - report.V.values)) <= 1e-9
+
+
+def test_solve_returns_the_policy_it_certified(desk_solved):
+    # V is report.policy's value bit for bit, and extract_policy applies
+    # solve's greedy rule, so at V it gives back that same policy.
+    cases = [(desk_solved["model"], desk_solved["report"])]
+    cases += [(m, solve(m, tol=tol)) for m in map(random_model, range(60)) for tol in (1e-10, 1e-6)]
+    for m, report in cases:
+        assert np.array_equal(evaluate_policy(m, report.policy).values, report.V.values)
+        policy = extract_policy(m, report.V)
+        assert np.array_equal(policy.impulsive, report.policy.impulsive)
+        assert np.array_equal(policy.phi_g, report.policy.phi_g)
+        assert dict(policy.phi_i) == dict(report.policy.phi_i)
+
+
+def test_extract_policy_is_greedy_at_any_value_vector():
+    # Contract change: the rule used to compare the gradual branch with V(x)
+    # and raised PolicyExtractionError where a state without an impulse
+    # rejected it, which happens at most V that are not fixed points.
+    tol_set = bellman.DEFAULT_TOL_SET
+    for seed in range(60):
+        m = random_model(seed)
+        V = random_value_vector(seed, m)
+        policy = extract_policy(m, ValueFunction(V))
+        check_policy(m, policy)
+        comp = compile_model(m)
+        TV = bellman_apply(m, ValueFunction(V)).values
+        g = gradual_branch(comp, V)[comp.g_ptr[:-1] + policy.phi_g]
+        flagged = np.flatnonzero(policy.impulsive)
+        slot = comp.i_ptr[np.searchsorted(comp.i_states, flagged)] + policy.impulse_choice()[flagged]
+        assert np.all(impulsive_branch(comp, V)[slot] == TV[flagged])
+        assert np.all(g[flagged] > TV[flagged] + tol_set)
+        assert np.all(g[~policy.impulsive] <= TV[~policy.impulsive] + tol_set)
 
 
 def test_evaluate_policy_forced_gradual_is_costlier():

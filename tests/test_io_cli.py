@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from impulsive_ctmdp import cli, validate_model
-from impulsive_ctmdp.bellman import NonConvergenceError, PolicyExtractionError
+from impulsive_ctmdp import cli, extract_policy, solve, validate_model
+from impulsive_ctmdp.bellman import NonConvergenceError
 from impulsive_ctmdp.intervention import ImproperChainError
 from impulsive_ctmdp.io import (
     ModelParseError,
@@ -15,6 +15,7 @@ from impulsive_ctmdp.io import (
     load_model,
     parse_epidemic_params,
     parse_model,
+    solve_report_table,
 )
 
 from conftest import MODELS_DIR
@@ -74,10 +75,16 @@ def test_wrong_shape_cites_field():
      "costs.gradual[]", 23),
     ('    - {state: "1", action: reset, value: 0.3}\n', '    - {state: "1", action: reset, value: 0.3}\n' * 2,
      "costs.impulse[]", 25),
+    ('    targets:\n      "0": 1.0\n', '    targets:\n      "0": 0.5\n      "0": 0.5\n', "rates.targets", 14),
+    ('    targets:\n      "0": 1.0\n', '    targets:\n      "0": 0.6\n      "0": 0.6\n', "rates.targets", 14),
+    ('    distribution:\n      "0": 1.0\n', '    distribution:\n      "0": 0.5\n      "0": 0.5\n',
+     "impulse_rows.distribution", 19),
 ], ids=["section", "constant", "gradual-state", "impulsive-state", "rates-pair", "impulse-rows-pair",
-        "gradual-cost-pair", "impulse-cost-pair"])
+        "gradual-cost-pair", "impulse-cost-pair", "rate-target", "rate-target-over-bound",
+        "impulse-target"])
 def test_repeated_entries_are_parse_errors(tmp_path, capsys, old, new, field, line):
-    # A repeat used to overwrite the first entry silently.
+    # A repeated pair used to overwrite the first entry silently, and a
+    # repeated target label was kept twice and summed.
     text = TWO_STATE_IMPULSE.read_text()
     assert text.count(old) == 1
     with pytest.raises(ModelParseError, match=rf"^{re.escape(field)} \(line {line}\): repeated entry"):
@@ -255,12 +262,20 @@ def test_cli_improper_chain_exit_code(monkeypatch, capsys):
     assert '"code": 5' in capsys.readouterr().err
 
 
-def test_cli_policy_extraction_exit_code(monkeypatch, capsys):
-    def boom(model, V):
-        raise PolicyExtractionError("state '1' rejects the gradual branch")
-    monkeypatch.setattr(cli, "extract_policy", boom)
-    assert cli.run(["solve", "--model", str(TWO_STATE)]) == 4
-    assert '"code": 4' in capsys.readouterr().err
+def test_cli_values_table_lists_the_solved_policy(tmp_path):
+    # The reset beats waiting (value 0.5) by 5e-9, inside extract_policy's
+    # default tol_set but far above roundoff: solve's policy resets, and
+    # values.csv writes that policy, not a second extraction that waits.
+    doc = tmp_path / "near_tie.yaml"
+    doc.write_text(TWO_STATE_IMPULSE.read_text().replace("value: 0.3}", "value: 0.499999995}"))
+    model = load_model(str(doc))
+    report = solve(model)
+    assert report.policy.impulsive[1] and not extract_policy(model, report.V).impulsive[1]
+    out = tmp_path / "run"
+    assert cli.run(["solve", "--model", str(doc), "--out", str(out)]) == 0
+    values = (out / "values.csv").read_text()
+    assert values == solve_report_table(model, report, report.policy)
+    assert values.splitlines()[2] == "1,0.499999995,impulsive,reset"
 
 
 def test_cli_unknown_initial_state_exit_code(capsys):
@@ -303,6 +318,23 @@ def test_cli_numeric_options_out_of_range_are_usage_errors(tmp_path, capsys, arg
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert err["code"] == 2 and err["type"] == "usage"
     assert err["message"].startswith(f"{name} must be ")
+
+
+@pytest.mark.parametrize("args, config, name", [
+    (["solve", "--model", TWO_STATE], "out: 123\n", "out"),
+    (["solve"], "model: [a, b]\n", "model"),
+    (["epidemic-solve"], "params: 7\n", "params"),
+], ids=["config-out-number", "config-model-list", "config-params-number"])
+def test_cli_config_paths_must_be_strings(tmp_path, capsys, monkeypatch, args, config, name):
+    # These used to end in a TypeError traceback (exit 1), and `params: 7`
+    # read file descriptor 7.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.yaml").write_text(config)
+    assert cli.run([str(a) for a in args] + ["--config", "cfg.yaml"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["code"] == 2 and err["type"] == "usage"
+    assert err["message"].startswith(f"{name} must be a path")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
 
 def test_cli_internal_value_error_is_not_a_validation_failure(monkeypatch):

@@ -348,8 +348,7 @@ def as_array_built(m: CtmdpModel) -> CtmdpModel:
 def compiled_arrays(m: CtmdpModel) -> dict:
     comp = compile_model(m)
     out = {"K": np.array(m.K)}
-    for name in ("g_ptr", "g_cost", "g_total_rate", "J_cum", "i_states", "i_ptr", "i_cost", "Q_cum",
-                 "has_impulse"):
+    for name in ("g_ptr", "g_cost", "g_total_rate", "J_cum", "i_states", "i_ptr", "i_cost", "Q_cum"):
         out[name] = getattr(comp, name)
     for name in ("P_unif", "J", "Q_imp"):
         mat = getattr(comp, name)
