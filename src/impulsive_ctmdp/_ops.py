@@ -1,18 +1,19 @@
 """Compiled array form of a model, shared by the solver and the simulator.
 
 The model already stores its kernels as pair-ordered CSR arrays (one
-``model.PairTable`` per control kind).  :func:`compile_model` adds the sparse
-matrices (jump rates ``J``, the uniformized kernel ``P_unif``, the relocation
-kernel ``Q_imp``) and the derived tables: row totals, running probabilities
-for sampling, and the index of the states that have impulses.  It loops
-over row width, never over rows, and caches the result per model object.
+``model.PairTable`` per control kind).  :func:`compile_model` adds the jump
+rates ``J`` (the only gradual kernel: :func:`gradual_branch` uniformizes its
+rows at K), the relocation kernel ``Q_imp`` and the derived tables: row
+totals, running probabilities for sampling, and the index of the states that
+have impulses.  It loops over row width, never over rows, and caches the
+result per model object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +34,6 @@ class CompiledModel:
     g_ptr: np.ndarray          # (N+1,) slice bounds into gradual pair arrays
     g_cost: np.ndarray         # (n_g,) running cost per pair
     g_total_rate: np.ndarray   # (n_g,) total jump rate per pair
-    P_unif: sp.csr_matrix      # (n_g, N) uniformized one-step kernel
     J: sp.csr_matrix           # (n_g, N) jump rates
     J_cum: np.ndarray          # (nnz(J),) row-wise cumulative jump probabilities
     # Impulsive pairs, compacted over states that have any.
@@ -43,16 +43,12 @@ class CompiledModel:
     Q_imp: sp.csr_matrix       # (n_i, N) relocation kernel
     Q_cum: np.ndarray          # (nnz(Q_imp),) row-wise cumulative relocation probabilities
 
-    def g_pair(self, x: int, a: int) -> int:
-        return int(self.g_ptr[x]) + a
-
 
 @lru_cache(maxsize=64)
 def compile_model(model: CtmdpModel) -> CompiledModel:
     if model.defects:
         raise ValueError(f"model has structural defects: {min(model.defects, key=lambda d: d[0])[1]}")
     N = model.states.N
-    K = model.K
     g, im = model.gradual_pairs, model.impulse_pairs
     n_g = len(g.names)
     # copy=True: scipy may canonicalise a matrix in place, and the model's arrays are read-only.
@@ -60,23 +56,15 @@ def compile_model(model: CtmdpModel) -> CompiledModel:
     cum, total = row_sums(g.row_ptr, g.weights)
     per_entry = np.repeat(total, np.diff(g.row_ptr))
     J_cum = np.divide(cum, per_entry, out=cum, where=per_entry > 0)
-    # Uniformized row: q-bar mass over K plus leftover on the diagonal.
-    P_unif = sp.csr_matrix(
-        (np.insert(g.weights / K, g.row_ptr[1:], (K - total) / K),
-         np.insert(g.cols, g.row_ptr[1:], g.owners()),
-         g.row_ptr + np.arange(n_g + 1)),
-        shape=(n_g, N),
-    )
     i_states = np.flatnonzero(np.diff(im.ptr))
     return CompiledModel(
         model=model,
         N=N,
-        K=K,
+        K=model.K,
         eta=model.costs.eta,
         g_ptr=g.ptr,
         g_cost=g.cost,
         g_total_rate=total,
-        P_unif=P_unif,
         J=J,
         J_cum=J_cum,
         i_states=i_states,
@@ -88,9 +76,9 @@ def compile_model(model: CtmdpModel) -> CompiledModel:
 
 
 def gradual_branch(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
-    """Per-pair value of the gradual branch of the optimality operator."""
-    K, eta = comp.K, comp.eta
-    return (K / (K + eta)) * (comp.P_unif @ F) + comp.g_cost / (K + eta)
+    """Per-pair value of the gradual branch of the optimality operator, (J F + (K - q) F(x) + c)/(K + eta)."""
+    stay = (comp.K - comp.g_total_rate) * np.repeat(F, np.diff(comp.g_ptr))
+    return (comp.J @ F + stay + comp.g_cost) / (comp.K + comp.eta)
 
 
 def impulsive_branch(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
@@ -146,8 +134,11 @@ def uniformized_row(model: CtmdpModel, x: str, a: str) -> np.ndarray:
     acts = model.actions.gradual[x]
     if a not in acts:
         raise KeyError((x, a))
-    comp = compile_model(model)
-    return comp.P_unif[comp.g_pair(model.states.index[x], acts.index(a))].toarray().ravel()
+    comp, k = compile_model(model), model.states.index[x]
+    p = comp.g_ptr[k] + acts.index(a)
+    row = comp.J[p].toarray().ravel() / comp.K
+    row[k] += (comp.K - comp.g_total_rate[p]) / comp.K
+    return row
 
 
 def policy_pairs(comp: CompiledModel, policy: StationaryPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,22 +148,6 @@ def policy_pairs(comp: CompiledModel, policy: StationaryPolicy) -> tuple[np.ndar
     flagged = np.flatnonzero(policy.impulsive)
     i_rows = comp.i_ptr[np.searchsorted(comp.i_states, flagged)] + policy.impulse_choice()[flagged]
     return g_rows, flagged, i_rows
-
-
-class PolicyRows(NamedTuple):
-    """Kernel rows and costs a stationary policy selects."""
-
-    P: sp.csr_matrix        # (N, N) uniformized kernel under phi_g
-    g_cost: np.ndarray      # (N,) running cost under phi_g
-    flagged: np.ndarray     # (m,) flagged state indices, ascending
-    Q: sp.csr_matrix        # (m, N) relocation rows under phi_i
-    i_cost: np.ndarray      # (m,) impulse cost under phi_i
-
-
-def policy_rows(comp: CompiledModel, policy: StationaryPolicy) -> PolicyRows:
-    """Select the policy's rows; the policy must have passed ``check_policy``."""
-    g_rows, flagged, i_rows = policy_pairs(comp, policy)
-    return PolicyRows(comp.P_unif[g_rows], comp.g_cost[g_rows], flagged, comp.Q_imp[i_rows], comp.i_cost[i_rows])
 
 
 def sample_rows(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from ._ops import (
     compile_model,
     gradual_branch,
     impulsive_branch,
-    policy_rows,
+    policy_pairs,
     segment_argmin,
 )
 from .model import CtmdpModel
@@ -239,9 +239,9 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     """Discounted cost of a fixed stationary policy, by one sparse LU solve.
 
     The value solves V = B V + c.  Gradual states carry the uniformized
-    one-step rows at phi_g (B = K/(K+eta) P, c = running cost/(K+eta));
-    flagged states carry the impulse rows at phi_i (B = Q, c = impulse
-    cost).  Raises :class:`NonConvergenceError` when the impulsive part of
+    one-step rows at phi_g (B = (J + diag(K - q))/(K+eta), c = running
+    cost/(K+eta)); flagged states carry the impulse rows at phi_i (B = Q,
+    c = impulse cost).  Raises :class:`NonConvergenceError` when the impulsive part of
     the policy does not reach a gradual state with probability one (I - B
     singular, or exit mass off one by more than ``LANDING_ROW_TOL``), or when
     the solution's defect |B V + c - V| exceeds ``tol``.
@@ -249,12 +249,13 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     check_policy(model, policy)
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
-    rows = policy_rows(comp, policy)
-    # Stack the gradual and impulse rows, then pick each state's own row.
+    g_rows, flagged, i_rows = policy_pairs(comp, policy)
+    # Each state's own row: uniformized as in gradual_branch, or its impulse row.
     pick = np.arange(comp.N)
-    pick[rows.flagged] = comp.N + np.arange(rows.flagged.size)
-    B = sp.vstack([(K / (K + eta)) * rows.P, rows.Q], format="csr")[pick]
-    c = np.concatenate([rows.g_cost / (K + eta), rows.i_cost])[pick]
+    pick[flagged] = comp.N + np.arange(flagged.size)
+    uniformized = (comp.J[g_rows] + sp.diags(K - comp.g_total_rate[g_rows])) / (K + eta)
+    B = sp.vstack([uniformized, comp.Q_imp[i_rows]], format="csr")[pick]
+    c = np.concatenate([comp.g_cost[g_rows] / (K + eta), comp.i_cost[i_rows]])[pick]
     # Gradual rows of I - B sum to eta/(K+eta), flagged rows to zero; a proper
     # policy turns that exit mass into probability one at every state.
     exit_mass = np.where(policy.impulsive, 0.0, eta / (K + eta))

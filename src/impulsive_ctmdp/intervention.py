@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._ops import compile_model, policy_rows
+from ._ops import compile_model, policy_pairs
 from .bellman import LANDING_ROW_TOL, StationaryPolicy, check_policy
 from .model import CtmdpModel
 
@@ -99,8 +99,9 @@ def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem |
     fails to land with probability one ((I - M) s = R 1 must give s = 1).
     """
     check_policy(model, policy)
-    rows = policy_rows(compile_model(model), policy)
-    flagged, Q = rows.flagged, rows.Q
+    comp = compile_model(model)
+    _, flagged, i_rows = policy_pairs(comp, policy)
+    Q = comp.Q_imp[i_rows]
     m = flagged.size
     if m == 0:
         return None
@@ -121,7 +122,7 @@ def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem |
         raise ImproperChainError(
             f"landing distribution row sums to {mass[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
     steps = float(np.max(lu.solve(np.ones(m))))
-    return _ChainSystem(flagged, rows.i_cost, R, lu, math.ceil(40.0 * math.e * steps))
+    return _ChainSystem(flagged, comp.i_cost[i_rows], R, lu, math.ceil(40.0 * math.e * steps))
 
 
 def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis:

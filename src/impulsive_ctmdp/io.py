@@ -52,10 +52,14 @@ def _put(field: str, out: dict, key: Any, value: Any, node: yaml.Node) -> None:
     out[key] = value
 
 
-def _as_dict(field: str, node: yaml.Node) -> dict[str, yaml.Node]:
+def _as_dict(field: str, node: yaml.Node, known: tuple[str, ...]) -> dict[str, yaml.Node]:
+    """A mapping with string keys, each one of ``known`` and present once."""
     out: dict[str, yaml.Node] = {}
     for k, v in _as_map(field, node):
-        _put(field, out, _as_str(field, k), v, k)
+        key = _as_str(field, k)
+        if key not in known:
+            _fail(field, k, f"unknown key {key!r}")
+        _put(field, out, key, v, k)
     return out
 
 
@@ -115,8 +119,8 @@ def _compose(text: str, source: str) -> yaml.Node:
 def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
     """Parse a model document.  See README for the schema."""
     root = _compose(text, source)
-    sections = _as_dict("document", root)
-    required = ["states", "gradual_actions", "rates", "costs", "constants"]
+    required = ("states", "gradual_actions", "rates", "costs", "constants")
+    sections = _as_dict("document", root, required + ("impulsive_actions", "impulse_rows"))
     for name in required:
         if name not in sections:
             raise ModelParseError(f"{source}: missing required section {name!r}")
@@ -128,7 +132,10 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
         out: dict[str, tuple[str, ...]] = {}
         for k, v in _as_map(field, node):
             s = _as_str(field, k)
-            _put(field, out, s, tuple(_as_str(f"{field}.{s}[]", n) for n in _as_seq(f"{field}.{s}", v)), k)
+            acts: dict[str, None] = {}  # each label may appear once
+            for n in _as_seq(f"{field}.{s}", v):
+                _put(f"{field}.{s}[]", acts, _as_str(f"{field}.{s}[]", n), None, n)
+            _put(field, out, s, tuple(acts), k)
         return out
 
     gradual = action_map("gradual_actions", sections["gradual_actions"])
@@ -138,9 +145,10 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
         impulsive.setdefault(s, ())
 
     def pair_entries(field: str, node: yaml.Node, value_key: str):
+        keys = ("state", "action", value_key)
         for item in _as_seq(field, node):
-            entry = {_as_str(field, k): v for k, v in _as_map(f"{field}[]", item)}
-            for key in ("state", "action", value_key):
+            entry = _as_dict(f"{field}[]", item, keys)
+            for key in keys:
                 if key not in entry:
                     _fail(f"{field}[]", item, f"missing key {key!r}")
             yield (_as_str(f"{field}.state", entry["state"]),
@@ -160,7 +168,7 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
         for s, a, dnode, item in pair_entries("impulse_rows", sections["impulse_rows"], "distribution"):
             _put("impulse_rows[]", impulse_rows, (s, a), _row("impulse_rows.distribution", dnode), item)
 
-    cost_sections = _as_dict("costs", sections["costs"])
+    cost_sections = _as_dict("costs", sections["costs"], ("gradual", "impulse"))
     gcost: dict[tuple[str, str], float] = {}
     if "gradual" in cost_sections:
         for s, a, vnode, item in pair_entries("costs.gradual", cost_sections["gradual"], "value"):
@@ -170,8 +178,9 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
         for s, a, vnode, item in pair_entries("costs.impulse", cost_sections["impulse"], "value"):
             _put("costs.impulse[]", icost, (s, a), _as_float("costs.impulse.value", vnode), item)
 
-    consts = _as_dict("constants", sections["constants"])
-    for key in ("eta", "K_rate", "K_cost", "c_lower"):
+    const_keys = ("eta", "K_rate", "K_cost", "c_lower")
+    consts = _as_dict("constants", sections["constants"], const_keys)
+    for key in const_keys:
         if key not in consts:
             raise ModelParseError(f"{source}: constants missing {key!r}")
     return CtmdpModel(
@@ -196,8 +205,9 @@ def load_model(path: str) -> CtmdpModel:
 
 def parse_epidemic_params(text: str, source: str = "<string>", c_max_override: int | None = None) -> EpidemicParams:
     root = _compose(text, source)
-    entries = _as_dict("document", root)
-    for key in ("S", "I", "c0", "C_max", "eta", "kappa_r", "lambda", "rho_b", "rho_d", "kappa_i"):
+    keys = ("S", "I", "c0", "C_max", "eta", "kappa_r", "lambda", "rho_b", "rho_d", "kappa_i")
+    entries = _as_dict("document", root, keys)
+    for key in keys:
         if key not in entries:
             raise ModelParseError(f"{source}: missing required field {key!r}")
 

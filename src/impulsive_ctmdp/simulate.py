@@ -369,6 +369,8 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     """
     if not t > 0:
         raise ValueError("t must be > 0")
+    if n_reps < 2:
+        raise ValueError("n_reps must be >= 2")
     prep = _prepare(model, policy)
     comp = prep.comp
     eta = comp.eta

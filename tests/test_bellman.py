@@ -15,6 +15,7 @@ from impulsive_ctmdp import (
     evaluate_policy,
     extract_policy,
     solve,
+    uniformized_row,
     value_iterate,
 )
 from impulsive_ctmdp import bellman, cli
@@ -138,6 +139,37 @@ def test_evaluate_policy_optimal_matches_value():
     policy = extract_policy(m, report.V)
     W = evaluate_policy(m, policy)
     assert np.max(np.abs(W.values - report.V.values)) <= 1e-9
+
+
+def test_operator_and_evaluation_match_dense_rows(desk_solved):
+    # The operator and evaluate_policy read the rate rows J; here the same
+    # quantities are built densely from uniformized_row and the impulse rows.
+    cases = [(m, solve(m).policy) for m in map(random_model, range(30))]
+    cases.append((desk_solved["model"], desk_solved["report"].policy))
+    for seed, (m, policy) in enumerate(cases):
+        K, eta, N = m.K, m.costs.eta, m.states.N
+        idx = m.states.index
+
+        def impulse_row(x, b):
+            row = np.zeros(N)
+            for y, p in m.impulses.rows[(x, b)]:
+                row[idx[y]] += p
+            return row
+
+        V = random_value_vector(seed, m)
+        TV = np.empty(N)
+        A = np.eye(N)  # I - B for the policy
+        c = np.empty(N)
+        for k, x in enumerate(m.states.labels):
+            g = [((K / (K + eta)) * uniformized_row(m, x, a), m.costs.gradual_cost[(x, a)] / (K + eta))
+                 for a in m.actions.gradual[x]]
+            i = [(impulse_row(x, b), m.costs.impulse_cost[(x, b)]) for b in m.actions.impulsive[x]]
+            TV[k] = min(row @ V + cost for row, cost in g + i)
+            row, c[k] = i[policy.phi_i[k]] if policy.impulsive[k] else g[policy.phi_g[k]]
+            A[k] -= row
+        ulp = np.spacing(K / eta)
+        assert np.max(np.abs(bellman_apply(m, ValueFunction(V)).values - TV)) <= 8 * ulp
+        assert np.max(np.abs(evaluate_policy(m, policy).values - np.linalg.solve(A, c))) <= 8 * ulp
 
 
 def test_solve_returns_the_policy_it_certified(desk_solved):

@@ -79,12 +79,21 @@ def test_wrong_shape_cites_field():
     ('    targets:\n      "0": 1.0\n', '    targets:\n      "0": 0.6\n      "0": 0.6\n', "rates.targets", 14),
     ('    distribution:\n      "0": 1.0\n', '    distribution:\n      "0": 0.5\n      "0": 0.5\n',
      "impulse_rows.distribution", 19),
+    ('    targets:\n      "0": 1.0\n', '    targets:\n      "0": 1.0\n    targets:\n      "0": 0.5\n',
+     "rates[]", 14),
+    ("    action: reset\n", "    action: reset\n    action: reset\n", "impulse_rows[]", 17),
+    ("value: 0.0}", "value: 0.0, value: 5.0}", "costs.gradual[]", 21),
+    ('value: 0.3}', 'value: 0.3, state: "1"}', "costs.impulse[]", 24),
+    ('  "0": [wait]\n', '  "0": [wait, wait]\n', "gradual_actions.0[]", 5),
+    ('  "1": [reset]\n', '  "1": [reset, reset]\n', "impulsive_actions.1[]", 8),
 ], ids=["section", "constant", "gradual-state", "impulsive-state", "rates-pair", "impulse-rows-pair",
         "gradual-cost-pair", "impulse-cost-pair", "rate-target", "rate-target-over-bound",
-        "impulse-target"])
+        "impulse-target", "rates-item-key", "impulse-rows-item-key", "gradual-cost-item-key",
+        "impulse-cost-item-key", "gradual-action", "impulsive-action"])
 def test_repeated_entries_are_parse_errors(tmp_path, capsys, old, new, field, line):
-    # A repeated pair used to overwrite the first entry silently, and a
-    # repeated target label was kept twice and summed.
+    # A repeated pair used to overwrite the first entry silently, a repeated
+    # target label was kept twice and summed, a repeated item key kept the
+    # last value, and a repeated action label made two identical pairs.
     text = TWO_STATE_IMPULSE.read_text()
     assert text.count(old) == 1
     with pytest.raises(ModelParseError, match=rf"^{re.escape(field)} \(line {line}\): repeated entry"):
@@ -92,6 +101,38 @@ def test_repeated_entries_are_parse_errors(tmp_path, capsys, old, new, field, li
     doc = tmp_path / "repeat.yaml"
     doc.write_text(text.replace(old, new))
     assert cli.run(["validate", "--model", str(doc)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "parse"
+
+
+@pytest.mark.parametrize("old, new, field, line", [
+    ("c_lower: 0.3\n", "c_lower: 0.3\ncomment: x\n", "document", 30),
+    ("c_lower: 0.3\n", "c_lower: 0.3\n  K_rates: 9.0\n", "constants", 30),
+    ("  impulse:\n", "  impulses:\n", "costs", 23),
+    ("    action: wait\n", "    action: wait\n    rate: 5.0\n", "rates[]", 12),
+    ("    action: reset\n", "    action: reset\n    weight: 1.0\n", "impulse_rows[]", 17),
+    ("value: 0.0}", "value: 0.0, note: x}", "costs.gradual[]", 21),
+    ("value: 0.3}", "value: 0.3, note: x}", "costs.impulse[]", 24),
+], ids=["section", "constant", "costs-section", "rates-item", "impulse-rows-item", "gradual-cost-item",
+        "impulse-cost-item"])
+def test_unknown_keys_are_parse_errors(tmp_path, capsys, old, new, field, line):
+    # Unknown keys used to be ignored, so a misspelt key solved without it.
+    text = TWO_STATE_IMPULSE.read_text()
+    assert text.count(old) == 1
+    with pytest.raises(ModelParseError, match=rf"^{re.escape(field)} \(line {line}\): unknown key"):
+        parse_model(text.replace(old, new))
+    doc = tmp_path / "unknown.yaml"
+    doc.write_text(text.replace(old, new))
+    assert cli.run(["validate", "--model", str(doc)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "parse"
+
+
+def test_unknown_params_key_is_a_parse_error(tmp_path, capsys):
+    text = EPIDEMIC.read_text().replace("lambda: 0.2\n", "lambda: 0.2\nmu: 1.0\n")
+    with pytest.raises(ModelParseError, match=r"^document \(line 12\): unknown key 'mu'"):
+        parse_epidemic_params(text)
+    doc = tmp_path / "params.yaml"
+    doc.write_text(text)
+    assert cli.run(["epidemic-solve", "--params", str(doc), "--out", str(tmp_path / "out")]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"]["type"] == "parse"
 
 

@@ -350,7 +350,7 @@ def compiled_arrays(m: CtmdpModel) -> dict:
     out = {"K": np.array(m.K)}
     for name in ("g_ptr", "g_cost", "g_total_rate", "J_cum", "i_states", "i_ptr", "i_cost", "Q_cum"):
         out[name] = getattr(comp, name)
-    for name in ("P_unif", "J", "Q_imp"):
+    for name in ("J", "Q_imp"):
         mat = getattr(comp, name)
         out.update({f"{name}.{part}": getattr(mat, part) for part in ("data", "indices", "indptr")})
         out[f"{name}.shape"] = np.array(mat.shape)

@@ -175,6 +175,16 @@ def test_argument_validation():
         simulate_spaced(m, policy, "1", replication_rng(0, 0), [-0.1])
 
 
+@pytest.mark.parametrize("n_reps", [1, 0])
+def test_dynkin_check_needs_two_replications(n_reps):
+    # One replication has no standard error and none has no mean; both used
+    # to come back as NaN with a numpy RuntimeWarning.
+    m = two_state()
+    _, policy = solved(m)
+    with pytest.raises(ValueError, match="n_reps"):
+        dynkin_check(m, policy, ValueFunction(np.zeros(2)), "1", 1.0, n_reps, 0)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-8, math.nan])
 def test_tail_tol_is_checked_by_the_engine(bad):
     m = two_state()
