@@ -119,9 +119,10 @@ def _state_min(comp: CompiledModel, g: np.ndarray, F: np.ndarray) -> np.ndarray:
 def segment_argmin(values: np.ndarray, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of each nonempty segment ``values[ptr[k]:ptr[k+1]]`` and the
     offset of its first attainment inside the segment (ties go to the lowest)."""
-    seg = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-    first = np.lexsort((values, seg))[ptr[:-1]]
-    return values[first], first - ptr[:-1]
+    lo = ptr[:-1]
+    least = np.repeat(np.minimum.reduceat(values, lo), np.diff(ptr))
+    first = np.minimum.reduceat(np.where(values == least, np.arange(values.size), values.size), lo)
+    return values[first], first - lo
 
 
 def uniformized_row(model: CtmdpModel, x: str, a: str) -> np.ndarray:
@@ -146,7 +147,7 @@ def policy_pairs(comp: CompiledModel, policy: StationaryPolicy) -> tuple[np.ndar
     impulse pairs; the policy must have passed ``check_policy``."""
     g_rows = comp.g_ptr[:-1] + policy.phi_g
     flagged = np.flatnonzero(policy.impulsive)
-    i_rows = comp.i_ptr[np.searchsorted(comp.i_states, flagged)] + policy.impulse_choice()[flagged]
+    i_rows = comp.model.impulse_pairs.ptr[flagged] + policy.phi_i[flagged]
     return g_rows, flagged, i_rows
 
 

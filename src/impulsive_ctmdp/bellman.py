@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-import types
-from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,49 +67,47 @@ class ValueFunction:
 
 @dataclass(frozen=True, eq=False)
 class StationaryPolicy:
-    """Wait/intervene partition plus the chosen action at every state.
+    """Chosen gradual and impulsive action at every state.
 
-    ``impulsive[x]`` flags the intervene region.  ``phi_g`` is total (on the
-    intervene region it is an arbitrary feasible choice and never applied);
-    ``phi_i`` is defined exactly on the flagged states.  Action values are
-    positions in the state's catalog list.  All three are read-only copies
-    of what is passed in, since the simulator and the chain analysis cache
-    on the policy object.
+    Action values are positions in the state's catalog list.  ``phi_i[x]``
+    is -1 where the policy waits; elsewhere the policy intervenes, and
+    ``impulsive`` (derived) flags that region.  ``phi_g`` is total (on the
+    intervene region it is an arbitrary feasible choice and never applied).
+    All three arrays are read-only, and the two passed in are int64 copies,
+    since the simulator and the chain analysis cache on the policy object;
+    entries that are not integers raise ValueError.
     """
 
-    impulsive: np.ndarray
     phi_g: np.ndarray
-    phi_i: Mapping[int, int]
+    phi_i: np.ndarray
+    impulsive: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        imp = np.array(self.impulsive, dtype=bool)
+        for name in ("phi_g", "phi_i"):
+            raw = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):
+                a = raw.astype(np.int64) if raw.dtype.kind in "biuf" else None
+            if a is None or not np.array_equal(a, raw):
+                raise ValueError(f"{name} must hold integers")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        imp = self.phi_i >= 0
         imp.flags.writeable = False
-        pg = np.array(self.phi_g, dtype=np.int64)
-        pg.flags.writeable = False
         object.__setattr__(self, "impulsive", imp)
-        object.__setattr__(self, "phi_g", pg)
-        object.__setattr__(self, "phi_i", types.MappingProxyType(dict(self.phi_i)))
 
     def __reduce__(self):
-        # A mapping proxy does not pickle; worker processes get a plain copy.
-        return StationaryPolicy, (self.impulsive, self.phi_g, dict(self.phi_i))
-
-    def impulse_choice(self) -> np.ndarray:
-        """``phi_i`` as an array over states, -1 where it names no action."""
-        out = np.full(self.impulsive.size, -1, dtype=np.int64)
-        keys = np.fromiter(self.phi_i.keys(), dtype=np.int64, count=len(self.phi_i))
-        vals = np.fromiter(self.phi_i.values(), dtype=np.int64, count=len(self.phi_i))
-        inside = (keys >= 0) & (keys < out.size)
-        out[keys[inside]] = vals[inside]
-        return out
+        # Unpickled arrays are writable; a worker's copy goes through the constructor.
+        return StationaryPolicy, (self.phi_g, self.phi_i)
 
     def gradual_action(self, model: CtmdpModel, x: str) -> str:
         k = model.states.index[x]
         return model.actions.gradual[x][int(self.phi_g[k])]
 
     def impulse_action(self, model: CtmdpModel, x: str) -> str:
-        k = model.states.index[x]
-        return model.actions.impulsive[x][self.phi_i[k]]
+        j = int(self.phi_i[model.states.index[x]])
+        if j < 0:
+            raise KeyError(f"the policy waits at state {x!r}")
+        return model.actions.impulsive[x][j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +148,12 @@ def check_policy(model: CtmdpModel, policy: StationaryPolicy) -> None:
     """Raise ValueError if the policy is infeasible for the model, naming the
     first offending state in model order."""
     st = model.states
-    if policy.impulsive.shape != (st.N,) or policy.phi_g.shape != (st.N,):
+    if policy.phi_i.shape != (st.N,) or policy.phi_g.shape != (st.N,):
         raise ValueError("policy arrays do not match the state count")
     comp = compile_model(model)
-    n_imp = np.zeros(st.N, dtype=np.int64)
-    n_imp[comp.i_states] = np.diff(comp.i_ptr)
-    phi_i = policy.impulse_choice()
+    n_imp = np.diff(model.impulse_pairs.ptr)
     bad_g = ~((policy.phi_g >= 0) & (policy.phi_g < np.diff(comp.g_ptr)))
-    no_imp = policy.impulsive & (n_imp == 0)
-    bad_i = policy.impulsive & ~((phi_i >= 0) & (phi_i < n_imp))
+    bad_i = (policy.phi_i < -1) | (policy.phi_i >= n_imp)
     bad = np.flatnonzero(bad_g | bad_i)
     if not bad.size:
         return
@@ -168,9 +161,9 @@ def check_policy(model: CtmdpModel, policy: StationaryPolicy) -> None:
     s = st.labels[x]
     if bad_g[x]:
         raise ValueError(f"phi_g out of range at state {s!r}")
-    if no_imp[x]:
+    if policy.impulsive[x] and n_imp[x] == 0:
         raise ValueError(f"state {s!r} flagged for intervention but has no impulsive action")
-    raise ValueError(f"phi_i missing or out of range at state {s!r}")
+    raise ValueError(f"phi_i out of range at state {s!r}")
 
 
 def bellman_apply(model: CtmdpModel, F: ValueFunction) -> ValueFunction:
@@ -229,8 +222,10 @@ def extract_policy(model: CtmdpModel, V: ValueFunction, tol_set: float = DEFAULT
 
     A state keeps its best gradual action unless an impulse beats it by more
     than ``tol_set``.  Exact ties go to the gradual branch and then to the
-    lowest catalog index.
+    lowest catalog index.  A NaN or infinite entry of ``V`` raises ValueError.
     """
+    if not np.all(np.isfinite(V.values)):
+        raise ValueError("V must be finite")
     comp = compile_model(model)
     return _as_policy(comp, _greedy(comp, V.values, slack=tol_set)[0])
 
@@ -374,10 +369,7 @@ def _as_policy(comp: CompiledModel, pair: np.ndarray) -> StationaryPolicy:
     """Stationary policy from each state's chosen position in (gradual pairs, impulse pairs)."""
     n_g = comp.g_cost.size
     impulsive = pair >= n_g
-    flagged = np.flatnonzero(impulsive)
-    phi_i = pair[flagged] - n_g - comp.i_ptr[np.searchsorted(comp.i_states, flagged)]
     return StationaryPolicy(
-        impulsive=impulsive,
         phi_g=np.where(impulsive, 0, pair - comp.g_ptr[:-1]),
-        phi_i=dict(zip(flagged.tolist(), phi_i.tolist())),
+        phi_i=np.where(impulsive, pair - n_g - comp.model.impulse_pairs.ptr[:-1], -1),
     )

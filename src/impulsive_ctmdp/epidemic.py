@@ -248,14 +248,7 @@ def threshold_policy(params: EpidemicParams, cv: CarrierValue) -> StationaryPoli
     under this policy fire one immunization per susceptible and land at
     (0, c, i).
     """
-    box = list(enumerate_states(params))
-    n = len(box)
-    impulsive = np.zeros(n, dtype=bool)
-    phi_g = np.zeros(n, dtype=np.int64)
-    phi_i: dict[int, int] = {}
-    if cv.c_star is not None:
-        for k, (s, c, i) in enumerate(box):
-            if s >= 1 and c >= cv.c_star:
-                impulsive[k] = True
-                phi_i[k] = 0
-    return StationaryPolicy(impulsive=impulsive, phi_g=phi_g, phi_i=phi_i)
+    s, c, _ = np.array(list(enumerate_states(params)), dtype=np.int64).reshape(-1, 3).T
+    c_star = math.inf if cv.c_star is None else cv.c_star
+    return StationaryPolicy(phi_g=np.zeros(s.size, dtype=np.int64),
+                            phi_i=np.where((s >= 1) & (c >= c_star), 0, -1))

@@ -341,6 +341,8 @@ def estimate_cost(model: CtmdpModel, policy: StationaryPolicy, x0: str, n_reps: 
     """
     if n_reps < 2:
         raise ValueError("n_reps must be >= 2")
+    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     n_blocks = -(-n_reps // BLOCK)
     run = partial(_replication_costs, model, policy, x0, seed, n_reps, tail_tol)
     workers = min(threads, n_blocks)
@@ -367,8 +369,8 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     common random numbers, so the reported standard error is that of the
     paired difference.  Replications run in blocks as in :func:`estimate_cost`.
     """
-    if not t > 0:
-        raise ValueError("t must be > 0")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be finite and > 0")
     if n_reps < 2:
         raise ValueError("n_reps must be >= 2")
     prep = _prepare(model, policy)

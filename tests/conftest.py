@@ -89,11 +89,7 @@ def improper_model() -> CtmdpModel:
 def improper_policy(model: CtmdpModel) -> StationaryPolicy:
     """Flag every impulse-capable state; on the 2-cycle model this never lands."""
     flags = np.array([bool(model.actions.impulsive[s]) for s in model.states.labels])
-    return StationaryPolicy(
-        impulsive=flags,
-        phi_g=np.zeros(model.states.N, dtype=np.int64),
-        phi_i={k: 0 for k in np.flatnonzero(flags)},
-    )
+    return StationaryPolicy(phi_g=np.zeros(model.states.N, dtype=np.int64), phi_i=np.where(flags, 0, -1))
 
 
 def geometric_model(p_stay: float = 0.5, cost: float = 0.7) -> CtmdpModel:

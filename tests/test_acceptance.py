@@ -190,7 +190,7 @@ def test_criterion_08_operator_property_suite(capsys):
         pol2 = extract_policy(scaled_costs(m, 2.0), rep2.V)
         same = (np.array_equal(pol1.impulsive, pol2.impulsive)
                 and np.array_equal(pol1.phi_g, pol2.phi_g)
-                and pol1.phi_i == pol2.phi_i
+                and np.array_equal(pol1.phi_i, pol2.phi_i)
                 and np.max(np.abs(rep2.V.values - 2.0 * rep1.V.values)) <= 1e-8)
         if not same:
             bad_scale += 1

@@ -182,7 +182,7 @@ def test_solve_returns_the_policy_it_certified(desk_solved):
         policy = extract_policy(m, report.V)
         assert np.array_equal(policy.impulsive, report.policy.impulsive)
         assert np.array_equal(policy.phi_g, report.policy.phi_g)
-        assert dict(policy.phi_i) == dict(report.policy.phi_i)
+        assert np.array_equal(policy.phi_i, report.policy.phi_i)
 
 
 def test_extract_policy_is_greedy_at_any_value_vector():
@@ -199,16 +199,22 @@ def test_extract_policy_is_greedy_at_any_value_vector():
         TV = bellman_apply(m, ValueFunction(V)).values
         g = gradual_branch(comp, V)[comp.g_ptr[:-1] + policy.phi_g]
         flagged = np.flatnonzero(policy.impulsive)
-        slot = comp.i_ptr[np.searchsorted(comp.i_states, flagged)] + policy.impulse_choice()[flagged]
+        slot = m.impulse_pairs.ptr[flagged] + policy.phi_i[flagged]
         assert np.all(impulsive_branch(comp, V)[slot] == TV[flagged])
         assert np.all(g[flagged] > TV[flagged] + tol_set)
         assert np.all(g[~policy.impulsive] <= TV[~policy.impulsive] + tol_set)
 
 
+def test_extract_policy_rejects_a_non_finite_value_vector():
+    m = two_state(lam=0.3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^V must be finite$"):
+            extract_policy(m, ValueFunction(np.array([0.0, bad])))
+
+
 def test_evaluate_policy_forced_gradual_is_costlier():
     m = two_state(lam=0.3)
-    forced = StationaryPolicy(impulsive=np.zeros(2, dtype=bool),
-                              phi_g=np.zeros(2, dtype=np.int64), phi_i={})
+    forced = StationaryPolicy(phi_g=np.zeros(2, dtype=np.int64), phi_i=[-1, -1])
     W = evaluate_policy(m, forced)
     assert abs(W[1] - 0.5) < 1e-9
     report = solve(m)
@@ -223,31 +229,36 @@ def test_evaluate_policy_impulsive_cycle_diverges():
 
 def test_check_policy_rejects_infeasible_flags():
     m = two_state()  # no impulses anywhere
-    bad = StationaryPolicy(impulsive=np.array([False, True]),
-                           phi_g=np.zeros(2, dtype=np.int64), phi_i={1: 0})
+    bad = StationaryPolicy(phi_g=np.zeros(2, dtype=np.int64), phi_i=[-1, 0])
     with pytest.raises(ValueError):
         check_policy(m, bad)
-    wrong_shape = StationaryPolicy(impulsive=np.zeros(3, dtype=bool),
-                                   phi_g=np.zeros(3, dtype=np.int64), phi_i={})
+    wrong_shape = StationaryPolicy(phi_g=np.zeros(3, dtype=np.int64), phi_i=[-1, -1, -1])
     with pytest.raises(ValueError):
         check_policy(m, wrong_shape)
 
 
 def test_check_policy_names_the_first_bad_state():
     m = zero_cost_model(3)   # one gradual action per state, no impulses
-    flagged_late = StationaryPolicy(impulsive=np.array([False, True, False]),
-                                    phi_g=np.array([0, 0, 5]), phi_i={})
+    flagged_late = StationaryPolicy(phi_g=np.array([0, 0, 5]), phi_i=[-1, 0, -1])
     with pytest.raises(ValueError, match=r"^state '1' flagged for intervention but has no impulsive action$"):
         check_policy(m, flagged_late)
-    bad_actions = StationaryPolicy(impulsive=np.zeros(3, dtype=bool),
-                                   phi_g=np.array([0, -1, 7]), phi_i={})
+    bad_actions = StationaryPolicy(phi_g=np.array([0, -1, 7]), phi_i=[-1, -1, -1])
     with pytest.raises(ValueError, match=r"^phi_g out of range at state '1'$"):
         check_policy(m, bad_actions)
     m = two_state(lam=0.3)
-    for phi_i in ({}, {1: 1}, {0: 0}):
-        with pytest.raises(ValueError, match=r"^phi_i missing or out of range at state '1'$"):
-            check_policy(m, StationaryPolicy(impulsive=np.array([False, True]),
-                                             phi_g=np.zeros(2, dtype=np.int64), phi_i=phi_i))
+    for phi_i in ([-1, 1], [-1, -2]):
+        with pytest.raises(ValueError, match=r"^phi_i out of range at state '1'$"):
+            check_policy(m, StationaryPolicy(phi_g=np.zeros(2, dtype=np.int64), phi_i=phi_i))
+
+
+def test_policy_rejects_non_integral_actions():
+    # Contract change: these used to be truncated to [0, 1] and to 0.
+    with pytest.raises(ValueError, match=r"^phi_g must hold integers$"):
+        StationaryPolicy(phi_g=[0.7, 1.9], phi_i=[-1, -1])
+    for phi_i in ([-1, 0.6], [-1, np.nan], [-1, np.inf], {1: 0}):
+        with pytest.raises(ValueError, match=r"^phi_i must hold integers$"):
+            StationaryPolicy(phi_g=[0, 0], phi_i=phi_i)
+    assert StationaryPolicy(phi_g=[0.0, 1.0], phi_i=[-1.0, 0.0]).phi_i.tolist() == [-1, 0]
 
 
 def test_solve_two_state_gap_tiny():

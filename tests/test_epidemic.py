@@ -203,7 +203,7 @@ def test_desk_policy_at_loose_tolerance_is_the_threshold_policy(desk_solved):
     threshold = threshold_policy(p, cv)
     assert np.array_equal(policy.impulsive, threshold.impulsive)
     assert np.array_equal(policy.phi_g, threshold.phi_g)
-    assert policy.phi_i == threshold.phi_i
+    assert np.array_equal(policy.phi_i, threshold.phi_i)
 
 
 def test_state_enumeration_closed_under_dynamics():

@@ -102,19 +102,19 @@ def test_policy_is_read_only():
     _, policy = solved(m)
     before = estimate_cost(m, policy, "1", 200, seed=3)
     assert abs(before.mean - 0.3) < 1e-12
-    with pytest.raises(AttributeError):
-        policy.phi_i.clear()
-    with pytest.raises(TypeError):
-        policy.phi_i[1] = 0
+    for name in ("phi_g", "phi_i", "impulsive"):
+        with pytest.raises(ValueError):
+            getattr(policy, name)[1] = 0
     assert estimate_cost(m, policy, "1", 200, seed=3).mean == before.mean
-    flags = np.array([False, True, False])
-    passed = dict(policy.phi_i)
-    copy = StationaryPolicy(impulsive=flags[:2], phi_g=policy.phi_g, phi_i=passed)
+    choices = np.array([-1, 0, 7])
+    passed = np.array(policy.phi_g)
+    copy = StationaryPolicy(phi_g=passed, phi_i=choices[:2])
     assert estimate_cost(m, copy, "1", 200, seed=3).mean == before.mean
-    flags[1] = False
-    passed.clear()
+    choices[1] = -1
+    passed[0] = 5
     assert copy.impulsive.tolist() == [False, True]
-    assert copy.phi_i == policy.phi_i == {1: 0}
+    assert copy.phi_i.tolist() == policy.phi_i.tolist() == [-1, 0]
+    assert copy.phi_g.tolist() == policy.phi_g.tolist() == [0, 0]
     assert estimate_cost(m, copy, "1", 200, seed=3).mean == before.mean
 
 
@@ -169,8 +169,12 @@ def test_argument_validation():
         simulate_trajectory(m, policy, "1", replication_rng(0, 0), tail_tol=0.0)
     with pytest.raises(ValueError):
         estimate_cost(m, policy, "1", 1, seed=0)
-    with pytest.raises(ValueError):
-        dynkin_check(m, policy, ValueFunction(np.zeros(2)), "1", 0.0, 10, 0)
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^t must be finite and > 0$"):
+            dynkin_check(m, policy, ValueFunction(np.zeros(2)), "1", t, 10, 0)
+    for threads in (0, -3, 1.5):
+        with pytest.raises(ValueError, match="^threads must be an integer >= 1"):
+            estimate_cost(m, policy, "1", BLOCK + 7, seed=0, threads=threads)
     with pytest.raises(ValueError):
         simulate_spaced(m, policy, "1", replication_rng(0, 0), [-0.1])
 
@@ -316,8 +320,7 @@ def chain_abc() -> tuple[CtmdpModel, StationaryPolicy]:
         costs=CostModel(gradual_cost={("a", "wait"): 1.0, ("b", "wait"): 1.0, ("c", "wait"): 0.0},
                         impulse_cost={("b", "fix"): 0.5}, eta=1.0, K_cost=1.0, c_lower=0.5),
     )
-    policy = StationaryPolicy(impulsive=np.array([False, True, False]), phi_g=np.zeros(3, dtype=np.int64),
-                              phi_i={1: 0})
+    policy = StationaryPolicy(phi_g=np.zeros(3, dtype=np.int64), phi_i=[-1, 0, -1])
     return m, policy
 
 
