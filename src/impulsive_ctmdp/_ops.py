@@ -5,14 +5,15 @@ The model already stores its kernels as pair-ordered CSR arrays (one
 rates ``J`` (the only gradual kernel: :func:`gradual_branch` uniformizes its
 rows at K), the relocation kernel ``Q_imp`` and the derived tables: row
 totals, running probabilities for sampling, and the index of the states that
-have impulses.  It loops over row width, never over rows, and caches the
-result per model object.
+have impulses.  It loops over row width, never over rows, and keeps the
+result for as long as the model lives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+from dataclasses import dataclass, field
+from functools import wraps
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,7 +27,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, eq=False)
 class CompiledModel:
-    model: CtmdpModel
+    """Array form of one model; it holds no reference to the model."""
+
     N: int
     K: float
     eta: float
@@ -36,16 +38,42 @@ class CompiledModel:
     g_total_rate: np.ndarray   # (n_g,) total jump rate per pair
     J: sp.csr_matrix           # (n_g, N) jump rates
     J_cum: np.ndarray          # (nnz(J),) row-wise cumulative jump probabilities
+    i_first: np.ndarray        # (N,) each state's first impulsive pair
     # Impulsive pairs, compacted over states that have any.
     i_states: np.ndarray       # (m,) state indices with nonempty impulsive set
     i_ptr: np.ndarray          # (m+1,) slice bounds into impulsive pair arrays
     i_cost: np.ndarray         # (n_i,) impulse cost per pair
     Q_imp: sp.csr_matrix       # (n_i, N) relocation kernel
     Q_cum: np.ndarray          # (nnz(Q_imp),) row-wise cumulative relocation probabilities
+    # per_policy results, keyed weakly by the policy.
+    derived: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary, repr=False)
 
 
-@lru_cache(maxsize=64)
+_COMPILED = weakref.WeakKeyDictionary()  # each live model's CompiledModel
+
+
 def compile_model(model: CtmdpModel) -> CompiledModel:
+    if model not in _COMPILED:
+        _COMPILED[model] = _compile(model)
+    return _COMPILED[model]
+
+
+def per_policy(build):
+    """Memoise ``build(model, policy)`` for as long as the model and the policy live.
+
+    Results sit in the model's compiled form, keyed weakly by the policy, so
+    they must not refer to the policy or the model.
+    """
+    @wraps(build)
+    def cached(model: CtmdpModel, policy: StationaryPolicy):
+        memo = compile_model(model).derived.setdefault(policy, {})
+        if build not in memo:
+            memo[build] = build(model, policy)
+        return memo[build]
+    return cached
+
+
+def _compile(model: CtmdpModel) -> CompiledModel:
     if model.defects:
         raise ValueError(f"model has structural defects: {min(model.defects, key=lambda d: d[0])[1]}")
     N = model.states.N
@@ -58,7 +86,6 @@ def compile_model(model: CtmdpModel) -> CompiledModel:
     J_cum = np.divide(cum, per_entry, out=cum, where=per_entry > 0)
     i_states = np.flatnonzero(np.diff(im.ptr))
     return CompiledModel(
-        model=model,
         N=N,
         K=model.K,
         eta=model.costs.eta,
@@ -67,6 +94,7 @@ def compile_model(model: CtmdpModel) -> CompiledModel:
         g_total_rate=total,
         J=J,
         J_cum=J_cum,
+        i_first=im.ptr[:-1],
         i_states=i_states,
         i_ptr=np.append(im.ptr[i_states], im.ptr[-1]),
         i_cost=im.cost,
@@ -147,7 +175,7 @@ def policy_pairs(comp: CompiledModel, policy: StationaryPolicy) -> tuple[np.ndar
     impulse pairs; the policy must have passed ``check_policy``."""
     g_rows = comp.g_ptr[:-1] + policy.phi_g
     flagged = np.flatnonzero(policy.impulsive)
-    i_rows = comp.model.impulse_pairs.ptr[flagged] + policy.phi_i[flagged]
+    i_rows = comp.i_first[flagged] + policy.phi_i[flagged]
     return g_rows, flagged, i_rows
 
 

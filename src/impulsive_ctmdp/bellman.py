@@ -371,5 +371,5 @@ def _as_policy(comp: CompiledModel, pair: np.ndarray) -> StationaryPolicy:
     impulsive = pair >= n_g
     return StationaryPolicy(
         phi_g=np.where(impulsive, 0, pair - comp.g_ptr[:-1]),
-        phi_i=np.where(impulsive, pair - n_g - comp.model.impulse_pairs.ptr[:-1], -1),
+        phi_i=np.where(impulsive, pair - n_g - comp.i_first, -1),
     )

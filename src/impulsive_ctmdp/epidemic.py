@@ -116,12 +116,8 @@ def coefficient_monotonicity_violations(params: EpidemicParams) -> list[int]:
     the fixed point itself only needs the contraction bound, so violations
     are reported rather than fatal.
     """
-    a1, a2, a3 = _alphas(params, truncated=False)
-    bad: list[int] = []
-    for c in range(1, params.C_max + 1):
-        if a1[c] < a1[c - 1] - 1e-15 or a2[c] < a2[c - 1] - 1e-15 or a3[c] < a3[c - 1] - 1e-15:
-            bad.append(c)
-    return bad
+    a = np.stack(_alphas(params, truncated=False))
+    return (np.flatnonzero((a[:, 1:] < a[:, :-1] - 1e-15).any(axis=0)) + 1).tolist()
 
 
 def lambda_star(params: EpidemicParams) -> float:
@@ -176,8 +172,9 @@ def state_label(s: int, c: int, i: int) -> str:
     return f"{s},{c},{i}"
 
 
-def enumerate_states(params: EpidemicParams):
-    """Deterministic state order shared by the model builder and the policies.
+def _lattice(params: EpidemicParams) -> tuple:
+    """Arrays of the counts s, c, i of every state in state order (s, then c,
+    then i), and the index of a state from its counts.
 
     Restricted to s + i <= S + I: that set is closed under every transition
     (infection conserves s + i, recovery and immunization decrease it), while
@@ -185,10 +182,22 @@ def enumerate_states(params: EpidemicParams):
     infection jumps would leave the box.
     """
     cap = params.S + params.I
-    for s in range(params.S + 1):
-        for c in range(params.C_max + 1):
-            for i in range(cap - s + 1):
-                yield s, c, i
+    width = cap + 1 - np.arange(params.S + 1)             # infective counts 0..cap-s per (s, c)
+    offset = np.concatenate([[0], np.cumsum((params.C_max + 1) * width)])
+    s = np.repeat(np.arange(params.S + 1), (params.C_max + 1) * width)
+    c, i = np.divmod(np.arange(offset[-1]) - offset[s], width[s])
+
+    def at(s_, c_, i_):
+        return offset[s_] + c_ * width[s_] + i_
+
+    return s, c, i, at
+
+
+def enumerate_states(params: EpidemicParams):
+    """Deterministic state order shared by the model builder and the policies:
+    (s, c, i) tuples, as :func:`_lattice` orders them."""
+    s, c, i, _ = _lattice(params)
+    yield from zip(s.tolist(), c.tolist(), i.tolist())
 
 
 def build_epidemic_model(params: EpidemicParams) -> CtmdpModel:
@@ -200,16 +209,9 @@ def build_epidemic_model(params: EpidemicParams) -> CtmdpModel:
     :func:`enumerate_states`, and neighbours are found by index arithmetic.
     """
     lam = params.immunization_cost
-    cap = params.S + params.I
-    width = cap + 1 - np.arange(params.S + 1)             # infective counts 0..cap-s per (s, c)
-    offset = np.concatenate([[0], np.cumsum((params.C_max + 1) * width)])
-    N = int(offset[-1])
-    s = np.repeat(np.arange(params.S + 1), (params.C_max + 1) * width)
-    c, i = np.divmod(np.arange(N) - offset[s], width[s])
+    s, c, i, at = _lattice(params)
+    N = s.size
     below = np.maximum(s - 1, 0)                          # s - 1, clamped where masked out
-
-    def at(s_, c_, i_):
-        return offset[s_] + c_ * width[s_] + i_
 
     # Candidate jumps in row order: carrier birth, carrier death, infection, recovery.
     rates = np.stack([np.where(c < params.C_max, np.asarray(params.rho_b)[c], 0.0),
@@ -248,7 +250,7 @@ def threshold_policy(params: EpidemicParams, cv: CarrierValue) -> StationaryPoli
     under this policy fire one immunization per susceptible and land at
     (0, c, i).
     """
-    s, c, _ = np.array(list(enumerate_states(params)), dtype=np.int64).reshape(-1, 3).T
+    s, c, _, _ = _lattice(params)
     c_star = math.inf if cv.c_star is None else cv.c_star
     return StationaryPolicy(phi_g=np.zeros(s.size, dtype=np.int64),
                             phi_i=np.where((s >= 1) & (c >= c_star), 0, -1))

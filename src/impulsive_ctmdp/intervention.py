@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._ops import compile_model, policy_pairs
+from ._ops import compile_model, per_policy, policy_pairs
 from .bellman import LANDING_ROW_TOL, StationaryPolicy, check_policy
 from .model import CtmdpModel
 
@@ -88,12 +87,12 @@ def chain_guard(model: CtmdpModel, policy: StationaryPolicy) -> int:
     return 0 if system is None else system.guard
 
 
-@lru_cache(maxsize=32)
+@per_policy
 def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem | None:
     """Split the policy's impulse rows and factorise I - M; None when nothing is flagged.
 
-    Cached per (model, policy), so the chain analysis, landing values, the
-    guard and the simulator share one factor.
+    Kept per (model, policy) while both live, so the chain analysis, landing
+    values, the guard and the simulator share one factor.
 
     Raises :class:`ImproperChainError` when I - M is singular or some chain
     fails to land with probability one ((I - M) s = R 1 must give s = 1).

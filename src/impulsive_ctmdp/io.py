@@ -1,7 +1,7 @@
-"""File formats: model documents, epidemic parameter documents, reports.
+"""File formats: model documents, epidemic parameter documents, config files, reports.
 
-Model and parameter files are YAML.  Parsing walks the composed node tree so
-every semantic error can cite the offending field and its line number.
+Model, parameter and config files are YAML.  Parsing walks the composed node
+tree so every semantic error can cite the offending field and its line number.
 Report tables are CSV; each run's metadata is a single YAML record.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import sys
+from collections.abc import Iterable
 from typing import Any
 
 import yaml
@@ -28,7 +29,7 @@ from .simulate import Trajectory
 
 
 class ModelParseError(ValueError):
-    """Malformed model or parameter document; message carries field and line."""
+    """Malformed model, parameter or config document; message carries field and line."""
 
 
 def _line(node: yaml.Node) -> int:
@@ -52,14 +53,16 @@ def _put(field: str, out: dict, key: Any, value: Any, node: yaml.Node) -> None:
     out[key] = value
 
 
-def _as_dict(field: str, node: yaml.Node, known: tuple[str, ...]) -> dict[str, yaml.Node]:
-    """A mapping with string keys, each one of ``known`` and present once."""
+def _as_dict(field: str, node: yaml.Node, known: tuple[str, ...], fold: bool = False) -> dict[str, yaml.Node]:
+    """A mapping with string keys, each one of ``known`` and present once;
+    ``fold`` reads a ``-`` in a key as ``_``."""
     out: dict[str, yaml.Node] = {}
     for k, v in _as_map(field, node):
         key = _as_str(field, k)
-        if key not in known:
+        name = key.replace("-", "_") if fold else key
+        if name not in known:
             _fail(field, k, f"unknown key {key!r}")
-        _put(field, out, key, v, k)
+        _put(field, out, name, v, k)
     return out
 
 
@@ -68,7 +71,7 @@ def _row(field: str, node: yaml.Node) -> tuple[tuple[str, float], ...]:
     out: dict[str, float] = {}
     for k, v in _as_map(field, node):
         label = _as_str(field, k)
-        _put(field, out, label, _as_float(f"{field}.{label}", v), k)
+        _put(field, out, label, _as_number(f"{field}.{label}", v), k)
     return tuple(out.items())
 
 
@@ -86,32 +89,25 @@ def _as_str(field: str, node: yaml.Node) -> str:
     return sys.intern(str(node.value))
 
 
-def _as_float(field: str, node: yaml.Node) -> float:
+def _as_number(field: str, node: yaml.Node, kind: type = float) -> Any:
     raw = _as_str(field, node)
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        _fail(field, node, f"expected a number, got {raw!r}")
-
-
-def _as_int(field: str, node: yaml.Node) -> int:
-    raw = _as_str(field, node)
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(field, node, f"expected an integer, got {raw!r}")
+        _fail(field, node, f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}")
 
 
 # libyaml's C parser when PyYAML was built with it; both keep line marks.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def _compose(text: str, source: str) -> yaml.Node:
+def _compose(text: str, source: str, required: bool = True) -> yaml.Node | None:
+    """The document's node tree; None for an empty document unless it is ``required``."""
     try:
         node = yaml.compose(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ModelParseError(f"{source}: invalid YAML: {exc}") from exc
-    if node is None:
+    if node is None and required:
         raise ModelParseError(f"{source}: empty document")
     return node
 
@@ -128,9 +124,9 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
     labels = tuple(_as_str("states[]", n) for n in _as_seq("states", sections["states"]))
     states = StateSpace(labels)
 
-    def action_map(field: str, node: yaml.Node) -> dict[str, tuple[str, ...]]:
+    def action_map(field: str, node: yaml.Node | None) -> dict[str, tuple[str, ...]]:
         out: dict[str, tuple[str, ...]] = {}
-        for k, v in _as_map(field, node):
+        for k, v in () if node is None else _as_map(field, node):
             s = _as_str(field, k)
             acts: dict[str, None] = {}  # each label may appear once
             for n in _as_seq(f"{field}.{s}", v):
@@ -139,44 +135,33 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
         return out
 
     gradual = action_map("gradual_actions", sections["gradual_actions"])
-    impulsive = action_map("impulsive_actions", sections["impulsive_actions"]) \
-        if "impulsive_actions" in sections else {}
+    impulsive = action_map("impulsive_actions", sections.get("impulsive_actions"))
     for s in labels:
         impulsive.setdefault(s, ())
 
-    def pair_entries(field: str, node: yaml.Node, value_key: str):
+    def pairs(field: str, node: yaml.Node | None, value_key: str, read) -> dict:
+        """``{(state, action): read(value)}`` from a list of ``{state, action, value_key}``
+        items, each pair once; empty when the section is absent."""
         keys = ("state", "action", value_key)
-        for item in _as_seq(field, node):
+        out: dict[tuple[str, str], Any] = {}
+        for item in () if node is None else _as_seq(field, node):
             entry = _as_dict(f"{field}[]", item, keys)
             for key in keys:
                 if key not in entry:
                     _fail(f"{field}[]", item, f"missing key {key!r}")
-            yield (_as_str(f"{field}.state", entry["state"]),
-                   _as_str(f"{field}.action", entry["action"]),
-                   entry[value_key], item)
+            pair = (_as_str(f"{field}.state", entry["state"]), _as_str(f"{field}.action", entry["action"]))
+            _put(f"{field}[]", out, pair, read(f"{field}.{value_key}", entry[value_key]), item)
+        return out
 
-    rate_rows: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
-    for s, a, tnode, item in pair_entries("rates", sections["rates"], "targets"):
-        _put("rates[]", rate_rows, (s, a), _row("rates.targets", tnode), item)
+    rate_rows = pairs("rates", sections["rates"], "targets", _row)
     # Absent rate rows mean "no jumps" for that pair.
     for s, acts in gradual.items():
         for a in acts:
             rate_rows.setdefault((s, a), ())
-
-    impulse_rows: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
-    if "impulse_rows" in sections:
-        for s, a, dnode, item in pair_entries("impulse_rows", sections["impulse_rows"], "distribution"):
-            _put("impulse_rows[]", impulse_rows, (s, a), _row("impulse_rows.distribution", dnode), item)
-
+    impulse_rows = pairs("impulse_rows", sections.get("impulse_rows"), "distribution", _row)
     cost_sections = _as_dict("costs", sections["costs"], ("gradual", "impulse"))
-    gcost: dict[tuple[str, str], float] = {}
-    if "gradual" in cost_sections:
-        for s, a, vnode, item in pair_entries("costs.gradual", cost_sections["gradual"], "value"):
-            _put("costs.gradual[]", gcost, (s, a), _as_float("costs.gradual.value", vnode), item)
-    icost: dict[tuple[str, str], float] = {}
-    if "impulse" in cost_sections:
-        for s, a, vnode, item in pair_entries("costs.impulse", cost_sections["impulse"], "value"):
-            _put("costs.impulse[]", icost, (s, a), _as_float("costs.impulse.value", vnode), item)
+    gcost = pairs("costs.gradual", cost_sections.get("gradual"), "value", _as_number)
+    icost = pairs("costs.impulse", cost_sections.get("impulse"), "value", _as_number)
 
     const_keys = ("eta", "K_rate", "K_cost", "c_lower")
     consts = _as_dict("constants", sections["constants"], const_keys)
@@ -186,14 +171,14 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
     return CtmdpModel(
         states=states,
         actions=ActionCatalog(gradual=gradual, impulsive=impulsive),
-        rates=RateKernel(rows=rate_rows, K_rate=_as_float("constants.K_rate", consts["K_rate"])),
+        rates=RateKernel(rows=rate_rows, K_rate=_as_number("constants.K_rate", consts["K_rate"])),
         impulses=ImpulseKernel(rows=impulse_rows),
         costs=CostModel(
             gradual_cost=gcost,
             impulse_cost=icost,
-            eta=_as_float("constants.eta", consts["eta"]),
-            K_cost=_as_float("constants.K_cost", consts["K_cost"]),
-            c_lower=_as_float("constants.c_lower", consts["c_lower"]),
+            eta=_as_number("constants.eta", consts["eta"]),
+            K_cost=_as_number("constants.K_cost", consts["K_cost"]),
+            c_lower=_as_number("constants.c_lower", consts["c_lower"]),
         ),
     )
 
@@ -212,18 +197,18 @@ def parse_epidemic_params(text: str, source: str = "<string>", c_max_override: i
             raise ModelParseError(f"{source}: missing required field {key!r}")
 
     def table(name: str) -> tuple[float, ...]:
-        return tuple(_as_float(f"{name}[]", n) for n in _as_seq(name, entries[name]))
+        return tuple(_as_number(f"{name}[]", n) for n in _as_seq(name, entries[name]))
 
-    c_max = c_max_override if c_max_override is not None else _as_int("C_max", entries["C_max"])
+    c_max = _as_number("C_max", entries["C_max"], int)  # checked even when overridden
     try:
         return EpidemicParams(
-            S=_as_int("S", entries["S"]),
-            I=_as_int("I", entries["I"]),
-            c0=_as_int("c0", entries["c0"]),
-            C_max=c_max,
-            eta=_as_float("eta", entries["eta"]),
-            kappa_r=_as_float("kappa_r", entries["kappa_r"]),
-            immunization_cost=_as_float("lambda", entries["lambda"]),
+            S=_as_number("S", entries["S"], int),
+            I=_as_number("I", entries["I"], int),
+            c0=_as_number("c0", entries["c0"], int),
+            C_max=c_max if c_max_override is None else c_max_override,
+            eta=_as_number("eta", entries["eta"]),
+            kappa_r=_as_number("kappa_r", entries["kappa_r"]),
+            immunization_cost=_as_number("lambda", entries["lambda"]),
             rho_b=table("rho_b"),
             rho_d=table("rho_d"),
             kappa_i=table("kappa_i"),
@@ -237,22 +222,39 @@ def load_epidemic_params(path: str, c_max_override: int | None = None) -> Epidem
         return parse_epidemic_params(fh.read(), source=path, c_max_override=c_max_override)
 
 
+def load_config(path: str, known: tuple[str, ...]) -> dict[str, Any]:
+    """A flat config file's settings with their YAML values; an empty file holds none.
+    Each key is one of ``known``, with ``-`` read as ``_``, and appears once
+    (``tail-tol`` next to ``tail_tol`` is a repeat)."""
+    with open(path, encoding="utf-8") as fh:
+        root = _compose(fh.read(), path, required=False)
+    entries = {} if root is None else _as_dict(path, root, known, fold=True)
+    return {key: _LOADER("").construct_object(node, deep=True) for key, node in entries.items()}
+
+
 # ---------------------------------------------------------------------------
 # Serialization helpers
 
 
-def solve_report_table(model: CtmdpModel, report: SolveReport, policy: StationaryPolicy) -> str:
-    """CSV value table: one row per state with partition flag and chosen action."""
+def csv_table(header: list[str], rows: Iterable[list]) -> str:
+    """CSV text: the header line, then one line per row."""
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["state", "value", "partition", "action"])
-    for k, s in enumerate(model.states.labels):
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def solve_report_table(model: CtmdpModel, report: SolveReport, policy: StationaryPolicy) -> str:
+    """CSV value table: one row per state with partition flag and chosen action."""
+    def row(k: int, s: str) -> list:
         value = repr(report.V[k] + 0.0)  # + 0.0 turns a signed zero into 0.0
         if policy.impulsive[k]:
-            w.writerow([s, value, "impulsive", policy.impulse_action(model, s)])
-        else:
-            w.writerow([s, value, "gradual", policy.gradual_action(model, s)])
-    return buf.getvalue()
+            return [s, value, "impulsive", policy.impulse_action(model, s)]
+        return [s, value, "gradual", policy.gradual_action(model, s)]
+
+    return csv_table(["state", "value", "partition", "action"],
+                     (row(k, s) for k, s in enumerate(model.states.labels)))
 
 
 def solve_report_meta(report: SolveReport) -> dict[str, Any]:
@@ -266,16 +268,12 @@ def solve_report_meta(report: SolveReport) -> dict[str, Any]:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["epoch", "time", "pre_state", "target", "chain_length", "chain_cost", "post_state"])
-    for k, ep in enumerate(traj.epochs):
-        if ep.chain is not None:
-            w.writerow([k, repr(ep.time), ep.pre_jump_state, ep.natural_target,
-                        len(ep.chain.steps), repr(ep.chain.total_cost), ep.post_state])
-        else:
-            w.writerow([k, repr(ep.time), ep.pre_jump_state, ep.natural_target, 0, "0", ep.post_state])
-    return buf.getvalue()
+    def row(k: int, ep) -> list:
+        chain = [0, "0"] if ep.chain is None else [len(ep.chain.steps), repr(ep.chain.total_cost)]
+        return [k, repr(ep.time), ep.pre_jump_state, ep.natural_target, *chain, ep.post_state]
+
+    return csv_table(["epoch", "time", "pre_state", "target", "chain_length", "chain_cost", "post_state"],
+                     (row(k, ep) for k, ep in enumerate(traj.epochs)))
 
 
 def dump_meta(record: dict[str, Any]) -> str:

@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
-from ._ops import CompiledModel, compile_model, policy_pairs, sample_rows
+from ._ops import CompiledModel, compile_model, per_policy, policy_pairs, sample_rows
 from .bellman import StationaryPolicy, ValueFunction
 from .intervention import ImproperChainError, InterventionChain, analyze_chains, chain_guard, expected_landing_value
 from .model import CtmdpModel
@@ -78,10 +78,13 @@ class DynkinReport:
 
 @dataclass(frozen=True, eq=False)
 class _Prep:
-    """Per-(model, policy) simulation tables; each array has one entry per state."""
+    """Per-(model, policy) simulation tables; each array has one entry per state.
+    It holds the policy's arrays, not the policy, so :func:`per_policy` can keep it."""
 
     comp: CompiledModel
-    policy: StationaryPolicy
+    labels: tuple[str, ...]  # state labels, for messages
+    impulsive: np.ndarray    # the policy's intervene region
+    phi_i: np.ndarray        # the policy's impulse choice
     g_rows: np.ndarray       # gradual pair under phi_g
     total_rate: np.ndarray   # jump rate under phi_g
     run_cost: np.ndarray     # running cost under phi_g
@@ -103,7 +106,7 @@ class _Prep:
         return math.log(bound / tail_tol) / self.comp.eta
 
 
-@lru_cache(maxsize=32)
+@per_policy
 def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
     analysis = analyze_chains(model, policy)  # checks the policy and its properness
     comp = compile_model(model)
@@ -116,7 +119,9 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
     imp_cost[flagged] = comp.i_cost[i_rows]
     return _Prep(
         comp=comp,
-        policy=policy,
+        labels=model.states.labels,
+        impulsive=policy.impulsive,
+        phi_i=policy.phi_i,
         g_rows=g_rows,
         total_rate=comp.g_total_rate[g_rows],
         run_cost=comp.g_cost[g_rows],
@@ -163,15 +168,15 @@ class _Recorder:
     def impulse(self, x: int) -> None:
         self.epochs[-1][3].append(int(x))
 
-    def trajectory(self, prep: _Prep, x: int, gradual: float, impulse: float) -> Trajectory:
+    def trajectory(self, model: CtmdpModel, prep: _Prep, x: int, gradual: float, impulse: float) -> Trajectory:
         """The recorded path; it ends at state ``x``."""
-        labels = prep.comp.model.states.labels
-        actions = prep.comp.model.actions.impulsive
+        labels = model.states.labels
+        actions = model.actions.impulsive
         posts = [pre for _, pre, _, _ in self.epochs[1:]] + [x]  # where each chain left the path
         epochs = []
         for (t, pre, target, steps), post in zip(self.epochs, posts):
             chain = None if steps is None else InterventionChain(
-                steps=tuple((labels[s], actions[labels[s]][prep.policy.phi_i[s]]) for s in steps),
+                steps=tuple((labels[s], actions[labels[s]][prep.phi_i[s]]) for s in steps),
                 landing=labels[post],
                 total_cost=sum((float(prep.imp_cost[s]) for s in steps), 0.0),
             )
@@ -187,14 +192,14 @@ def _chains(prep: _Prep, x: np.ndarray, rng: np.random.Generator,
     A path with ``waits`` stops before an impulse whose wait is positive.
     """
     comp = prep.comp
-    flagged = prep.policy.impulsive
+    flagged = prep.impulsive
     cost = np.zeros(x.size)
     act = np.flatnonzero(flagged[x])
     steps = 0
     while act.size and not (waits and waits[-1] > 0.0):
         if steps >= prep.guard:
             raise ImproperChainError(f"chain exceeded the {prep.guard}-step guard without reaching a gradual state",
-                                     prep.comp.model.states.labels[x[act[0]]])
+                                     prep.labels[x[act[0]]])
         at = x[act]
         cost[act] += prep.imp_cost[at]
         if rec is not None:
@@ -222,7 +227,7 @@ def _advance(prep: _Prep, x: np.ndarray, rng: np.random.Generator, horizon: floa
     """
     comp = prep.comp
     eta = comp.eta
-    flagged = prep.policy.impulsive
+    flagged = prep.impulsive
     flow = np.zeros(x.size)
     impulses = np.zeros(x.size)
     live = np.arange(x.size)
@@ -271,13 +276,13 @@ def _one_path(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.rand
     k = model.states.index[x0]
     x = np.array([k])
     rec = _Recorder()
-    rec.epoch(0.0, k, k, prep.policy.impulsive[k])
+    rec.epoch(0.0, k, k, prep.impulsive[k])
     waits = None if deltas is None else [float(d) for d in reversed(deltas)]
     first = float(_chains(prep, x, rng, rec, waits)[0])
     if horizon is None:
-        return rec.trajectory(prep, int(x[0]), 0.0, first)
+        return rec.trajectory(model, prep, int(x[0]), 0.0, first)
     flow, impulses = _advance(prep, x, rng, horizon, prep.run_cost, math.inf, rec, waits)
-    return rec.trajectory(prep, int(x[0]), float(flow[0]), first + float(impulses[0]))
+    return rec.trajectory(model, prep, int(x[0]), float(flow[0]), first + float(impulses[0]))
 
 
 def sample_chain(model: CtmdpModel, policy: StationaryPolicy, x: str, rng: np.random.Generator) -> InterventionChain:

@@ -145,6 +145,9 @@ def test_params_missing_field():
 def test_params_c_max_override():
     params = load_epidemic_params(str(EPIDEMIC), c_max_override=10)
     assert params.C_max == 10 and len(params.kappa_i) == 11
+    # The document's own entry is still checked; it used to be skipped.
+    with pytest.raises(ModelParseError, match=r"^C_max \(line 8\): expected an integer, got 'many'"):
+        parse_epidemic_params(EPIDEMIC.read_text().replace("C_max: 30", "C_max: many"), c_max_override=10)
 
 
 def test_params_semantic_error_wrapped():
@@ -255,6 +258,60 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "tail_tol: 0.0001" in (out / "report.yaml").read_text()
 
 
+@pytest.mark.parametrize("config, key", [
+    ("reps: 100\nreps: 200\n", "reps"),
+    ("tail-tol: 1.0e-4\ntail_tol: 1.0e-5\n", "tail_tol"),
+], ids=["same-spelling", "dash-and-underscore"])
+def test_cli_config_file_rejects_repeated_keys(tmp_path, capsys, config, key):
+    # A repeated key used to run silently with its last value.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "run"
+    assert cli.run(["simulate", "--model", str(TWO_STATE), "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["code"] == 2 and err["type"] == "parse"
+    assert err["message"] == f"{cfg} (line 2): repeated entry {key!r}"
+    assert not out.exists()
+
+
+def test_cli_empty_config_file_holds_no_settings(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("# nothing set here\n")
+    runs = []
+    for extra in ([], ["--config", str(cfg)]):
+        out = tmp_path / "run"
+        assert cli.run(["solve", "--model", str(TWO_STATE_IMPULSE), "--out", str(out)] + extra) == 0
+        runs.append((out / "report.yaml").read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_cli_config_and_flag_values_echo_alike(tmp_path):
+    # YAML reads `1e-10` as text and a flag gave a float, so the two echoed
+    # `tol: 1e-10` and `tol: 1.0e-10`; both now go through one converter.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("tol: 1e-10\nreps: 20\nx0: 1\n")
+    out = tmp_path / "run"
+    reports = []
+    for extra in (["--config", str(cfg)], ["--tol", "1e-10", "--reps", "20", "--x0", "1"]):
+        assert cli.run(["simulate", "--model", str(TWO_STATE_IMPULSE), "--out", str(out)] + extra) == 0
+        reports.append((out / "report.yaml").read_bytes())
+    assert reports[0] == reports[1]
+    assert b"  tol: 1.0e-10\n" in reports[0] and b"  x0: '1'\n" in reports[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model", str(TWO_STATE), "--bogus"],
+    ["solve", "--reps"],
+    ["no-such-command"],
+    [],
+], ids=["unknown-flag", "flag-without-value", "unknown-command", "no-command"])
+def test_cli_argument_errors_print_the_json_record(capsys, argv):
+    # argparse used to print its usage text and exit with no JSON record.
+    assert cli.run(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["code"] == 2 and err["type"] == "usage"
+
+
 def test_cli_config_file_initial_state_is_a_label(tmp_path, capsys):
     # YAML reads `x0: 1` as an integer; state labels are strings.
     cfg = tmp_path / "cfg.yaml"
@@ -346,10 +403,14 @@ def test_cli_unknown_initial_state_exit_code(capsys):
     (["epidemic-solve", "--params", EPIDEMIC], "c_max: 10.5\n", "c-max"),
     (["solve", "--model", TWO_STATE], "tol: true\n", "tol"),
     (["simulate", "--model", TWO_STATE], "seed: false\n", "seed"),
+    (["simulate", "--model", TWO_STATE, "--reps", "1.5"], None, "reps"),
+    (["solve", "--model", TWO_STATE, "--tol", "abc"], None, "tol"),
+    (["simulate", "--model", TWO_STATE, "--seed", "x"], None, "seed"),
 ], ids=["tail-tol-0", "tol-nan", "reps-1", "threads-0", "seed-negative", "t-horizon-0", "t-horizon-inf",
         "carrier-tol-0", "c-max-0", "lambdas-abc", "lambdas-negative", "lambdas-nan", "config-tol-abc",
         "config-reps-inf", "config-lambdas-zero", "config-reps-fraction", "config-threads-fraction",
-        "config-seed-fraction", "config-c-max-fraction", "config-tol-bool", "config-seed-bool"])
+        "config-seed-fraction", "config-c-max-fraction", "config-tol-bool", "config-seed-bool",
+        "reps-fraction", "tol-text", "seed-text"])
 def test_cli_numeric_options_out_of_range_are_usage_errors(tmp_path, capsys, args, config, name):
     argv = [str(a) for a in args]
     if config is not None:

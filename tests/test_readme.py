@@ -1,10 +1,10 @@
-"""The README's library example and model schema work as written."""
+"""The README's library example, model schema and CLI option table match the code."""
 
 import re
 
 import numpy as np
 
-from impulsive_ctmdp import evaluate_policy, solve, validate_model
+from impulsive_ctmdp import cli, evaluate_policy, solve, validate_model
 from impulsive_ctmdp.io import parse_model
 
 from conftest import REPO_ROOT
@@ -34,3 +34,11 @@ def test_readme_model_schema_solves_to_the_closed_form():
     report = solve(model)
     assert abs(report.V[model.states.index["1"]] - 0.3) <= 1e-12
     assert report.policy.impulse_action(model, "1") == "reset"
+
+
+def test_readme_option_table_matches_the_cli():
+    rows = dict(re.findall(r"^\| `--([a-z0-9-]+)` \| (.*?) \|", README, re.M))
+    assert set(rows) == {key.replace("_", "-") for key in cli.OPTIONS}
+    for key, opt in cli.OPTIONS.items():
+        default = rows[key.replace("_", "-")]
+        assert default == ("none" if opt.default is None else f"`{opt.default}`"), key

@@ -1,6 +1,8 @@
 """Trajectory sampling, cost estimation, the martingale identity, spaced impulses."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from impulsive_ctmdp import (
     ValueFunction,
     analyze_chains,
+    build_epidemic_model,
     dynkin_check,
     estimate_cost,
     extract_policy,
@@ -18,12 +21,13 @@ from impulsive_ctmdp import (
     simulate_trajectory,
     solve,
 )
+from impulsive_ctmdp._ops import compile_model
 from impulsive_ctmdp.bellman import StationaryPolicy
 from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseKernel, RateKernel, StateSpace
 from impulsive_ctmdp.simulate import BLOCK, _block_rng
 from impulsive_ctmdp.testing import random_model
 
-from conftest import geometric_model, improper_policy, two_state, zero_cost_model
+from conftest import desk_params, geometric_model, improper_policy, two_state, zero_cost_model
 
 
 def solved(model):
@@ -337,3 +341,24 @@ def test_spaced_paths_count_natural_jumps_only():
         assert long.natural_jump_count == (1 if fired else 2)
         assert [ep.natural_target for ep in long.epochs] == ["a", "b"] + ([] if fired else ["c"])
         assert len(long.epochs[1].chain.steps) == int(fired) and long.epochs[1].post_state == ("c" if fired else "b")
+
+
+def test_derived_tables_live_only_as_long_as_their_model_and_policy():
+    # The compiled model, chain factor and sampling tables sat in caches of
+    # the last 64 models and 32 (model, policy) pairs, which kept every
+    # model and policy of a sweep in memory.
+    m = build_epidemic_model(desk_params(lam=0.05, c_max=4))
+    policy = solve(m).policy
+    assert policy.impulsive.any()
+    comp = compile_model(m)
+    assert compile_model(m) is comp
+    assert analyze_chains(m, policy)._system is analyze_chains(m, policy)._system  # built once
+    estimate_cost(m, policy, m.states.labels[-1], 50, seed=1)
+    simulate_trajectory(m, policy, m.states.labels[-1], replication_rng(1, 0))
+    model_ref, policy_ref = weakref.ref(m), weakref.ref(policy)
+    del policy
+    gc.collect()
+    assert policy_ref() is None and len(comp.derived) == 0
+    del m
+    gc.collect()
+    assert model_ref() is None
