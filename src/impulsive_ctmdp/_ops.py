@@ -183,18 +183,17 @@ def sample_rows(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) 
     """Where each uniform ``u`` falls in its row ``cum[lo:hi]`` of running probabilities.
 
     Returns the position of the first entry above ``u`` (``searchsorted``
-    with ``side="right"``); the last entry of a row takes the rounding
-    remainder.  A bisection bounded by each row, so it costs log2 of the
-    widest row and compares every ``u`` with its row's own probabilities.
+    with ``side="right"``); the last entry of a nonempty row takes the
+    rounding remainder.  A bisection on each row's ``[lo, hi-1]``, so it costs
+    log2 of the widest row and compares every ``u`` with its row's own
+    probabilities.  A settled row is a fixed point of the step, except that a
+    remainder draw pushes ``lo`` one past ``hi``; the ``minimum`` takes it back.
     """
-    lo = lo.copy()
     hi = hi - 1
-    open_ = lo < hi
-    while open_.any():
+    while (lo < hi).any():
         mid = (lo + hi) >> 1
         right = cum[mid] <= u
-        lo = np.where(open_ & right, mid + 1, lo)
-        hi = np.where(open_ & ~right, mid, hi)
-        open_ = lo < hi
-    return lo
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return np.minimum(lo, hi)
 

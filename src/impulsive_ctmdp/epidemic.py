@@ -103,10 +103,11 @@ def _alphas(params: EpidemicParams, truncated: bool) -> tuple[np.ndarray, np.nda
     return a1, a2, a3
 
 
-def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables of c+1 and c-1, clamped where a1 (at C_max) and a2 (at 0) vanish."""
-    c = np.arange(n)
-    return np.minimum(c + 1, n - 1), np.maximum(c - 1, 0)
+def _carrier_map(alphas: tuple[np.ndarray, np.ndarray, np.ndarray], w: np.ndarray) -> np.ndarray:
+    """Per-susceptible cost of waiting, a1 w(c+1) + a2 w(c-1) + a3, with w
+    clamped at the ends, where a1 (at C_max) and a2 (at 0) vanish."""
+    a1, a2, a3 = alphas
+    return a1 * np.append(w[1:], w[-1]) + a2 * np.append(w[0], w[:-1]) + a3
 
 
 def coefficient_monotonicity_violations(params: EpidemicParams) -> list[int]:
@@ -139,32 +140,28 @@ def solve_carrier_equation(params: EpidemicParams, tol: float = 1e-12) -> Carrie
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    a1, a2, a3 = _alphas(params, truncated=True)
+    a1, a2, _ = alphas = _alphas(params, truncated=True)
     d = float(np.max(a1 + a2))
     if d >= 1.0:
         raise CarrierContractionError(
             f"sup(alpha1 + alpha2) = {d} >= 1; the carrier equation is not a contraction")
     lam = params.immunization_cost
     w = np.zeros(params.C_max + 1)
-    up, down = _neighbours(w.size)
     stop = tol * (1.0 - d) if d > 0 else tol
     for _ in range(10 ** 7):
-        wn = np.minimum(a1 * w[up] + a2 * w[down] + a3, lam)
+        wn = np.minimum(_carrier_map(alphas, w), lam)
         step = float(np.max(np.abs(wn - w)))
         w = wn
         if step < stop:
             break
-    first = a1 * w[up] + a2 * w[down] + a3
-    above = np.flatnonzero(first > lam + 1e-12)
+    above = np.flatnonzero(_carrier_map(alphas, w) > lam + 1e-12)
     c_star = int(above[0]) if above.size else None
     return CarrierValue(v=w, c_star=c_star, lambda_star=lambda_star(params))
 
 
 def carrier_residual(params: EpidemicParams, cv: CarrierValue) -> float:
     """Sup-norm defect of the carrier fixed point at the solved v."""
-    a1, a2, a3 = _alphas(params, truncated=True)
-    up, down = _neighbours(params.C_max + 1)
-    g = np.minimum(a1 * cv.v[up] + a2 * cv.v[down] + a3, params.immunization_cost)
+    g = np.minimum(_carrier_map(_alphas(params, truncated=True), cv.v), params.immunization_cost)
     return float(np.max(np.abs(g - cv.v)))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._ops import CompiledModel, compile_model, per_policy, policy_pairs, sample_rows
 from .bellman import StationaryPolicy, ValueFunction
-from .intervention import ImproperChainError, InterventionChain, analyze_chains, chain_guard, expected_landing_value
+from .intervention import ImproperChainError, InterventionChain, _chain_system, expected_landing_value
 from .model import CtmdpModel
 
 DEFAULT_TAIL_TOL = 1e-8
@@ -64,7 +64,6 @@ class CostEstimate:
     mean: float
     std_error: float
     n_replications: int
-    confidence_level: float = 0.997  # three-sigma convention
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +107,7 @@ class _Prep:
 
 @per_policy
 def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
-    analysis = analyze_chains(model, policy)  # checks the policy and its properness
+    system = _chain_system(model, policy)  # checks the policy and its properness
     comp = compile_model(model)
     g_rows, flagged, i_rows = policy_pairs(comp, policy)
     imp_lo = np.zeros(comp.N, dtype=np.int64)
@@ -130,8 +129,8 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
         imp_lo=imp_lo,
         imp_hi=imp_hi,
         imp_cost=imp_cost,
-        guard=chain_guard(model, policy),
-        chain_cost_bound=float(np.max(analysis.expected_cost)) if analysis.expected_cost.size else 0.0,
+        guard=0 if system is None else system.guard,
+        chain_cost_bound=0.0 if system is None else float(np.max(system.lu.solve(system.cost))),
     )
 
 
@@ -315,24 +314,27 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
     return _one_path(model, policy, x0, rng, tail_tol, deltas)
 
 
-def _block_start(prep: _Prep, x0: int, seed: int, block: int,
-                 n_reps: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
-    """Stream of a block and its paths after the chain at time 0: (rng, states, chain costs)."""
-    rng = _block_rng(seed, block)
-    x = np.full(min(BLOCK, n_reps - block * BLOCK), x0, dtype=np.int64)
-    return rng, x, _chains(prep, x, rng)
+def _blocks(prep: _Prep, x0: int, seed: int, n_reps: int, blocks: range, horizon: float,
+            flow_rate: np.ndarray, absorbed_end: float):
+    """Run blocks of paths from state ``x0``: each block's stream, the chain at
+    time 0, then :func:`_advance`.  Yields per block the slice of its
+    replications, the states after that chain, the chain's cost, the two
+    integrals of :func:`_advance` and the final states."""
+    for b in blocks:
+        rng = _block_rng(seed, b)
+        x = np.full(min(BLOCK, n_reps - b * BLOCK), x0, dtype=np.int64)
+        first = _chains(prep, x, rng)
+        start = x.copy()
+        flow, impulses = _advance(prep, x, rng, horizon, flow_rate, absorbed_end)
+        yield slice(b * BLOCK, b * BLOCK + x.size), start, first, flow, impulses, x
 
 
 def _replication_costs(model: CtmdpModel, policy: StationaryPolicy, x0: str, seed: int,
                        n_reps: int, tail_tol: float, blocks: range) -> np.ndarray:
     prep = _prepare(model, policy)
-    horizon = prep.horizon(tail_tol)
-    costs = []
-    for b in blocks:
-        rng, x, first = _block_start(prep, model.states.index[x0], seed, b, n_reps)
-        flow, impulses = _advance(prep, x, rng, horizon, prep.run_cost, math.inf)
-        costs.append(first + flow + impulses)
-    return np.concatenate(costs)
+    runs = _blocks(prep, model.states.index[x0], seed, n_reps, blocks,
+                   prep.horizon(tail_tol), prep.run_cost, math.inf)
+    return np.concatenate([first + flow + impulses for _, _, first, flow, impulses, _ in runs])
 
 
 def estimate_cost(model: CtmdpModel, policy: StationaryPolicy, x0: str, n_reps: int,
@@ -379,24 +381,18 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     if n_reps < 2:
         raise ValueError("n_reps must be >= 2")
     prep = _prepare(model, policy)
-    comp = prep.comp
-    eta = comp.eta
+    eta = prep.comp.eta
     Wv = W.values
-    Wbar = expected_landing_value(model, policy, Wv)
     # Per-state drift rate: discounting decay plus jump-and-intervene flux.
-    flux = comp.J[prep.g_rows] @ Wbar
+    flux = prep.comp.J[prep.g_rows] @ expected_landing_value(model, policy, Wv)
     gvec = -eta * Wv + flux - Wv * prep.total_rate
 
-    x0i = model.states.index[x0]
     lhs = np.empty(n_reps)
     rhs = np.empty(n_reps)
-    for b in range(-(-n_reps // BLOCK)):
-        rng, x, _ = _block_start(prep, x0i, seed, b, n_reps)
-        span = slice(b * BLOCK, b * BLOCK + x.size)
-        start = Wv[x]
-        drift, _ = _advance(prep, x, rng, t, gvec, t)
+    blocks = range(-(-n_reps // BLOCK))
+    for span, start, _, drift, _, x in _blocks(prep, model.states.index[x0], seed, n_reps, blocks, t, gvec, t):
         lhs[span] = math.exp(-eta * t) * Wv[x]
-        rhs[span] = start + drift
+        rhs[span] = Wv[start] + drift
     d = lhs - rhs
     return DynkinReport(
         lhs=float(np.mean(lhs)),

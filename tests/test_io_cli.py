@@ -1,5 +1,6 @@
 """Model/parameter document parsing and the command-line workflows."""
 
+import dataclasses
 import json
 import re
 
@@ -17,6 +18,7 @@ from impulsive_ctmdp.io import (
     parse_model,
     solve_report_table,
 )
+from impulsive_ctmdp.testing import random_model
 
 from conftest import MODELS_DIR
 
@@ -43,6 +45,40 @@ def test_parse_model_fields_land_where_expected():
     assert m.rates.rows[("0", "wait")] == ()   # absent row means no jumps
     assert m.costs.impulse_cost[("1", "reset")] == 0.3
     assert m.costs.eta == 1.0
+
+
+def _model_document(m) -> str:
+    """``m`` as a model document: every mapping in its own order, floats by ``repr``."""
+    def rows(key, mapping):
+        return [f"  - {{state: {x}, action: {a}, {key}: {{{', '.join(f'{t}: {v!r}' for t, v in row)}}}}}"
+                for (x, a), row in mapping.items()]
+
+    def costs(mapping):
+        return [f"    - {{state: {x}, action: {a}, value: {v!r}}}" for (x, a), v in mapping.items()]
+
+    c = m.costs
+    return "\n".join(
+        ["states: [" + ", ".join(m.states.labels) + "]", "gradual_actions:"]
+        + [f"  {x}: [{', '.join(acts)}]" for x, acts in m.actions.gradual.items()]
+        + ["impulsive_actions:"] + [f"  {x}: [{', '.join(acts)}]" for x, acts in m.actions.impulsive.items()]
+        + ["rates:"] + rows("targets", m.rates.rows) + ["impulse_rows:"] + rows("distribution", m.impulses.rows)
+        + ["costs:", "  gradual:"] + costs(c.gradual_cost) + ["  impulse:"] + costs(c.impulse_cost)
+        + ["constants:", f"  eta: {c.eta!r}", f"  K_rate: {m.rates.K_rate!r}",
+           f"  K_cost: {c.K_cost!r}", f"  c_lower: {c.c_lower!r}", ""])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_parsed_random_model_matches_the_built_one(seed):
+    built = random_model(seed)
+    parsed = parse_model(_model_document(built))
+    for kind in ("gradual_pairs", "impulse_pairs"):
+        a, b = getattr(built, kind), getattr(parsed, kind)
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (kind, f.name)
+    want, got = solve(built), solve(parsed)
+    assert np.array_equal(want.V.values, got.V.values) and want.gap == got.gap
+    assert np.array_equal(want.policy.phi_g, got.policy.phi_g)
+    assert np.array_equal(want.policy.phi_i, got.policy.phi_i)
 
 
 def test_missing_section_is_reported():

@@ -21,7 +21,7 @@ from impulsive_ctmdp import (
     simulate_trajectory,
     solve,
 )
-from impulsive_ctmdp._ops import compile_model
+from impulsive_ctmdp._ops import compile_model, sample_rows
 from impulsive_ctmdp.bellman import StationaryPolicy
 from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseKernel, RateKernel, StateSpace
 from impulsive_ctmdp.simulate import BLOCK, _block_rng
@@ -341,6 +341,28 @@ def test_spaced_paths_count_natural_jumps_only():
         assert long.natural_jump_count == (1 if fired else 2)
         assert [ep.natural_target for ep in long.epochs] == ["a", "b"] + ([] if fired else ["c"])
         assert len(long.epochs[1].chain.steps) == int(fired) and long.epochs[1].post_state == ("c" if fired else "b")
+
+
+# A row of running probabilities: weights with zeros among them, scaled so
+# that the running sum may end below 1 (and below u); an all-zero row ends at 0.
+_cum_rows = st.tuples(
+    st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=6),
+    st.sampled_from([1.0, 0.5, 1.0 - 2.0 ** -52]),
+).map(lambda ws: np.cumsum(ws[0]) / (max(sum(ws[0]), 1e-300) / ws[1]))
+_uniforms = st.sampled_from([0.0, 1.0 - 2.0 ** -53]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_cum_rows, min_size=1, max_size=8), st.data())
+def test_sample_rows_matches_searchsorted(rows, data):
+    cum = np.concatenate(rows)
+    ptr = np.cumsum([0] + [r.size for r in rows])
+    pick = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12)))
+    lo, hi = ptr[pick], ptr[pick + 1]
+    u = np.array(data.draw(st.lists(_uniforms, min_size=pick.size, max_size=pick.size)))
+    want = [int(a + np.searchsorted(cum[a:b - 1], v, side="right")) for a, b, v in zip(lo, hi, u)]
+    assert sample_rows(cum, lo, hi, u).tolist() == want
+    assert [int(sample_rows(cum, lo[k:k + 1], hi[k:k + 1], u[k:k + 1])[0]) for k in range(pick.size)] == want
 
 
 def test_derived_tables_live_only_as_long_as_their_model_and_policy():
