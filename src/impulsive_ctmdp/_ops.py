@@ -135,19 +135,26 @@ def apply_embedded(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
 
 
 def _state_min(comp: CompiledModel, g: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Each state's least gradual pair value ``g`` or impulsive branch value at ``F``."""
-    out = np.minimum.reduceat(g, comp.g_ptr[:-1])
+    """Each state's least gradual pair value ``g`` or impulsive branch value at ``F``.
+
+    A segment of width one is its own minimum, so a table with one pair per
+    segment skips the ``reduceat``; ``g`` may be overwritten.
+    """
+    out = g if g.size == comp.N else np.minimum.reduceat(g, comp.g_ptr[:-1])
     if comp.i_cost.size:
         iv = impulsive_branch(comp, F)
-        imin = np.minimum.reduceat(iv, comp.i_ptr[:-1])
-        np.minimum.at(out, comp.i_states, imin)
+        imin = iv if iv.size == comp.i_states.size else np.minimum.reduceat(iv, comp.i_ptr[:-1])
+        out[comp.i_states] = np.minimum(out[comp.i_states], imin)  # i_states holds no repeats
     return out
 
 
 def segment_argmin(values: np.ndarray, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum of each nonempty segment ``values[ptr[k]:ptr[k+1]]`` and the
-    offset of its first attainment inside the segment (ties go to the lowest)."""
+    """Minimum of each segment ``values[ptr[k]:ptr[k+1]]`` (none may be empty) and
+    the offset of its first attainment inside the segment (ties go to the lowest).
+    The minima are a new array even where every segment has width one."""
     lo = ptr[:-1]
+    if values.size == lo.size:
+        return values.copy(), np.zeros_like(lo)
     least = np.repeat(np.minimum.reduceat(values, lo), np.diff(ptr))
     first = np.minimum.reduceat(np.where(values == least, np.arange(values.size), values.size), lo)
     return values[first], first - lo

@@ -10,7 +10,11 @@ cost is integrated in closed form between epochs, and sampling stops once
 the discounted tail is provably below ``tail_tol``.
 
 :func:`estimate_cost` and :func:`dynkin_check` run blocks of ``BLOCK``
-paths.  :func:`simulate_trajectory`, :func:`sample_chain` and
+paths, each block on its own stream.  Up to ``BATCH`` blocks advance
+together as one batch; each block still draws what it draws alone, so the
+draws do not depend on the batching.  An :class:`ImproperChainError` names
+the state of the lowest-index path of the batch still in a chain.
+:func:`simulate_trajectory`, :func:`sample_chain` and
 :func:`simulate_spaced` run a one-path batch with a recorder of its epochs;
 :func:`simulate_spaced` adds a wait before each impulse, a sojourn with a
 deadline.
@@ -31,7 +35,8 @@ from .intervention import ImproperChainError, InterventionChain, _chain_system, 
 from .model import CtmdpModel
 
 DEFAULT_TAIL_TOL = 1e-8
-BLOCK = 1024  # replications advanced together; Monte Carlo streams are keyed by (seed, block)
+BLOCK = 1024  # replications per stream; Monte Carlo streams are keyed by (seed, block)
+BATCH = 64    # blocks advanced together at most, which bounds the memory of a call
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +188,27 @@ class _Recorder:
         return Trajectory(tuple(epochs), gradual, impulse, self.end)
 
 
-def _chains(prep: _Prep, x: np.ndarray, rng: np.random.Generator,
+def _draw(rngs: list[np.random.Generator], method: str, ids: np.ndarray) -> np.ndarray:
+    """One number from ``method`` for each path ``ids`` (ascending batch indices).
+
+    Path ``i`` draws from ``rngs[i // BLOCK]``, so each block asks its own
+    stream for the draws it asks for when it runs alone.  A block with no
+    path here draws nothing.  With one stream only the number of paths counts.
+    """
+    if len(rngs) == 1:
+        return getattr(rngs[0], method)(ids.size)
+    cuts = ids.searchsorted(np.arange(len(rngs) + 1) * BLOCK).tolist()
+    return np.concatenate([getattr(rng, method)(b - a) for rng, a, b in zip(rngs, cuts, cuts[1:]) if b > a]
+                          or [np.empty(0)])
+
+
+def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np.ndarray,
             rec: _Recorder | None = None, waits: list[float] | None = None) -> np.ndarray:
     """Run the impulse chains of a batch of paths; ``x`` ends at the landings.
 
-    Returns each path's undiscounted chain cost (0 where it starts unflagged).
-    A path with ``waits`` stops before an impulse whose wait is positive.
+    ``ids`` are the paths' batch indices, ascending.  Returns each path's
+    undiscounted chain cost (0 where it starts unflagged).  A path with
+    ``waits`` stops before an impulse whose wait is positive.
     """
     comp = prep.comp
     flagged = prep.impulsive
@@ -205,14 +225,15 @@ def _chains(prep: _Prep, x: np.ndarray, rng: np.random.Generator,
             rec.impulse(at[0])
         if waits:
             waits.pop()
-        pos = sample_rows(comp.Q_cum, prep.imp_lo[at], prep.imp_hi[at], rng.random(act.size))
+        u = _draw(rngs, "random", ids[act] if len(rngs) > 1 else act)  # one stream reads only the count
+        pos = sample_rows(comp.Q_cum, prep.imp_lo[at], prep.imp_hi[at], u)
         x[act] = comp.Q_imp.indices[pos]
         act = act[flagged[x[act]]]
         steps += 1
     return cost
 
 
-def _advance(prep: _Prep, x: np.ndarray, rng: np.random.Generator, horizon: float,
+def _advance(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], horizon: float,
              flow_rate: np.ndarray, absorbed_end: float,
              rec: _Recorder | None = None, waits: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of paths from time 0 to ``horizon``; ``x`` ends at their final states.
@@ -235,7 +256,7 @@ def _advance(prep: _Prep, x: np.ndarray, rng: np.random.Generator, horizon: floa
         at = x[live]
         rate = prep.total_rate[at]
         moves = rate > 0.0
-        wait = np.divide(rng.standard_exponential(live.size), rate, out=np.full(live.size, np.inf), where=moves)
+        wait = np.divide(_draw(rngs, "standard_exponential", live), rate, out=np.full(live.size, np.inf), where=moves)
         t_next = t + wait
         # A paused path's sojourn runs against the end of its wait.
         paused = waits is not None and bool(flagged[at[0]])
@@ -254,14 +275,14 @@ def _advance(prep: _Prep, x: np.ndarray, rng: np.random.Generator, horizon: floa
         else:
             if paused:  # a natural jump came first: the path intervenes no more
                 flagged = np.zeros_like(flagged)
-            pos = sample_rows(comp.J_cum, prep.jump_lo[at], prep.jump_hi[at], rng.random(live.size))
+            pos = sample_rows(comp.J_cum, prep.jump_lo[at], prep.jump_hi[at], _draw(rngs, "random", live))
             z = comp.J.indices[pos]
             hit = flagged[z]
             if rec is not None and live.size:
                 rec.epoch(t[0], at[0], z[0], hit[0])
         if hit.any():
-            landed = z[hit]
-            impulses[live[hit]] += _chains(prep, landed, rng, rec, waits) * np.exp(-eta * t[hit])
+            landed, ids = z[hit], live[hit]
+            impulses[ids] += _chains(prep, landed, rngs, ids, rec, waits) * np.exp(-eta * t[hit])
             z[hit] = landed
         x[live] = z
     return flow, impulses
@@ -277,10 +298,10 @@ def _one_path(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.rand
     rec = _Recorder()
     rec.epoch(0.0, k, k, prep.impulsive[k])
     waits = None if deltas is None else [float(d) for d in reversed(deltas)]
-    first = float(_chains(prep, x, rng, rec, waits)[0])
+    first = float(_chains(prep, x, [rng], np.arange(1), rec, waits)[0])
     if horizon is None:
         return rec.trajectory(model, prep, int(x[0]), 0.0, first)
-    flow, impulses = _advance(prep, x, rng, horizon, prep.run_cost, math.inf, rec, waits)
+    flow, impulses = _advance(prep, x, [rng], horizon, prep.run_cost, math.inf, rec, waits)
     return rec.trajectory(model, prep, int(x[0]), float(flow[0]), first + float(impulses[0]))
 
 
@@ -316,17 +337,25 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
 
 def _blocks(prep: _Prep, x0: int, seed: int, n_reps: int, blocks: range, horizon: float,
             flow_rate: np.ndarray, absorbed_end: float):
-    """Run blocks of paths from state ``x0``: each block's stream, the chain at
-    time 0, then :func:`_advance`.  Yields per block the slice of its
-    replications, the states after that chain, the chain's cost, the two
-    integrals of :func:`_advance` and the final states."""
-    for b in blocks:
-        rng = _block_rng(seed, b)
-        x = np.full(min(BLOCK, n_reps - b * BLOCK), x0, dtype=np.int64)
-        first = _chains(prep, x, rng)
+    """Run blocks of paths from state ``x0`` in batches of at most ``BATCH``
+    blocks, each block on its own stream: the chain at time 0, then
+    :func:`_advance`.  Yields per batch the slice of its replications, the
+    states after that chain, the chain's cost, the two integrals of
+    :func:`_advance` and the final states."""
+    for a in range(blocks.start, blocks.stop, BATCH):
+        batch = range(a, min(a + BATCH, blocks.stop))
+        rngs = [_block_rng(seed, b) for b in batch]
+        span = slice(batch.start * BLOCK, min(batch.stop * BLOCK, n_reps))
+        x = np.full(span.stop - span.start, x0, dtype=np.int64)
+        first = _chains(prep, x, rngs, np.arange(x.size))
         start = x.copy()
-        flow, impulses = _advance(prep, x, rng, horizon, flow_rate, absorbed_end)
-        yield slice(b * BLOCK, b * BLOCK + x.size), start, first, flow, impulses, x
+        flow, impulses = _advance(prep, x, rngs, horizon, flow_rate, absorbed_end)
+        yield span, start, first, flow, impulses, x
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _replication_costs(model: CtmdpModel, policy: StationaryPolicy, x0: str, seed: int,
@@ -346,10 +375,9 @@ def estimate_cost(model: CtmdpModel, policy: StationaryPolicy, x0: str, n_reps: 
     the work at block boundaries, so the estimate is identical for any
     ``threads`` setting.
     """
-    if n_reps < 2:
-        raise ValueError("n_reps must be >= 2")
-    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _check_integer("n_reps", n_reps, 2)
+    _check_integer("seed", seed, 0)
+    _check_integer("threads", threads, 1)
     n_blocks = -(-n_reps // BLOCK)
     run = partial(_replication_costs, model, policy, x0, seed, n_reps, tail_tol)
     workers = min(threads, n_blocks)
@@ -378,8 +406,8 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and > 0")
-    if n_reps < 2:
-        raise ValueError("n_reps must be >= 2")
+    _check_integer("n_reps", n_reps, 2)
+    _check_integer("seed", seed, 0)
     prep = _prepare(model, policy)
     eta = prep.comp.eta
     Wv = W.values

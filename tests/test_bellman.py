@@ -18,11 +18,12 @@ from impulsive_ctmdp import (
     uniformized_row,
     value_iterate,
 )
-from impulsive_ctmdp import bellman, cli
-from impulsive_ctmdp._ops import apply_embedded, compile_model, gradual_branch, impulsive_branch
+from impulsive_ctmdp import _ops, bellman, cli
+from impulsive_ctmdp._ops import apply_embedded, apply_operator, compile_model, gradual_branch, impulsive_branch
 from impulsive_ctmdp.bellman import StationaryPolicy, check_policy
 from impulsive_ctmdp.epidemic import build_epidemic_model
 from impulsive_ctmdp.io import load_epidemic_params
+from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseKernel, RateKernel, StateSpace
 from impulsive_ctmdp.testing import random_model, random_value_vector
 
 from conftest import MODELS_DIR, improper_model, improper_policy, two_state, zero_cost_model
@@ -376,3 +377,66 @@ def test_embedded_iterates_are_supersolutions(seed):
         V = Vn
     report = solve(m)
     assert np.max(np.abs(apply_embedded(comp, report.V.values) - report.V.values)) <= slack
+
+
+def _reduceat_state_min(comp, g, F):
+    out = np.minimum.reduceat(g, comp.g_ptr[:-1])
+    if comp.i_cost.size:
+        np.minimum.at(out, comp.i_states, np.minimum.reduceat(impulsive_branch(comp, F), comp.i_ptr[:-1]))
+    return out
+
+
+def _reduceat_segment_argmin(values, ptr):
+    lo = ptr[:-1]
+    least = np.repeat(np.minimum.reduceat(values, lo), np.diff(ptr))
+    first = np.minimum.reduceat(np.where(values == least, np.arange(values.size), values.size), lo)
+    return values[first], first - lo
+
+
+def _two_impulse_model() -> CtmdpModel:
+    """State a has two gradual actions and two impulses, b one of each; c absorbs."""
+    return CtmdpModel(
+        states=StateSpace(("a", "b", "c")),
+        actions=ActionCatalog(gradual={"a": ("slow", "fast"), "b": ("wait",), "c": ("wait",)},
+                              impulsive={"a": ("to_b", "to_c"), "b": ("to_c",), "c": ()}),
+        rates=RateKernel(rows={("a", "slow"): (("b", 0.5),), ("a", "fast"): (("b", 1.0), ("c", 0.5)),
+                               ("b", "wait"): (("c", 1.0),), ("c", "wait"): ()}, K_rate=2.0),
+        impulses=ImpulseKernel(rows={("a", "to_b"): (("b", 1.0),), ("a", "to_c"): (("b", 0.4), ("c", 0.6)),
+                                     ("b", "to_c"): (("c", 1.0),)}),
+        costs=CostModel(gradual_cost={("a", "slow"): 1.0, ("a", "fast"): 0.5, ("b", "wait"): 0.8,
+                                      ("c", "wait"): 0.0},
+                        impulse_cost={("a", "to_b"): 0.4, ("a", "to_c"): 0.6, ("b", "to_c"): 0.3},
+                        eta=1.0, K_cost=1.0, c_lower=0.3),
+    )
+
+
+def test_width_one_segments_match_the_reduceat_reference(monkeypatch):
+    # A model whose segments all have width one skips the reduceat; the
+    # operators and the greedy step must not notice.
+    desk = build_epidemic_model(load_epidemic_params(str(MODELS_DIR / "epidemic_desk.yaml")))
+    models = [desk] + [random_model(seed, max_states=60) for seed in range(8)] + [_two_impulse_model()] * 8
+    comps = [compile_model(m) for m in models]
+    width_one = [(c.g_cost.size == c.N, c.i_cost.size == c.i_states.size) for c in comps]
+    assert width_one[0] == (True, True)
+    assert not any(g for g, _ in width_one[1:]) and not any(i for _, i in width_one[-8:])
+    cases = []
+    for k, (m, comp) in enumerate(zip(models, comps)):
+        keep = bellman._greedy(comp, random_value_vector(k + 100, m))[0]
+        cases.append((comp, random_value_vector(k, m), keep))
+
+    def outputs():
+        got = []
+        for comp, V, keep in cases:
+            F = V.copy()
+            got += [apply_operator(comp, F), apply_embedded(comp, F), *bellman._greedy(comp, F),
+                    *bellman._greedy(comp, F, keep, slack=0.01)]
+            assert np.array_equal(F, V)
+        return got
+
+    fast = outputs()
+    monkeypatch.setattr(_ops, "_state_min", _reduceat_state_min)
+    monkeypatch.setattr(bellman, "segment_argmin", _reduceat_segment_argmin)
+    reference = outputs()
+    assert len(fast) == len(reference)
+    for a, b in zip(fast, reference):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

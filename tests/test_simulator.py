@@ -21,13 +21,15 @@ from impulsive_ctmdp import (
     simulate_trajectory,
     solve,
 )
+from impulsive_ctmdp import simulate
 from impulsive_ctmdp._ops import compile_model, sample_rows
 from impulsive_ctmdp.bellman import StationaryPolicy
+from impulsive_ctmdp.io import load_model
 from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseKernel, RateKernel, StateSpace
-from impulsive_ctmdp.simulate import BLOCK, _block_rng
+from impulsive_ctmdp.simulate import BLOCK, DEFAULT_TAIL_TOL, _block_rng, _blocks, _prepare, _replication_costs
 from impulsive_ctmdp.testing import random_model
 
-from conftest import desk_params, geometric_model, improper_policy, two_state, zero_cost_model
+from conftest import MODELS_DIR, desk_params, geometric_model, improper_policy, two_state, zero_cost_model
 
 
 def solved(model):
@@ -88,6 +90,43 @@ def test_estimate_is_thread_count_invariant_across_blocks():
     runs = [estimate_cost(m, policy, "1", BLOCK + 7, seed=9, threads=k) for k in (1, 2, 3)]
     assert len({(r.mean, r.std_error) for r in runs}) == 1
     assert abs(runs[0].mean - 0.5) <= 4 * runs[0].std_error
+
+
+def _blockwise_costs(model, policy, x0, seed, n_reps):
+    """Per-replication costs with each block run alone, one after another."""
+    prep = _prepare(model, policy)
+    runs = [next(_blocks(prep, model.states.index[x0], seed, n_reps, range(b, b + 1),
+                         prep.horizon(DEFAULT_TAIL_TOL), prep.run_cost, math.inf))
+            for b in range(-(-n_reps // BLOCK))]
+    return np.concatenate([first + flow + impulses for _, _, first, flow, impulses, _ in runs])
+
+
+@pytest.mark.parametrize("case", ["two_state", "two_state_impulse", "desk"])
+def test_lockstep_batches_draw_what_lone_blocks_draw(case, desk_solved, monkeypatch):
+    # Blocks advanced together must give each path the numbers it draws when
+    # its block runs alone.  No pinned floats: np.exp may round differently
+    # on another CPU, but the two runs here share one.
+    if case == "desk":
+        model, report, x0 = desk_solved["model"], desk_solved["report"], "10,1,2"
+    else:
+        model = two_state() if case == "two_state" else load_model(str(MODELS_DIR / "two_state_impulse.yaml"))
+        report, x0 = solve(model), "1"
+    policy, n_reps, seed = report.policy, 3 * BLOCK + 5, 11
+    alone = _blockwise_costs(model, policy, x0, seed, n_reps)
+    assert np.array_equal(_replication_costs(model, policy, x0, seed, n_reps, DEFAULT_TAIL_TOL, range(4)), alone)
+    expected = (float(np.mean(alone)), float(np.std(alone, ddof=1) / math.sqrt(n_reps)))
+    for threads in (1, 2, 3):
+        est = estimate_cost(model, policy, x0, n_reps, seed, threads=threads)
+        assert (est.mean, est.std_error) == expected
+    lockstep = dynkin_check(model, policy, report.V, x0, 1.0, n_reps, seed)
+    monkeypatch.setattr(simulate, "BATCH", 1)
+    one_by_one = dynkin_check(model, policy, report.V, x0, 1.0, n_reps, seed)
+    assert vars(lockstep) == vars(one_by_one)
+    # A call larger than the cap runs in successive batches; the last holds a partial block.
+    monkeypatch.setattr(simulate, "BATCH", 2)
+    n_reps = 5 * BLOCK + 3
+    assert np.array_equal(_replication_costs(model, policy, x0, seed, n_reps, DEFAULT_TAIL_TOL, range(6)),
+                          _blockwise_costs(model, policy, x0, seed, n_reps))
 
 
 def test_block_streams_differ_from_replication_streams():
@@ -176,9 +215,19 @@ def test_argument_validation():
     for t in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="^t must be finite and > 0$"):
             dynkin_check(m, policy, ValueFunction(np.zeros(2)), "1", t, 10, 0)
-    for threads in (0, -3, 1.5):
+    for threads in (0, -3, 1.5, True):
         with pytest.raises(ValueError, match="^threads must be an integer >= 1"):
             estimate_cost(m, policy, "1", BLOCK + 7, seed=0, threads=threads)
+    for n_reps in (2.5, "10", True, 10.0):
+        with pytest.raises(ValueError, match="^n_reps must be an integer >= 2"):
+            estimate_cost(m, policy, "1", n_reps, seed=0)
+        with pytest.raises(ValueError, match="^n_reps must be an integer >= 2"):
+            dynkin_check(m, policy, ValueFunction(np.zeros(2)), "1", 1.0, n_reps, 0)
+    for seed in (2.5, "3", False, -1):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            estimate_cost(m, policy, "1", 10, seed=seed)
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            dynkin_check(m, policy, ValueFunction(np.zeros(2)), "1", 1.0, 10, seed)
     with pytest.raises(ValueError):
         simulate_spaced(m, policy, "1", replication_rng(0, 0), [-0.1])
 
