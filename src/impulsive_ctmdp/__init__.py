@@ -7,69 +7,37 @@ jump-process Monte Carlo, and the epidemic-with-carriers instance with its
 analytic threshold solution.
 """
 
-from ._ops import uniformized_row
-from .bellman import (
-    Direction,
-    NonConvergenceError,
-    SolveReport,
-    StationaryPolicy,
-    ValueFunction,
-    bellman_apply,
-    bellman_residual,
-    evaluate_policy,
-    extract_policy,
-    solve,
-    value_iterate,
-)
-from .epidemic import (
-    CarrierContractionError,
-    CarrierValue,
-    EpidemicParams,
-    analytic_value,
-    build_epidemic_model,
-    lambda_star,
-    solve_carrier_equation,
-    threshold_policy,
-)
-from .intervention import (
-    ChainAnalysis,
-    ImproperChainError,
-    InterventionChain,
-    analyze_chains,
-)
-from .model import (
-    ActionCatalog,
-    CostModel,
-    CtmdpModel,
-    ImpulseKernel,
-    RateKernel,
-    StateSpace,
-    Violation,
-    validate_model,
-)
-from .simulate import (
-    CostEstimate,
-    DynkinReport,
-    Trajectory,
-    dynkin_check,
-    estimate_cost,
-    replication_rng,
-    sample_chain,
-    simulate_spaced,
-    simulate_trajectory,
-)
+import importlib
 
-__all__ = [
-    "ActionCatalog", "CarrierContractionError", "CarrierValue", "ChainAnalysis",
-    "CostEstimate", "CostModel", "CtmdpModel", "Direction", "DynkinReport",
-    "EpidemicParams", "ImproperChainError", "ImpulseKernel", "InterventionChain",
-    "NonConvergenceError", "RateKernel", "SolveReport",
-    "StateSpace", "StationaryPolicy", "Trajectory", "ValueFunction", "Violation",
-    "analytic_value", "analyze_chains", "bellman_apply", "bellman_residual",
-    "build_epidemic_model", "dynkin_check", "estimate_cost", "evaluate_policy",
-    "extract_policy", "lambda_star", "replication_rng", "sample_chain",
-    "simulate_spaced", "simulate_trajectory", "solve", "solve_carrier_equation",
-    "threshold_policy", "uniformized_row", "validate_model", "value_iterate",
-]
+# Each public name and the module that defines it.  A module loads on the
+# first read of one of its names (PEP 562), so a command that only parses
+# and validates never imports scipy or the solver.
+_HOME = {name: module for module, names in {
+    "_ops": "uniformized_row",
+    "bellman": "Direction SolveReport StationaryPolicy ValueFunction bellman_apply bellman_residual "
+               "evaluate_policy extract_policy solve value_iterate",
+    "epidemic": "CarrierContractionError CarrierValue EpidemicParams analytic_value build_epidemic_model "
+                "lambda_star solve_carrier_equation threshold_policy",
+    "errors": "ImproperChainError NonConvergenceError",
+    "intervention": "ChainAnalysis InterventionChain analyze_chains",
+    "model": "ActionCatalog CostModel CtmdpModel ImpulseKernel RateKernel StateSpace Violation validate_model",
+    "simulate": "CostEstimate DynkinReport Trajectory dynkin_check estimate_cost replication_rng sample_chain "
+                "simulate_spaced simulate_trajectory",
+}.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"

@@ -33,9 +33,9 @@ from ._ops import (
     policy_pairs,
     segment_argmin,
 )
+from .errors import DEFAULT_TOL, NonConvergenceError
 from .model import CtmdpModel
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_SET = 1e-8
 ROUNDOFF = 1e-14  # improvement threshold of policy iteration, per unit of K/eta
@@ -129,19 +129,6 @@ class SolveReport:
     residual: float
     gap: float
     evaluations: int
-
-
-class NonConvergenceError(RuntimeError):
-    """No answer within tolerance: an iteration budget exhausted, a policy
-    system singular or off its tolerance, a policy iteration that cycles, or
-    a certified gap above tol.  ``last`` is the last iterate, ``step`` its
-    step, defect or gap."""
-
-    def __init__(self, message: str, last: np.ndarray, step: float, iterations: int):
-        super().__init__(message)
-        self.last = last
-        self.step = step
-        self.iterations = iterations
 
 
 def check_policy(model: CtmdpModel, policy: StationaryPolicy) -> None:

@@ -24,7 +24,6 @@ from typing import Any, NamedTuple
 import yaml
 
 from . import io as mio
-from .bellman import DEFAULT_TOL, NonConvergenceError, solve
 from .epidemic import (
     CarrierContractionError,
     carrier_residual,
@@ -32,9 +31,8 @@ from .epidemic import (
     lambda_star,
     solve_carrier_equation,
 )
-from .intervention import ImproperChainError
-from .model import validate_model
-from .simulate import DEFAULT_TAIL_TOL, dynkin_check, estimate_cost, replication_rng, simulate_trajectory
+from .errors import DEFAULT_TAIL_TOL, DEFAULT_TOL, ImproperChainError, NonConvergenceError
+from .model import CtmdpModel, validate_model
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -158,6 +156,14 @@ def _load_valid_model(cfg: dict[str, Any]):
     return model
 
 
+def solve(model: CtmdpModel, tol: float):
+    """:func:`bellman.solve`, imported on the first call: only the commands
+    that solve or sample load scipy and the solver."""
+    from .bellman import solve
+
+    return solve(model, tol=tol)
+
+
 def _solve_from_x0(cfg: dict[str, Any]):
     """The valid model, its initial state and its solve report."""
     model = _load_valid_model(cfg)
@@ -181,6 +187,8 @@ def _cmd_solve(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_simulate(cfg: dict[str, Any]) -> int:
+    from .simulate import estimate_cost, replication_rng, simulate_trajectory
+
     model, x0, report = _solve_from_x0(cfg)
     est = estimate_cost(model, report.policy, x0, cfg["reps"], cfg["seed"],
                         tail_tol=cfg["tail_tol"], threads=cfg["threads"])
@@ -225,6 +233,8 @@ def _cmd_epidemic_sweep(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_dynkin(cfg: dict[str, Any]) -> int:
+    from .simulate import dynkin_check
+
     model, x0, report = _solve_from_x0(cfg)
     res = dynkin_check(model, report.policy, report.V, x0, cfg["t_horizon"], cfg["reps"], cfg["seed"])
     meta = {

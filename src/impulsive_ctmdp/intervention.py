@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from ._ops import compile_model, per_policy, policy_pairs
 from .bellman import LANDING_ROW_TOL, StationaryPolicy, check_policy
+from .errors import ImproperChainError
 from .model import CtmdpModel
 
 
@@ -60,18 +61,6 @@ class ChainAnalysis:
         e = np.zeros(len(self.states))
         e[k] = 1.0
         return self._system.R.T @ self._system.lu.solve(e, trans="T")
-
-
-class ImproperChainError(RuntimeError):
-    """Impulse chains fail to reach the gradual region.
-
-    Raised when a sampled chain exceeds the guard, or when the chain system
-    of a policy is singular or its landing mass differs from one.
-    """
-
-    def __init__(self, message: str, state: str):
-        super().__init__(message)
-        self.state = state
 
 
 def chain_guard(model: CtmdpModel, policy: StationaryPolicy) -> int:
@@ -136,7 +125,7 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     if system is None:
         return ChainAnalysis(states=(), expected_cost=np.empty(0))
     return ChainAnalysis(
-        states=tuple(model.states.labels[int(x)] for x in system.flagged),
+        states=tuple(map(model.states.labels.__getitem__, system.flagged.tolist())),
         expected_cost=system.lu.solve(system.cost),
         _system=system,
     )

@@ -11,11 +11,10 @@ import csv
 import io as _io
 import sys
 from collections.abc import Iterable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import yaml
 
-from .bellman import SolveReport, StationaryPolicy
 from .epidemic import EpidemicParams
 from .model import (
     ActionCatalog,
@@ -25,7 +24,10 @@ from .model import (
     RateKernel,
     StateSpace,
 )
-from .simulate import Trajectory
+
+if TYPE_CHECKING:
+    from .bellman import SolveReport, StationaryPolicy
+    from .simulate import Trajectory
 
 
 class ModelParseError(ValueError):

@@ -31,10 +31,10 @@ import numpy as np
 
 from ._ops import CompiledModel, compile_model, per_policy, policy_pairs, sample_rows
 from .bellman import StationaryPolicy, ValueFunction
-from .intervention import ImproperChainError, InterventionChain, _chain_system, expected_landing_value
+from .errors import DEFAULT_TAIL_TOL, ImproperChainError
+from .intervention import InterventionChain, _chain_system, expected_landing_value
 from .model import CtmdpModel
 
-DEFAULT_TAIL_TOL = 1e-8
 BLOCK = 1024  # replications per stream; Monte Carlo streams are keyed by (seed, block)
 BATCH = 64    # blocks advanced together at most, which bounds the memory of a call
 
@@ -288,12 +288,19 @@ def _advance(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], horizo
     return flow, impulses
 
 
+def _state_index(model: CtmdpModel, x0: str) -> int:
+    try:
+        return model.states.index[x0]
+    except KeyError:
+        raise ValueError(f"x0 {x0!r} is not a state of the model") from None
+
+
 def _one_path(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.Generator,
               tail_tol: float | None, deltas: list[float] | None = None) -> Trajectory:
     """Record a one-path batch from ``x0``; without ``tail_tol`` it stops after the chain at time 0."""
     prep = _prepare(model, policy)
     horizon = None if tail_tol is None else prep.horizon(tail_tol)
-    k = model.states.index[x0]
+    k = _state_index(model, x0)
     x = np.array([k])
     rec = _Recorder()
     rec.epoch(0.0, k, k, prep.impulsive[k])
@@ -307,7 +314,7 @@ def _one_path(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.rand
 
 def sample_chain(model: CtmdpModel, policy: StationaryPolicy, x: str, rng: np.random.Generator) -> InterventionChain:
     """Sample one intervention chain started at a flagged state."""
-    if not policy.impulsive[model.states.index[x]]:
+    if not policy.impulsive[_state_index(model, x)]:
         raise ValueError(f"state {x!r} is not flagged for intervention under this policy")
     return _one_path(model, policy, x, rng, None).epochs[0].chain
 
@@ -361,7 +368,7 @@ def _check_integer(name: str, value, least: int) -> None:
 def _replication_costs(model: CtmdpModel, policy: StationaryPolicy, x0: str, seed: int,
                        n_reps: int, tail_tol: float, blocks: range) -> np.ndarray:
     prep = _prepare(model, policy)
-    runs = _blocks(prep, model.states.index[x0], seed, n_reps, blocks,
+    runs = _blocks(prep, _state_index(model, x0), seed, n_reps, blocks,
                    prep.horizon(tail_tol), prep.run_cost, math.inf)
     return np.concatenate([first + flow + impulses for _, _, first, flow, impulses, _ in runs])
 
@@ -378,6 +385,7 @@ def estimate_cost(model: CtmdpModel, policy: StationaryPolicy, x0: str, n_reps: 
     _check_integer("n_reps", n_reps, 2)
     _check_integer("seed", seed, 0)
     _check_integer("threads", threads, 1)
+    _state_index(model, x0)  # before any worker starts
     n_blocks = -(-n_reps // BLOCK)
     run = partial(_replication_costs, model, policy, x0, seed, n_reps, tail_tol)
     workers = min(threads, n_blocks)
@@ -408,6 +416,7 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
         raise ValueError("t must be finite and > 0")
     _check_integer("n_reps", n_reps, 2)
     _check_integer("seed", seed, 0)
+    k = _state_index(model, x0)
     prep = _prepare(model, policy)
     eta = prep.comp.eta
     Wv = W.values
@@ -418,7 +427,7 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     lhs = np.empty(n_reps)
     rhs = np.empty(n_reps)
     blocks = range(-(-n_reps // BLOCK))
-    for span, start, _, drift, _, x in _blocks(prep, model.states.index[x0], seed, n_reps, blocks, t, gvec, t):
+    for span, start, _, drift, _, x in _blocks(prep, k, seed, n_reps, blocks, t, gvec, t):
         lhs[span] = math.exp(-eta * t) * Wv[x]
         rhs[span] = Wv[start] + drift
     d = lhs - rhs

@@ -1,4 +1,4 @@
-"""Seeded random model instances for property tests and benchmarks."""
+"""Seeded random model instances for property tests and benchmarks, and model documents."""
 
 from __future__ import annotations
 
@@ -76,3 +76,28 @@ def random_value_vector(seed: int, model: CtmdpModel) -> np.ndarray:
     rng = np.random.default_rng(seed)
     bound = model.K / model.costs.eta
     return rng.uniform(-bound, bound, size=model.states.N)
+
+
+def model_document(m: CtmdpModel) -> str:
+    """``m`` as a model document: every mapping in its own order, floats by ``repr``,
+    so the document parses back to the same tables."""
+    def rows(key, mapping):
+        return [f"  - {{state: {x}, action: {a}, {key}: {{{', '.join(f'{t}: {v!r}' for t, v in row)}}}}}"
+                for (x, a), row in mapping.items()]
+
+    def costs(mapping):
+        return [f"    - {{state: {x}, action: {a}, value: {v!r}}}" for (x, a), v in mapping.items()]
+
+    def section(head, lines):  # an empty list is written [], not left null
+        return [head + ("" if lines else " []")] + lines
+
+    c = m.costs
+    return "\n".join(
+        ["states: [" + ", ".join(m.states.labels) + "]", "gradual_actions:"]
+        + [f"  {x}: [{', '.join(acts)}]" for x, acts in m.actions.gradual.items()]
+        + ["impulsive_actions:"] + [f"  {x}: [{', '.join(acts)}]" for x, acts in m.actions.impulsive.items()]
+        + section("rates:", rows("targets", m.rates.rows))
+        + section("impulse_rows:", rows("distribution", m.impulses.rows))
+        + ["costs:"] + section("  gradual:", costs(c.gradual_cost)) + section("  impulse:", costs(c.impulse_cost))
+        + ["constants:", f"  eta: {c.eta!r}", f"  K_rate: {m.rates.K_rate!r}",
+           f"  K_cost: {c.K_cost!r}", f"  c_lower: {c.c_lower!r}", ""])

@@ -1,0 +1,92 @@
+"""The CLI in fresh interpreters: what each command imports, and its exit codes.
+
+The in-process tests have imported every module by the time they run, so
+neither the lazy package namespace nor the lazily reached exception mapping
+of ``cli.run`` is exercised there.  These tests start a new interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from impulsive_ctmdp.testing import model_document, random_model
+
+from conftest import MODELS_DIR, REPO_ROOT
+
+TWO_STATE = str(MODELS_DIR / "two_state.yaml")
+EPIDEMIC = str(MODELS_DIR / "epidemic_desk.yaml")
+SOLVER_STACK = ("scipy", "impulsive_ctmdp._ops", "impulsive_ctmdp.bellman")
+
+# Runs the CLI module as ``python -m`` does, then reports which of the
+# solver stack's modules were loaded, as the last line of stderr.
+PROBE = """
+import json, runpy, sys
+sys.argv[0] = "impulsive-ctmdp"
+try:
+    runpy.run_module("impulsive_ctmdp.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+heavy = sorted(m for m in sys.modules if m in {stack} or m.split(".")[0] == "scipy")
+print(json.dumps({{"code": code, "heavy": heavy}}), file=sys.stderr)
+""".format(stack=set(SOLVER_STACK))
+
+
+def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path), cwd=cwd,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
+def _probe(*argv: str) -> dict:
+    proc = _python("-c", PROBE, *argv)
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["validate", "--model", TWO_STATE],
+    ["epidemic-solve", "--params", EPIDEMIC],
+    ["epidemic-sweep", "--params", EPIDEMIC],
+], ids=["help", "validate", "epidemic-solve", "epidemic-sweep"])
+def test_light_commands_leave_the_solver_stack_unloaded(argv):
+    assert _probe(*argv) == {"code": 0, "heavy": []}
+
+
+def test_solve_loads_the_solver_stack():
+    # The probe's own check: a command that solves does load the stack.
+    report = _probe("solve", "--model", TWO_STATE)
+    assert report["code"] == 0 and set(SOLVER_STACK) <= set(report["heavy"])
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    code = """
+import impulsive_ctmdp as p
+listed = dir(p)
+assert all(name in listed for name in p.__all__), "dir() misses names"
+assert all(getattr(p, name) is not None for name in p.__all__)
+assert not hasattr(p, "no_such_name")
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _cli_error(tmp_path, *argv: str) -> tuple[int, str]:
+    """Exit code and error type of a failing run; its last stderr line is the JSON record."""
+    proc = _python("-m", "impulsive_ctmdp.cli", *argv, cwd=tmp_path)
+    assert "Traceback" not in proc.stderr
+    record = json.loads(proc.stderr.strip().splitlines()[-1])["error"]
+    assert record["code"] == proc.returncode
+    return proc.returncode, record["type"]
+
+
+def test_exit_codes_in_a_fresh_interpreter(tmp_path):
+    assert _cli_error(tmp_path, "simulate", "--model", TWO_STATE, "--reps", "1.5") == (2, "usage")
+    bad = tmp_path / "nan.yaml"
+    bad.write_text(open(TWO_STATE).read().replace('"0": 1.0', '"0": nan'))
+    assert _cli_error(tmp_path, "solve", "--model", str(bad)) == (3, "validation")
+    doc = tmp_path / "random0.yaml"
+    doc.write_text(model_document(random_model(0)))
+    assert _cli_error(tmp_path, "solve", "--model", str(doc), "--tol", "1e-300") == (4, "non-convergence")

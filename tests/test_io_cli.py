@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from impulsive_ctmdp import cli, extract_policy, solve, validate_model
 from impulsive_ctmdp.bellman import NonConvergenceError
@@ -18,7 +20,7 @@ from impulsive_ctmdp.io import (
     parse_model,
     solve_report_table,
 )
-from impulsive_ctmdp.testing import random_model
+from impulsive_ctmdp.testing import model_document, random_model
 
 from conftest import MODELS_DIR
 
@@ -47,30 +49,10 @@ def test_parse_model_fields_land_where_expected():
     assert m.costs.eta == 1.0
 
 
-def _model_document(m) -> str:
-    """``m`` as a model document: every mapping in its own order, floats by ``repr``."""
-    def rows(key, mapping):
-        return [f"  - {{state: {x}, action: {a}, {key}: {{{', '.join(f'{t}: {v!r}' for t, v in row)}}}}}"
-                for (x, a), row in mapping.items()]
-
-    def costs(mapping):
-        return [f"    - {{state: {x}, action: {a}, value: {v!r}}}" for (x, a), v in mapping.items()]
-
-    c = m.costs
-    return "\n".join(
-        ["states: [" + ", ".join(m.states.labels) + "]", "gradual_actions:"]
-        + [f"  {x}: [{', '.join(acts)}]" for x, acts in m.actions.gradual.items()]
-        + ["impulsive_actions:"] + [f"  {x}: [{', '.join(acts)}]" for x, acts in m.actions.impulsive.items()]
-        + ["rates:"] + rows("targets", m.rates.rows) + ["impulse_rows:"] + rows("distribution", m.impulses.rows)
-        + ["costs:", "  gradual:"] + costs(c.gradual_cost) + ["  impulse:"] + costs(c.impulse_cost)
-        + ["constants:", f"  eta: {c.eta!r}", f"  K_rate: {m.rates.K_rate!r}",
-           f"  K_cost: {c.K_cost!r}", f"  c_lower: {c.c_lower!r}", ""])
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_parsed_random_model_matches_the_built_one(seed):
     built = random_model(seed)
-    parsed = parse_model(_model_document(built))
+    parsed = parse_model(model_document(built))
     for kind in ("gradual_pairs", "impulse_pairs"):
         a, b = getattr(built, kind), getattr(parsed, kind)
         for f in dataclasses.fields(a):
@@ -490,3 +472,94 @@ def test_cli_nan_rate_fails_validation(tmp_path, capsys, command):
     assert cli.run([command, "--model", str(bad)]) == 3
     captured = capsys.readouterr()
     assert "NEGATIVE_RATE" in captured.out + captured.err
+
+
+# --- mutated documents -------------------------------------------------------
+
+class _Pairs(list):
+    """A YAML mapping as a list of [key, value] entries, so that a key can repeat."""
+
+
+def _tree(node):
+    if isinstance(node, dict):
+        return _Pairs([k, _tree(v)] for k, v in node.items())
+    return [_tree(v) for v in node] if isinstance(node, list) else node
+
+
+def _flow(node) -> str:
+    """The tree as one flow-style YAML line; NaN is written as the plain scalar ``NaN``."""
+    if isinstance(node, _Pairs):
+        return "{" + ", ".join(f"{_flow(k)}: {_flow(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_flow, node)) + "]"
+    return json.dumps(node)
+
+
+def _mappings(node, path=()):
+    """Every mapping in the tree with its path of keys and list indices."""
+    if isinstance(node, _Pairs):
+        yield path, node
+    items = node if isinstance(node, _Pairs) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield from _mappings(v, path + (k,))
+
+
+def _entries(tree):
+    return [(path, m, i) for path, m in _mappings(tree) for i in range(len(m))]
+
+
+def _required(path: tuple, key) -> bool:
+    """Whether the document is invalid without this entry.  A rate row may
+    lose a target and stay valid, and the impulse and cost sections may be
+    absent in a model without impulses."""
+    if not path:
+        return key in ("states", "gradual_actions", "rates", "costs", "constants")
+    return path == ("gradual_actions",) or path[-1] in ("constants", "distribution") or isinstance(path[-1], int)
+
+
+def _drop(tree, draw):
+    m, i = draw(st.sampled_from([(m, i) for path, m, i in _entries(tree) if _required(path, m[i][0])]))
+    del m[i]
+
+
+def _repeat(tree, draw):
+    m, i = draw(st.sampled_from([(m, i) for _, m, i in _entries(tree)]))
+    m.insert(i, list(m[i]))
+
+
+def _unknown_key(tree, draw):
+    draw(st.sampled_from([m for _, m in _mappings(tree)])).append(["bogus", 1.0])
+
+
+def _not_a_number(tree, draw):
+    m, i = draw(st.sampled_from([(m, i) for _, m, i in _entries(tree) if type(m[i][1]) is float]))
+    m[i][1] = draw(st.sampled_from(["abc", float("nan")]))
+
+
+def _self_loop(tree, draw):
+    item = dict(draw(st.sampled_from(dict(tree)["rates"])))
+    item["targets"].append([item["state"], 0.5])
+
+
+def _stranger(tree, draw):
+    rows = [m for path, m in _mappings(tree) if path[-1:] in (("targets",), ("distribution",))]
+    draw(st.sampled_from(rows)).append(["nope", 0.5])
+
+
+MUTATIONS = {f.__name__[1:]: f for f in (_drop, _repeat, _unknown_key, _not_a_number, _self_loop, _stranger)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.sampled_from([None, 0, 1, 2, 7]), mutation=st.sampled_from(sorted(MUTATIONS)), data=st.data())
+def test_mutated_documents_exit_2_or_3_with_the_json_record(tmp_path, capsys, seed, mutation, data):
+    # seed None is the shipped two-state document; random model 7 has no impulses.
+    text = TWO_STATE_IMPULSE.read_text() if seed is None else model_document(random_model(seed, max_states=5))
+    tree = _tree(yaml.safe_load(text))
+    MUTATIONS[mutation](tree, data.draw)
+    doc = tmp_path / "mutated.yaml"
+    doc.write_text(_flow(tree))
+    code = cli.run(["solve", "--model", str(doc)])
+    err = capsys.readouterr().err
+    assert code in (2, 3), (mutation, _flow(tree))
+    assert json.loads(err.strip().splitlines()[-1])["error"]["code"] == code

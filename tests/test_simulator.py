@@ -230,6 +230,19 @@ def test_argument_validation():
             dynkin_check(m, policy, ValueFunction(np.zeros(2)), "1", 1.0, 10, seed)
     with pytest.raises(ValueError):
         simulate_spaced(m, policy, "1", replication_rng(0, 0), [-0.1])
+    # An unknown initial state used to surface as a bare KeyError('nope').
+    not_a_state = "^x0 'nope' is not a state of the model$"
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match=not_a_state):
+            estimate_cost(m, policy, "nope", BLOCK + 7, seed=0, threads=threads)
+    with pytest.raises(ValueError, match=not_a_state):
+        dynkin_check(m, policy, ValueFunction(np.zeros(2)), "nope", 1.0, 10, 0)
+    with pytest.raises(ValueError, match=not_a_state):
+        simulate_trajectory(m, policy, "nope", replication_rng(0, 0))
+    with pytest.raises(ValueError, match=not_a_state):
+        simulate_spaced(m, policy, "nope", replication_rng(0, 0), [0.1])
+    with pytest.raises(ValueError, match=not_a_state):
+        sample_chain(m, policy, "nope", replication_rng(0, 0))
 
 
 @pytest.mark.parametrize("n_reps", [1, 0])
