@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import NonConvergenceError
 from .model import CtmdpModel, row_sums
 
 if TYPE_CHECKING:
@@ -62,7 +63,9 @@ def per_policy(build):
     """Memoise ``build(model, policy)`` for as long as the model and the policy live.
 
     Results sit in the model's compiled form, keyed weakly by the policy, so
-    they must not refer to the policy or the model.
+    they must not refer to the policy or the model.  Policies compare by
+    their decisions, so an entry serves every policy equal to the one it was
+    built for, and dies with that one.  A build that raises stores nothing.
     """
     @wraps(build)
     def cached(model: CtmdpModel, policy: StationaryPolicy):
@@ -175,6 +178,21 @@ def uniformized_row(model: CtmdpModel, x: str, a: str) -> np.ndarray:
     row = comp.J[p].toarray().ravel() / comp.K
     row[k] += (comp.K - comp.g_total_rate[p]) / comp.K
     return row
+
+
+def factor(A: sp.spmatrix, system: str):
+    """SuperLU factor of the square matrix ``A``, or None where it is exactly singular.
+    SuperLU running out of memory (``SystemError`` or ``MemoryError``) raises
+    :class:`NonConvergenceError` naming the system and its size."""
+    try:
+        return sp.linalg.splu(A.tocsc())
+    except (SystemError, MemoryError) as exc:
+        n = A.shape[0]
+        raise NonConvergenceError(
+            f"sparse LU of the {n} x {n} {system} ran out of memory ({exc})", np.full(n, np.nan), np.inf, 0,
+        ) from exc
+    except RuntimeError:  # "Factor is exactly singular"
+        return None
 
 
 def policy_pairs(comp: CompiledModel, policy: StationaryPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,8 +28,10 @@ from ._ops import (
     apply_embedded,
     apply_operator,
     compile_model,
+    factor,
     gradual_branch,
     impulsive_branch,
+    per_policy,
     policy_pairs,
     segment_argmin,
 )
@@ -73,14 +75,17 @@ class StationaryPolicy:
     is -1 where the policy waits; elsewhere the policy intervenes, and
     ``impulsive`` (derived) flags that region.  ``phi_g`` is total (on the
     intervene region it is an arbitrary feasible choice and never applied).
-    All three arrays are read-only, and the two passed in are int64 copies,
-    since the simulator and the chain analysis cache on the policy object;
-    entries that are not integers raise ValueError.
+    All three arrays are read-only, and the two passed in are int64 copies;
+    entries that are not integers raise ValueError.  A policy is a value:
+    two policies with the same decisions are equal and hash alike, so what
+    is derived from one (its evaluation, chain factor and sampling tables)
+    serves every equal policy.
     """
 
     phi_g: np.ndarray
     phi_i: np.ndarray
     impulsive: np.ndarray = field(init=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("phi_g", "phi_i"):
@@ -94,6 +99,16 @@ class StationaryPolicy:
         imp = self.phi_i >= 0
         imp.flags.writeable = False
         object.__setattr__(self, "impulsive", imp)
+        object.__setattr__(self, "_hash", hash((self.phi_g.tobytes(), self.phi_i.tobytes())))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StationaryPolicy):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and np.array_equal(self.phi_g, other.phi_g)
+                                 and np.array_equal(self.phi_i, other.phi_i))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __reduce__(self):
         # Unpickled arrays are writable; a worker's copy goes through the constructor.
@@ -225,9 +240,24 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     cost/(K+eta)); flagged states carry the impulse rows at phi_i (B = Q,
     c = impulse cost).  Raises :class:`NonConvergenceError` when the impulsive part of
     the policy does not reach a gradual state with probability one (I - B
-    singular, or exit mass off one by more than ``LANDING_ROW_TOL``), or when
-    the solution's defect |B V + c - V| exceeds ``tol``.
+    singular, or exit mass off one by more than ``LANDING_ROW_TOL``), when
+    SuperLU runs out of memory, or when the solution's defect
+    |B V + c - V| exceeds ``tol``.  The solve is done once per (model,
+    policy) while both live and is shared by equal policies; ``tol`` is
+    checked on every call.
     """
+    V, defect = _evaluation(model, policy)
+    if not defect <= tol:  # also catches a NaN defect
+        raise NonConvergenceError(
+            f"policy evaluation defect {defect} exceeds tol={tol}",
+            V.values, defect, 1,
+        )
+    return V
+
+
+@per_policy
+def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunction, float]:
+    """The policy's value and its defect max |B V + c - V|; see :func:`evaluate_policy`."""
     check_policy(model, policy)
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
@@ -241,24 +271,14 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     # Gradual rows of I - B sum to eta/(K+eta), flagged rows to zero; a proper
     # policy turns that exit mass into probability one at every state.
     exit_mass = np.where(policy.impulsive, 0.0, eta / (K + eta))
-    try:
-        lu = sp.linalg.splu((sp.identity(comp.N, format="csr") - B).tocsc())
-        proper = bool(np.all(np.abs(lu.solve(exit_mass) - 1.0) <= LANDING_ROW_TOL))
-    except RuntimeError:  # I - B is exactly singular
-        proper = False
-    if not proper:
+    lu = factor(sp.identity(comp.N, format="csr") - B, "policy system")
+    if lu is None or not np.all(np.abs(lu.solve(exit_mass) - 1.0) <= LANDING_ROW_TOL):
         raise NonConvergenceError(
             "policy evaluation failed; the impulsive part of the policy never reaches a gradual state",
             np.full(comp.N, np.nan), np.inf, 0,
         )
     V = lu.solve(c)
-    defect = float(np.max(np.abs(B @ V + c - V)))
-    if not defect <= tol:  # also catches a NaN defect
-        raise NonConvergenceError(
-            f"policy evaluation defect {defect} exceeds tol={tol}",
-            V, defect, 1,
-        )
-    return ValueFunction(V)
+    return ValueFunction(V), float(np.max(np.abs(B @ V + c - V)))
 
 
 def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
@@ -275,7 +295,10 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     is a supersolution of both; and impulses cost at least c_lower > 0, so
     that greedy policy has no closed impulse cycle.  Policy iteration then
     alternates :func:`evaluate_policy` with a greedy improvement, and stops
-    when the policy repeats.  The report carries that policy and its value V,
+    when the policy repeats.  Should that policy's gap exceed ``tol`` (at a
+    tie, where the roundoff slack keeps a decision that is worse by about
+    the slack), it goes on improving at slack 0 and stops at the first
+    policy whose gap is within ``tol``.  The report carries that policy and its value V,
     and ``gap`` bounds V - V* >= 0 by U * |T V - V|, where
     U = (K+eta)/eta + 2K/(eta c_lower) bounds the discounted count of
     uniformized steps and impulses.
@@ -311,20 +334,29 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
         if previous is not None and np.array_equal(pick >= n_g, previous >= n_g):
             break
 
-    seen: set[bytes] = set()
-    while pick.tobytes() not in seen:
-        seen.add(pick.tobytes())
+    U = (K + eta) / eta + 2.0 * K / (eta * model.costs.c_lower)
+    seen: set[StationaryPolicy] = set()
+    slack = roundoff
+    while True:
         policy = _as_policy(comp, pick)
+        if policy in seen:
+            raise NonConvergenceError(
+                f"policy iteration cycled after {len(seen)} evaluations", value.values, np.inf, len(seen))
+        seen.add(policy)
         value = evaluate_policy(model, policy, tol)
-        improved, TV = _greedy(comp, value.values, pick, roundoff)
-        if np.array_equal(improved, pick):
+        improved, TV = _greedy(comp, value.values, pick, slack)
+        residual = float(np.max(np.abs(TV - value.values)))
+        gap = U * residual
+        stable = np.array_equal(improved, pick)
+        if stable and slack and not gap <= tol:
+            # A near-tie kept by the roundoff slack leaves the gap above tol:
+            # improve at slack 0 and stop at the first policy that certifies.
+            slack = 0.0
+            improved, _ = _greedy(comp, value.values, pick, slack)
+            stable = np.array_equal(improved, pick)
+        if stable or (not slack and gap <= tol):
             break
         pick = improved
-    else:
-        raise NonConvergenceError(
-            f"policy iteration cycled after {len(seen)} evaluations", value.values, np.inf, len(seen))
-    residual = float(np.max(np.abs(TV - value.values)))
-    gap = ((K + eta) / eta + 2.0 * K / (eta * model.costs.c_lower)) * residual
     if not gap <= tol:
         raise NonConvergenceError(f"certified gap {gap} exceeds tol={tol}", value.values, gap, len(seen))
     return SolveReport(V=value, policy=policy, iterations_above=sweeps, iterations_below=0,

@@ -176,7 +176,7 @@ def _solve_from_x0(cfg: dict[str, Any]):
 def _cmd_validate(cfg: dict[str, Any]) -> int:
     report = validate_model(mio.load_model(cfg["model"]))
     _emit(cfg, {"violations": [str(v) for v in report], "valid": not report}, {})
-    return EXIT_VALIDATION if report else EXIT_OK
+    return _error(EXIT_VALIDATION, "validation", "model validation failed") if report else EXIT_OK
 
 
 def _cmd_solve(cfg: dict[str, Any]) -> int:

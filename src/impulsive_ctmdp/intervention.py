@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._ops import compile_model, per_policy, policy_pairs
+from ._ops import compile_model, factor, per_policy, policy_pairs
 from .bellman import LANDING_ROW_TOL, StationaryPolicy, check_policy
 from .errors import ImproperChainError
 from .model import CtmdpModel
@@ -84,7 +84,8 @@ def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem |
     values, the guard and the simulator share one factor.
 
     Raises :class:`ImproperChainError` when I - M is singular or some chain
-    fails to land with probability one ((I - M) s = R 1 must give s = 1).
+    fails to land with probability one ((I - M) s = R 1 must give s = 1),
+    and :class:`NonConvergenceError` when SuperLU runs out of memory.
     """
     check_policy(model, policy)
     comp = compile_model(model)
@@ -99,11 +100,10 @@ def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem |
     R = sp.csr_matrix((Q.data * ~to_flagged, Q.indices, Q.indptr), shape=Q.shape)
     M.eliminate_zeros()
     R.eliminate_zeros()
-    try:
-        lu = sp.linalg.splu((sp.identity(m, format="csr") - M).tocsc())
-    except RuntimeError as exc:
+    lu = factor(sp.identity(m, format="csr") - M, "chain system")
+    if lu is None:
         raise ImproperChainError(
-            "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[0])]) from exc
+            "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[0])])
     mass = lu.solve(np.asarray(R.sum(axis=1)).ravel())
     bad = np.flatnonzero(~(np.abs(mass - 1.0) <= LANDING_ROW_TOL))
     if bad.size:

@@ -1,9 +1,12 @@
 """Optimality operator, monotone iterations, policy extraction and evaluation."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from impulsive_ctmdp import (
@@ -21,12 +24,19 @@ from impulsive_ctmdp import (
 from impulsive_ctmdp import _ops, bellman, cli
 from impulsive_ctmdp._ops import apply_embedded, apply_operator, compile_model, gradual_branch, impulsive_branch
 from impulsive_ctmdp.bellman import StationaryPolicy, check_policy
-from impulsive_ctmdp.epidemic import build_epidemic_model
+from impulsive_ctmdp.epidemic import (
+    analytic_value,
+    build_epidemic_model,
+    enumerate_states,
+    lambda_star,
+    solve_carrier_equation,
+)
+from impulsive_ctmdp.intervention import analyze_chains
 from impulsive_ctmdp.io import load_epidemic_params
 from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseKernel, RateKernel, StateSpace
 from impulsive_ctmdp.testing import random_model, random_value_vector
 
-from conftest import MODELS_DIR, improper_model, improper_policy, two_state, zero_cost_model
+from conftest import MODELS_DIR, desk_params, improper_model, improper_policy, two_state, zero_cost_model
 from test_model import one_state_model
 
 
@@ -175,11 +185,15 @@ def test_operator_and_evaluation_match_dense_rows(desk_solved):
 
 def test_solve_returns_the_policy_it_certified(desk_solved):
     # V is report.policy's value bit for bit, and extract_policy applies
-    # solve's greedy rule, so at V it gives back that same policy.
+    # solve's greedy rule, so at V it gives back that same policy.  The
+    # evaluation runs on a copy of the model, whose compiled form and
+    # evaluations are its own, so it does not read back solve's.
     cases = [(desk_solved["model"], desk_solved["report"])]
     cases += [(m, solve(m, tol=tol)) for m in map(random_model, range(60)) for tol in (1e-10, 1e-6)]
     for m, report in cases:
-        assert np.array_equal(evaluate_policy(m, report.policy).values, report.V.values)
+        copy = dataclasses.replace(m)
+        assert compile_model(copy) is not compile_model(m)
+        assert np.array_equal(evaluate_policy(copy, report.policy).values, report.V.values)
         policy = extract_policy(m, report.V)
         assert np.array_equal(policy.impulsive, report.policy.impulsive)
         assert np.array_equal(policy.phi_g, report.policy.phi_g)
@@ -223,9 +237,95 @@ def test_evaluate_policy_forced_gradual_is_costlier():
 
 
 def test_evaluate_policy_impulsive_cycle_diverges():
+    # A failed evaluation stores nothing, so it is raised on every call.
     m = improper_model()
-    with pytest.raises(NonConvergenceError):
-        evaluate_policy(m, improper_policy(m))
+    policy = improper_policy(m)
+    for _ in range(2):
+        with pytest.raises(NonConvergenceError, match="never reaches a gradual state"):
+            evaluate_policy(m, policy)
+    assert not compile_model(m).derived.get(policy)
+
+
+def test_policies_compare_by_their_decisions():
+    a = StationaryPolicy(phi_g=[0, 1, 0], phi_i=[-1, -1, 2])
+    same = StationaryPolicy(phi_g=np.array([0.0, 1.0, 0.0]), phi_i=np.array([-1, -1, 2], dtype=np.int32))
+    assert a == same and hash(a) == hash(same) and len({a, same}) == 1
+    others = [StationaryPolicy(phi_g=[0, 0, 0], phi_i=[-1, -1, 2]),
+              StationaryPolicy(phi_g=[0, 1, 0], phi_i=[-1, 0, 2]),
+              StationaryPolicy(phi_g=[0, 1], phi_i=[-1, -1])]
+    for other in others:
+        assert a != other and other != a
+    assert len({a, *others}) == 4
+    assert a != (a.phi_g, a.phi_i) and a != "policy"
+
+
+def test_pipeline_factors_each_system_once(monkeypatch):
+    # solve -> extract_policy -> evaluate_policy -> analyze_chains: the policy
+    # extracted at solve's V equals solve's policy, so the evaluation solve
+    # made serves it; the chain analysis factors its own I - M.
+    factored = []
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    m = build_epidemic_model(load_epidemic_params(str(MODELS_DIR / "epidemic_desk.yaml")))
+    report = solve(m)
+    assert report.evaluations == 1
+    policy = extract_policy(m, report.V)
+    assert policy == report.policy and policy is not report.policy
+    assert evaluate_policy(m, policy) is report.V
+    chains = analyze_chains(m, policy)
+    assert len(chains.states) > 0
+    assert factored == [(m.states.N, m.states.N), (len(chains.states), len(chains.states))]
+
+
+def test_a_cached_evaluation_checks_each_tol():
+    m = random_model(3)
+    policy = solve(m).policy
+    V = evaluate_policy(m, policy)
+    for _ in range(2):
+        with pytest.raises(NonConvergenceError, match="exceeds tol=1e-300") as info:
+            evaluate_policy(m, StationaryPolicy(policy.phi_g, policy.phi_i), tol=1e-300)
+        assert 1e-300 < info.value.step <= bellman.DEFAULT_TOL
+        assert np.array_equal(info.value.last, V.values)
+    assert evaluate_policy(m, policy, tol=info.value.step) is V
+
+
+@pytest.mark.parametrize("failure", [SystemError("Can't expand MemType 1"), MemoryError()])
+def test_lu_memory_failures_are_non_convergence(monkeypatch, capsys, failure):
+    # SuperLU out of memory ended in a traceback with exit 1.
+    m = build_epidemic_model(desk_params(lam=0.05, c_max=4))
+    policy = solve(m).policy  # factored before the failure is armed
+
+    def out_of_memory(*args, **kwargs):
+        raise failure
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", out_of_memory)
+    n, flagged = m.states.N, int(np.count_nonzero(policy.impulsive))
+    assert flagged > 0
+    with pytest.raises(NonConvergenceError, match=f"{flagged} x {flagged} chain system ran out of memory"):
+        analyze_chains(m, policy)
+    wait = StationaryPolicy(phi_g=np.zeros(n, dtype=np.int64), phi_i=np.full(n, -1))
+    with pytest.raises(NonConvergenceError, match=f"{n} x {n} policy system ran out of memory") as info:
+        evaluate_policy(m, wait)
+    assert isinstance(info.value.__cause__, type(failure))
+    assert cli.run(["solve", "--model", str(MODELS_DIR / "two_state.yaml")]) == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["code"] == 4 and "2 x 2 policy system ran out of memory" in err["message"]
+
+
+def test_solve_certifies_at_the_critical_price():
+    # At lambda* waiting and immunizing tie analytically; the roundoff slack
+    # kept a decision about 5e-13 worse, and its gap (2.9e-10) failed tol.
+    params = desk_params()
+    params = dataclasses.replace(params, immunization_cost=lambda_star(params))
+    m = build_epidemic_model(params)
+    report = solve(m)
+    assert report.gap <= 1e-10
+    cv = solve_carrier_equation(params)
+    ref = np.array([analytic_value(params, cv, s, c, i) for s, c, i in enumerate_states(params)])
+    assert np.max(np.abs(report.V.values - ref)) <= report.gap + 1e-12
 
 
 def test_check_policy_rejects_infeasible_flags():

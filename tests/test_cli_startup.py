@@ -87,6 +87,7 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path):
     bad = tmp_path / "nan.yaml"
     bad.write_text(open(TWO_STATE).read().replace('"0": 1.0', '"0": nan'))
     assert _cli_error(tmp_path, "solve", "--model", str(bad)) == (3, "validation")
+    assert _cli_error(tmp_path, "validate", "--model", str(bad)) == (3, "validation")
     doc = tmp_path / "random0.yaml"
     doc.write_text(model_document(random_model(0)))
     assert _cli_error(tmp_path, "solve", "--model", str(doc), "--tol", "1e-300") == (4, "non-convergence")

@@ -186,7 +186,11 @@ def test_cli_validate_bad_model(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(TWO_STATE_IMPULSE.read_text().replace('"0": 1.0\ncosts', '"0": 0.9\ncosts'))
     assert cli.run(["validate", "--model", str(bad)]) == 3
-    assert "ROW_SUM" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "ROW_SUM" in out and "valid: false" in out
+    # The report goes to stdout; the JSON error record ends stderr, as for solve.
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": {"code": 3, "type": "validation", "message": "model validation failed"}}
 
 
 def test_cli_missing_file_is_parse_error(capsys):
@@ -563,3 +567,63 @@ def test_mutated_documents_exit_2_or_3_with_the_json_record(tmp_path, capsys, se
     err = capsys.readouterr().err
     assert code in (2, 3), (mutation, _flow(tree))
     assert json.loads(err.strip().splitlines()[-1])["error"]["code"] == code
+
+
+# Values some converter rejects; each mutation draws one its key's converter rejects.
+_BAD_VALUES = [None, True, -1, 0, 1.5, 1e400, -1e400, float("nan"), "", "abc", "0.1,x", [], [1.5], {"a": 1}]
+
+
+def _valid_entry(key, tmp_path):
+    """A value of ``key`` its converter accepts: the default, or one given here."""
+    given = {"model": str(TWO_STATE), "params": str(EPIDEMIC), "out": str(tmp_path / "out"), "c_max": 5,
+             "x0": "1", "lambdas": [0.1, 0.2]}
+    return key, given.get(key, cli.OPTIONS[key].default)
+
+
+def _rejects(key, value):
+    try:
+        cli.OPTIONS[key].convert(value)
+    except ValueError:
+        return True
+    return False
+
+
+def _write_config(path, entries):
+    def flow(value):
+        return yaml.safe_dump(value, default_flow_style=True).removesuffix("...\n").strip()
+    path.write_text("".join(f"{k}: {flow(v)}\n" for k, v in entries))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=st.lists(st.sampled_from(sorted(cli.OPTIONS)), unique=True, max_size=6),
+       mutation=st.sampled_from(["unknown", "repeat", "value"]), data=st.data())
+def test_mutated_config_files_exit_2_with_the_json_record(tmp_path, capsys, keys, mutation, data):
+    # A valid config of options drawn from cli.OPTIONS, then one invalid entry:
+    # an unknown key, a key given twice (in its other ``-``/``_`` spelling
+    # where it has one), or a value the key's converter rejects.
+    entries = [_valid_entry(k, tmp_path) for k in ["model"] + [k for k in keys if k != "model"]]
+    if mutation == "unknown":
+        name = data.draw(st.sampled_from(sorted(cli.OPTIONS)))
+        entries.insert(data.draw(st.integers(0, len(entries))), (name + "s", 1))
+    elif mutation == "repeat":
+        key, value = data.draw(st.sampled_from(entries))
+        entries.append((key.replace("_", "-") if "_" in key else key, value))
+    else:
+        i = data.draw(st.integers(0, len(entries) - 1))
+        key = entries[i][0]
+        entries[i] = (key, data.draw(st.sampled_from([v for v in _BAD_VALUES if _rejects(key, v)])))
+    config = tmp_path / "config.yaml"
+    _write_config(config, entries)
+    code = cli.run(["validate", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2, config.read_text()
+    assert json.loads(err.strip().splitlines()[-1])["error"]["code"] == 2
+
+
+def test_a_config_of_every_option_is_valid(tmp_path):
+    # The mutation test's starting point: without its mutation it runs.
+    config = tmp_path / "config.yaml"
+    _write_config(config, [_valid_entry(k, tmp_path) for k in cli.OPTIONS])
+    assert cli.run(["validate", "--config", str(config)]) == 0
+    assert "valid: true" in (tmp_path / "out" / "report.yaml").read_text()

@@ -14,6 +14,7 @@ from impulsive_ctmdp import (
     build_epidemic_model,
     dynkin_check,
     estimate_cost,
+    evaluate_policy,
     extract_policy,
     replication_rng,
     sample_chain,
@@ -431,16 +432,22 @@ def test_derived_tables_live_only_as_long_as_their_model_and_policy():
     # The compiled model, chain factor and sampling tables sat in caches of
     # the last 64 models and 32 (model, policy) pairs, which kept every
     # model and policy of a sweep in memory.
+    # Equal policies share one entry: solve's evaluation, the chain factor
+    # and the sampling tables.
     m = build_epidemic_model(desk_params(lam=0.05, c_max=4))
-    policy = solve(m).policy
+    report = solve(m)
+    policy = report.policy
     assert policy.impulsive.any()
     comp = compile_model(m)
     assert compile_model(m) is comp
-    assert analyze_chains(m, policy)._system is analyze_chains(m, policy)._system  # built once
+    equal = StationaryPolicy(policy.phi_g, policy.phi_i)
+    assert evaluate_policy(m, equal) is report.V  # solve's own evaluation
+    assert analyze_chains(m, policy)._system is analyze_chains(m, equal)._system  # built once
     estimate_cost(m, policy, m.states.labels[-1], 50, seed=1)
-    simulate_trajectory(m, policy, m.states.labels[-1], replication_rng(1, 0))
+    simulate_trajectory(m, equal, m.states.labels[-1], replication_rng(1, 0))
+    assert len(comp.derived) == 1 and _prepare(m, equal) is _prepare(m, policy)
     model_ref, policy_ref = weakref.ref(m), weakref.ref(policy)
-    del policy
+    del report, policy, equal
     gc.collect()
     assert policy_ref() is None and len(comp.derived) == 0
     del m
