@@ -35,7 +35,7 @@ from ._ops import (
     policy_pairs,
     segment_argmin,
 )
-from .errors import DEFAULT_TOL, NonConvergenceError
+from .errors import DEFAULT_TOL, ImproperChainError, NonConvergenceError
 from .model import CtmdpModel
 
 DEFAULT_MAX_ITER = 10 ** 6
@@ -168,6 +168,12 @@ def check_policy(model: CtmdpModel, policy: StationaryPolicy) -> None:
     raise ValueError(f"phi_i out of range at state {s!r}")
 
 
+def check_state_values(model: CtmdpModel, name: str, values: np.ndarray) -> None:
+    """Raise ValueError, naming ``name``, unless ``values`` holds one finite value per state."""
+    if values.shape != (model.states.N,) or not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must hold one finite value per state ({model.states.N})")
+
+
 def bellman_apply(model: CtmdpModel, F: ValueFunction) -> ValueFunction:
     """One application of the optimality operator."""
     comp = compile_model(model)
@@ -224,10 +230,9 @@ def extract_policy(model: CtmdpModel, V: ValueFunction, tol_set: float = DEFAULT
 
     A state keeps its best gradual action unless an impulse beats it by more
     than ``tol_set``.  Exact ties go to the gradual branch and then to the
-    lowest catalog index.  A NaN or infinite entry of ``V`` raises ValueError.
+    lowest catalog index.  ``V`` must hold one finite value per state.
     """
-    if not np.all(np.isfinite(V.values)):
-        raise ValueError("V must be finite")
+    check_state_values(model, "V", V.values)
     comp = compile_model(model)
     return _as_policy(comp, _greedy(comp, V.values, slack=tol_set)[0])
 
@@ -238,27 +243,74 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     The value solves V = B V + c.  Gradual states carry the uniformized
     one-step rows at phi_g (B = (J + diag(K - q))/(K+eta), c = running
     cost/(K+eta)); flagged states carry the impulse rows at phi_i (B = Q,
-    c = impulse cost).  Raises :class:`NonConvergenceError` when the impulsive part of
-    the policy does not reach a gradual state with probability one (I - B
-    singular, or exit mass off one by more than ``LANDING_ROW_TOL``), when
-    SuperLU runs out of memory, or when the solution's defect
-    |B V + c - V| exceeds ``tol``.  The solve is done once per (model,
-    policy) while both live and is shared by equal policies; ``tol`` is
-    checked on every call.
+    c = impulse cost).  An improper policy raises :class:`ImproperChainError`
+    from its chain system, before I - B is factored.  Raises
+    :class:`NonConvergenceError` when I - B is singular, when SuperLU runs
+    out of memory, or when the defect |B V + c - V| exceeds ``tol`` > 0.
+    The solve is done once per (model, policy) while both live and is shared
+    by equal policies; ``tol`` is checked on every call.
     """
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     V, defect = _evaluation(model, policy)
     if not defect <= tol:  # also catches a NaN defect
-        raise NonConvergenceError(
-            f"policy evaluation defect {defect} exceeds tol={tol}",
-            V.values, defect, 1,
-        )
+        raise NonConvergenceError(f"policy evaluation defect {defect} exceeds tol={tol}", V.values, defect, 1)
     return V
+
+
+@dataclass(frozen=True, eq=False)
+class _ChainSystem:
+    """A proper policy's relocation rows split at the flagged region: M (flagged
+    to flagged), kept only as the LU factor of I - M, and R (flagged to gradual)."""
+
+    flagged: np.ndarray        # (m,) flagged state indices
+    expected_cost: np.ndarray  # (m,) W = (I - M)^-1 c, read-only
+    R: sp.csr_matrix           # (m, N), zero on flagged columns
+    lu: object                 # SuperLU of I - M
+    guard: int                 # step cap of a sampled chain
+
+
+@per_policy
+def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem | None:
+    """Check the policy, split its impulse rows, factorise I - M and solve the
+    expected chain cost; None when nothing is flagged.  Kept per (model,
+    policy) while both live, so the evaluation, the chain analysis, landing
+    values, the guard and the simulator share one factor.
+
+    Raises :class:`ImproperChainError` when I - M is singular or some chain
+    fails to land with probability one ((I - M) s = R 1 must give s = 1),
+    and :class:`NonConvergenceError` when SuperLU runs out of memory.
+    """
+    check_policy(model, policy)
+    comp = compile_model(model)
+    _, flagged, i_rows = policy_pairs(comp, policy)
+    if not flagged.size:
+        return None
+    Q, m, labels = comp.Q_imp[i_rows], flagged.size, model.states.labels
+    to_flagged = policy.impulsive[Q.indices]
+    M = sp.csr_matrix((Q.data * to_flagged, Q.indices, Q.indptr), shape=Q.shape)[:, flagged]
+    R = sp.csr_matrix((Q.data * ~to_flagged, Q.indices, Q.indptr), shape=Q.shape)
+    M.eliminate_zeros()
+    R.eliminate_zeros()
+    lu = factor(sp.identity(m, format="csr") - M, "chain system")
+    if lu is None:
+        raise ImproperChainError(
+            "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[0])])
+    mass = lu.solve(np.asarray(R.sum(axis=1)).ravel())
+    bad = np.flatnonzero(~(np.abs(mass - 1.0) <= LANDING_ROW_TOL))
+    if bad.size:
+        raise ImproperChainError(
+            f"landing distribution row sums to {mass[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
+    W = lu.solve(comp.i_cost[i_rows])
+    W.flags.writeable = False
+    steps = float(np.max(lu.solve(np.ones(m))))
+    return _ChainSystem(flagged, W, R, lu, math.ceil(40.0 * math.e * steps))
 
 
 @per_policy
 def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunction, float]:
     """The policy's value and its defect max |B V + c - V|; see :func:`evaluate_policy`."""
-    check_policy(model, policy)
+    _chain_system(model, policy)  # checks the policy and its properness
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
     g_rows, flagged, i_rows = policy_pairs(comp, policy)
@@ -268,15 +320,9 @@ def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunct
     uniformized = (comp.J[g_rows] + sp.diags(K - comp.g_total_rate[g_rows])) / (K + eta)
     B = sp.vstack([uniformized, comp.Q_imp[i_rows]], format="csr")[pick]
     c = np.concatenate([comp.g_cost[g_rows] / (K + eta), comp.i_cost[i_rows]])[pick]
-    # Gradual rows of I - B sum to eta/(K+eta), flagged rows to zero; a proper
-    # policy turns that exit mass into probability one at every state.
-    exit_mass = np.where(policy.impulsive, 0.0, eta / (K + eta))
     lu = factor(sp.identity(comp.N, format="csr") - B, "policy system")
-    if lu is None or not np.all(np.abs(lu.solve(exit_mass) - 1.0) <= LANDING_ROW_TOL):
-        raise NonConvergenceError(
-            "policy evaluation failed; the impulsive part of the policy never reaches a gradual state",
-            np.full(comp.N, np.nan), np.inf, 0,
-        )
+    if lu is None:
+        raise NonConvergenceError("policy evaluation failed; I - B is singular", np.full(comp.N, np.nan), np.inf, 0)
     V = lu.solve(c)
     return ValueFunction(V), float(np.max(np.abs(B @ V + c - V)))
 
@@ -303,11 +349,12 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     U = (K+eta)/eta + 2K/(eta c_lower) bounds the discounted count of
     uniformized steps and impulses.
 
-    A returned report always has ``gap <= tol``.  Anything else raises
-    :class:`NonConvergenceError`: a failed evaluation as it is, a policy that
-    cycles, a warm start that would pass ``DEFAULT_MAX_ITER`` sweeps, and a
-    certificate above ``tol`` (with ``last`` the policy's V and ``step`` its
-    ``gap``; a ``tol`` below the roundoff floor ends here).
+    A returned report always has ``gap <= tol``.  A failed evaluation is
+    raised as it is; no greedy policy on a valid model is improper.  Anything
+    else raises :class:`NonConvergenceError`: a policy that cycles, a warm
+    start that would pass ``DEFAULT_MAX_ITER`` sweeps, and a certificate
+    above ``tol`` (with ``last`` the policy's V and ``step`` its ``gap``; a
+    ``tol`` below the roundoff floor ends here).
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")

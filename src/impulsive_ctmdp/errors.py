@@ -13,10 +13,10 @@ DEFAULT_TAIL_TOL = 1e-8  # discounted cost a Monte Carlo path may leave unsample
 
 
 class NonConvergenceError(RuntimeError):
-    """No answer within tolerance: an iteration budget exhausted, a policy
-    system singular or off its tolerance, a policy iteration that cycles, or
-    a certified gap above tol.  ``last`` is the last iterate, ``step`` its
-    step, defect or gap."""
+    """No answer within tolerance: an iteration budget exhausted, a proper
+    policy's system singular, out of memory or off its tolerance, a policy
+    iteration that cycles, or a certified gap above tol.  ``last`` is the
+    last iterate, ``step`` its step, defect or gap."""
 
     def __init__(self, message: str, last: np.ndarray, step: float, iterations: int):
         super().__init__(message)
@@ -29,7 +29,8 @@ class ImproperChainError(RuntimeError):
     """Impulse chains fail to reach the gradual region.
 
     Raised when a sampled chain exceeds the guard, or when the chain system
-    of a policy is singular or its landing mass differs from one.
+    of a policy, which its evaluation asks first, is singular or its landing
+    mass differs from one.
     """
 
     def __init__(self, message: str, state: str):

@@ -30,9 +30,9 @@ from functools import partial
 import numpy as np
 
 from ._ops import CompiledModel, compile_model, per_policy, policy_pairs, sample_rows
-from .bellman import StationaryPolicy, ValueFunction
+from .bellman import StationaryPolicy, ValueFunction, _chain_system, check_state_values
 from .errors import DEFAULT_TAIL_TOL, ImproperChainError
-from .intervention import InterventionChain, _chain_system, expected_landing_value
+from .intervention import InterventionChain, expected_landing_value
 from .model import CtmdpModel
 
 BLOCK = 1024  # replications per stream; Monte Carlo streams are keyed by (seed, block)
@@ -135,7 +135,7 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
         imp_hi=imp_hi,
         imp_cost=imp_cost,
         guard=0 if system is None else system.guard,
-        chain_cost_bound=0.0 if system is None else float(np.max(system.lu.solve(system.cost))),
+        chain_cost_bound=0.0 if system is None else float(np.max(system.expected_cost)),
     )
 
 
@@ -411,15 +411,17 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     closed-form drift integral along the same trajectory.  Both sides share
     common random numbers, so the reported standard error is that of the
     paired difference.  Replications run in blocks as in :func:`estimate_cost`.
+    ``W`` must hold one finite value per state.
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and > 0")
     _check_integer("n_reps", n_reps, 2)
     _check_integer("seed", seed, 0)
     k = _state_index(model, x0)
+    Wv = W.values
+    check_state_values(model, "W", Wv)
     prep = _prepare(model, policy)
     eta = prep.comp.eta
-    Wv = W.values
     # Per-state drift rate: discounting decay plus jump-and-intervene flux.
     flux = prep.comp.J[prep.g_rows] @ expected_landing_value(model, policy, Wv)
     gvec = -eta * Wv + flux - Wv * prep.total_rate

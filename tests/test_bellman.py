@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from impulsive_ctmdp import (
     Direction,
+    ImproperChainError,
     NonConvergenceError,
     ValueFunction,
     bellman_apply,
@@ -85,11 +86,15 @@ def test_value_iterate_rejects_bad_arguments():
         value_iterate(m, Direction.FROM_BELOW, tol=0.0)
     with pytest.raises(ValueError):
         value_iterate(m, Direction.FROM_BELOW, max_iter=0)
-    for bad in (0.0, float("nan")):
+    policy = solve(m).policy
+    for bad in (0.0, float("nan"), -1.0):
         with pytest.raises(ValueError, match="tol"):
             value_iterate(m, Direction.FROM_ABOVE, tol=bad)
         with pytest.raises(ValueError, match="tol"):
             solve(m, tol=bad)
+        # evaluate_policy raised NonConvergenceError("defect 0.0 exceeds tol=-1.0") and took tol=0.
+        with pytest.raises(ValueError, match="^tol must be > 0$"):
+            evaluate_policy(m, policy, tol=bad)
 
 
 def test_value_iterate_nonconvergence_carries_state():
@@ -222,9 +227,10 @@ def test_extract_policy_is_greedy_at_any_value_vector():
 
 def test_extract_policy_rejects_a_non_finite_value_vector():
     m = two_state(lam=0.3)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="^V must be finite$"):
-            extract_policy(m, ValueFunction(np.array([0.0, bad])))
+    # A V of the wrong length failed inside numpy ("operands could not be broadcast").
+    for bad in (np.array([0.0, math.nan]), np.array([0.0, math.inf]), np.zeros(1), np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match=r"^V must hold one finite value per state \(2\)$"):
+            extract_policy(m, ValueFunction(bad))
 
 
 def test_evaluate_policy_forced_gradual_is_costlier():
@@ -237,13 +243,50 @@ def test_evaluate_policy_forced_gradual_is_costlier():
 
 
 def test_evaluate_policy_impulsive_cycle_diverges():
-    # A failed evaluation stores nothing, so it is raised on every call.
+    # Contract change: the chain system decides properness for the evaluation,
+    # which used to raise NonConvergenceError.  A failed evaluation stores
+    # nothing, so it is raised on every call.
     m = improper_model()
     policy = improper_policy(m)
     for _ in range(2):
-        with pytest.raises(NonConvergenceError, match="never reaches a gradual state"):
+        with pytest.raises(ImproperChainError, match="never reach a gradual state"):
             evaluate_policy(m, policy)
     assert not compile_model(m).derived.get(policy)
+
+
+def counting_splu(monkeypatch) -> list:
+    """Shapes of the matrices factored from now on."""
+    factored = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    return factored
+
+
+@pytest.mark.parametrize("leak", [0.0, 1e-13])
+def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak):
+    # The 2-cycle of improper_model, exact and leaking 1e-13 per impulse,
+    # plus a third state that waits: only the 2 x 2 chain system is
+    # factored, never the 3 x 3 policy system.
+    base = improper_model()
+    m = dataclasses.replace(
+        base,
+        states=StateSpace(("x", "y", "z")),
+        actions=ActionCatalog(gradual={**base.actions.gradual, "z": ("wait",)},
+                              impulsive={**base.actions.impulsive, "z": ()}),
+        rates=RateKernel(rows={**base.rates.rows, ("z", "wait"): ()}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={("x", "swap"): (("y", 1.0 - leak),), ("y", "swap"): (("x", 1.0 - leak),)}),
+        costs=dataclasses.replace(base.costs, gradual_cost={**base.costs.gradual_cost, ("z", "wait"): 0.0}),
+    )
+    policy = StationaryPolicy(phi_g=[0, 0, 0], phi_i=[0, 0, -1])
+    factored = counting_splu(monkeypatch)
+    with pytest.raises(ImproperChainError) as info:
+        evaluate_policy(m, policy)
+    assert info.value.state in ("x", "y")
+    assert factored == [(2, 2)]
 
 
 def test_policies_compare_by_their_decisions():
@@ -262,14 +305,9 @@ def test_policies_compare_by_their_decisions():
 def test_pipeline_factors_each_system_once(monkeypatch):
     # solve -> extract_policy -> evaluate_policy -> analyze_chains: the policy
     # extracted at solve's V equals solve's policy, so the evaluation solve
-    # made serves it; the chain analysis factors its own I - M.
-    factored = []
-
-    def counting_splu(A, *args, **kwargs):
-        factored.append(A.shape)
-        return splu(A, *args, **kwargs)
-    splu = scipy.sparse.linalg.splu
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    # made serves it, and so does the I - M it factored first to check the
+    # policy's properness.
+    factored = counting_splu(monkeypatch)
     m = build_epidemic_model(load_epidemic_params(str(MODELS_DIR / "epidemic_desk.yaml")))
     report = solve(m)
     assert report.evaluations == 1
@@ -278,7 +316,7 @@ def test_pipeline_factors_each_system_once(monkeypatch):
     assert evaluate_policy(m, policy) is report.V
     chains = analyze_chains(m, policy)
     assert len(chains.states) > 0
-    assert factored == [(m.states.N, m.states.N), (len(chains.states), len(chains.states))]
+    assert factored == [(len(chains.states), len(chains.states)), (m.states.N, m.states.N)]
 
 
 def test_a_cached_evaluation_checks_each_tol():
@@ -304,8 +342,9 @@ def test_lu_memory_failures_are_non_convergence(monkeypatch, capsys, failure):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", out_of_memory)
     n, flagged = m.states.N, int(np.count_nonzero(policy.impulsive))
     assert flagged > 0
+    # solve has factored this policy's chain system for m; a copy of the model starts afresh.
     with pytest.raises(NonConvergenceError, match=f"{flagged} x {flagged} chain system ran out of memory"):
-        analyze_chains(m, policy)
+        analyze_chains(dataclasses.replace(m), policy)
     wait = StationaryPolicy(phi_g=np.zeros(n, dtype=np.int64), phi_i=np.full(n, -1))
     with pytest.raises(NonConvergenceError, match=f"{n} x {n} policy system ran out of memory") as info:
         evaluate_policy(m, wait)

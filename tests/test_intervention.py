@@ -8,7 +8,6 @@ import pytest
 
 from impulsive_ctmdp import (
     ImproperChainError,
-    NonConvergenceError,
     analyze_chains,
     evaluate_policy,
     extract_policy,
@@ -16,7 +15,7 @@ from impulsive_ctmdp import (
     solve,
 )
 from impulsive_ctmdp.intervention import chain_guard, expected_landing_value
-from impulsive_ctmdp.simulate import replication_rng
+from impulsive_ctmdp.simulate import _prepare, replication_rng
 from impulsive_ctmdp.testing import random_model
 from impulsive_ctmdp.bellman import StationaryPolicy
 from impulsive_ctmdp.model import (
@@ -111,8 +110,21 @@ def test_leaky_impulse_cycle_is_improper():
         analyze_chains(m, policy)
     with pytest.raises(ImproperChainError):
         expected_landing_value(m, policy, np.zeros(2))
-    with pytest.raises(NonConvergenceError):
+    # Contract change: evaluate_policy asks the same chain system, so it no
+    # longer raises NonConvergenceError here.
+    with pytest.raises(ImproperChainError):
         evaluate_policy(m, policy)
+
+
+def test_expected_cost_is_solved_once():
+    # analyze_chains solved (I - M)^-1 c on each call, and the simulator's
+    # tables solved it again for their chain-cost bound.
+    m = geometric_model()
+    policy = flag_all(m)
+    W = analyze_chains(m, policy).expected_cost
+    assert not W.flags.writeable
+    assert analyze_chains(m, StationaryPolicy(policy.phi_g, policy.phi_i)).expected_cost is W
+    assert _prepare(m, policy).chain_cost_bound == float(np.max(W)) == W[0]
 
 
 def test_analyze_deterministic_one_step():

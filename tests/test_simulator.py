@@ -270,6 +270,18 @@ def test_tail_tol_is_checked_by_the_engine(bad):
         simulate_spaced(m, policy, "1", replication_rng(0, 0), [math.nan])
 
 
+def test_dynkin_check_rejects_a_bad_value_vector(desk_solved):
+    # One NaN in W gave rhs = diff = nan without a word; a W of the wrong
+    # length failed inside numpy ("matmul: dimension mismatch").
+    m, policy, V = desk_solved["model"], desk_solved["policy"], desk_solved["report"].V.values
+    x0 = m.states.labels[0]
+    nan = V.copy()
+    nan[5] = math.nan
+    for bad in (nan, V[:-1], np.append(V, 0.0)):
+        with pytest.raises(ValueError, match=rf"^W must hold one finite value per state \({m.states.N}\)$"):
+            dynkin_check(m, policy, ValueFunction(bad), x0, 1.0, 10, 0)
+
+
 def test_dynkin_zero_function_is_exact():
     m = two_state()
     _, policy = solved(m)
