@@ -24,6 +24,9 @@ class NonConvergenceError(RuntimeError):
         self.step = step
         self.iterations = iterations
 
+    def __reduce__(self):  # so a worker process can hand it back
+        return type(self), (self.args[0], self.last, self.step, self.iterations)
+
 
 class ImproperChainError(RuntimeError):
     """Impulse chains fail to reach the gradual region.
@@ -36,3 +39,6 @@ class ImproperChainError(RuntimeError):
     def __init__(self, message: str, state: str):
         super().__init__(message)
         self.state = state
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.state)

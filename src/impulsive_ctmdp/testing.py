@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .model import (
@@ -79,23 +81,25 @@ def random_value_vector(seed: int, model: CtmdpModel) -> np.ndarray:
 
 
 def model_document(m: CtmdpModel) -> str:
-    """``m`` as a model document: every mapping in its own order, floats by ``repr``,
-    so the document parses back to the same tables."""
+    """``m`` as a model document: every mapping in its own order, labels and
+    actions quoted, floats by ``repr``, so the document parses back to the same tables."""
+    q = json.dumps  # JSON strings and lists of them are YAML flow scalars and sequences
+
     def rows(key, mapping):
-        return [f"  - {{state: {x}, action: {a}, {key}: {{{', '.join(f'{t}: {v!r}' for t, v in row)}}}}}"
+        return [f"  - {{state: {q(x)}, action: {q(a)}, {key}: {{{', '.join(f'{q(t)}: {v!r}' for t, v in row)}}}}}"
                 for (x, a), row in mapping.items()]
 
     def costs(mapping):
-        return [f"    - {{state: {x}, action: {a}, value: {v!r}}}" for (x, a), v in mapping.items()]
+        return [f"    - {{state: {q(x)}, action: {q(a)}, value: {v!r}}}" for (x, a), v in mapping.items()]
 
     def section(head, lines):  # an empty list is written [], not left null
         return [head + ("" if lines else " []")] + lines
 
     c = m.costs
     return "\n".join(
-        ["states: [" + ", ".join(m.states.labels) + "]", "gradual_actions:"]
-        + [f"  {x}: [{', '.join(acts)}]" for x, acts in m.actions.gradual.items()]
-        + ["impulsive_actions:"] + [f"  {x}: [{', '.join(acts)}]" for x, acts in m.actions.impulsive.items()]
+        ["states: " + q(m.states.labels), "gradual_actions:"]
+        + [f"  {q(x)}: {q(acts)}" for x, acts in m.actions.gradual.items()]
+        + ["impulsive_actions:"] + [f"  {q(x)}: {q(acts)}" for x, acts in m.actions.impulsive.items()]
         + section("rates:", rows("targets", m.rates.rows))
         + section("impulse_rows:", rows("distribution", m.impulses.rows))
         + ["costs:"] + section("  gradual:", costs(c.gradual_cost)) + section("  impulse:", costs(c.impulse_cost))

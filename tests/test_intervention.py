@@ -241,3 +241,27 @@ def test_empty_flag_set_yields_empty_analysis():
     ana = analyze_chains(m, policy)
     assert ana.states == ()
     assert ana.expected_cost.size == 0
+
+
+def test_sure_chains_agree_with_the_chain_system(desk_solved):
+    # Immunizing one susceptible relocates to one state, so every desk chain is sure.
+    m, policy = desk_solved["model"], desk_solved["report"].policy
+    prep, ana = _prepare(m, policy), analyze_chains(m, policy)
+    flagged = np.flatnonzero(policy.impulsive)
+    assert flagged.size == len(ana.states) > 0
+    land, length = prep.sure_land[flagged], prep.sure_len[flagged]
+    assert (land >= 0).all() and not policy.impulsive[land].any()
+    assert np.all(np.abs(prep.sure_cost[flagged] - ana.expected_cost) <= 1e-12)
+    for k in range(flagged.size):
+        row = ana.landing_row(k)
+        row[land[k]] -= 1.0
+        assert np.abs(row).max() <= 1e-12
+    assert length.min() >= 1 and length.max() <= chain_guard(m, policy) / (40 * math.e)
+    gradual = ~policy.impulsive
+    assert (prep.sure_land[gradual] == -1).all() and (prep.sure_len[gradual] == -1).all()
+
+
+def test_a_chain_with_a_two_target_row_is_not_sure():
+    m = geometric_model(p_stay=0.999)
+    prep = _prepare(m, flag_all(m))
+    assert prep.sure_land.tolist() == prep.sure_len.tolist() == [-1, -1]

@@ -1,7 +1,9 @@
 """Trajectory sampling, cost estimation, the martingale identity, spaced impulses."""
 
+import dataclasses
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from impulsive_ctmdp import (
+    ImproperChainError,
+    NonConvergenceError,
     ValueFunction,
     analyze_chains,
     build_epidemic_model,
@@ -30,7 +34,15 @@ from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseK
 from impulsive_ctmdp.simulate import BLOCK, DEFAULT_TAIL_TOL, _block_rng, _blocks, _prepare, _replication_costs
 from impulsive_ctmdp.testing import random_model
 
-from conftest import MODELS_DIR, desk_params, geometric_model, improper_policy, two_state, zero_cost_model
+from conftest import (
+    MODELS_DIR,
+    desk_params,
+    geometric_model,
+    improper_model,
+    improper_policy,
+    two_state,
+    zero_cost_model,
+)
 
 
 def solved(model):
@@ -128,6 +140,104 @@ def test_lockstep_batches_draw_what_lone_blocks_draw(case, desk_solved, monkeypa
     n_reps = 5 * BLOCK + 3
     assert np.array_equal(_replication_costs(model, policy, x0, seed, n_reps, DEFAULT_TAIL_TOL, range(6)),
                           _blockwise_costs(model, policy, x0, seed, n_reps))
+
+
+def force_stepping(monkeypatch):
+    """Make every chain step: ``_prepare`` gives tables whose sure chains are all -1."""
+    prepare = simulate._prepare
+
+    def stepping(model, policy):
+        prep = prepare(model, policy)
+        none = np.full(prep.comp.N, -1)
+        return dataclasses.replace(prep, sure_land=none, sure_cost=none.astype(float), sure_len=none)
+    monkeypatch.setattr(simulate, "_prepare", stepping)
+
+
+def count_lookups(monkeypatch) -> list[int]:
+    """Count the batches whose chains land by lookup."""
+    calls = [0]
+    discard = simulate._discard
+
+    def counted(*args):
+        calls[0] += 1
+        discard(*args)
+    monkeypatch.setattr(simulate, "_discard", counted)
+    return calls
+
+
+def mixed_chains() -> tuple[CtmdpModel, StationaryPolicy]:
+    """Flagged a -> b -> g2 is a sure chain; c samples g1 or g2; d -> c is a
+    sure step into that two-target row, so a chain from d is not sure."""
+    labels = ("g1", "g2", "a", "b", "c", "d")
+    m = CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={s: ("wait",) for s in labels},
+                              impulsive={s: ("go",) if s in "abcd" else () for s in labels}),
+        rates=RateKernel(rows={("g1", "wait"): (("a", 1.0), ("d", 0.3)), ("g2", "wait"): (("g1", 1.0), ("c", 0.2)),
+                               **{(s, "wait"): () for s in "abcd"}}, K_rate=1.5),
+        impulses=ImpulseKernel(rows={("a", "go"): (("b", 1.0),), ("b", "go"): (("g2", 1.0),),
+                                     ("c", "go"): (("g1", 0.5), ("g2", 0.5)), ("d", "go"): (("c", 1.0),)}),
+        costs=CostModel(gradual_cost={(s, "wait"): {"g1": 1.0, "g2": 0.5}.get(s, 0.0) for s in labels},
+                        impulse_cost={("a", "go"): 0.3, ("b", "go"): 0.4, ("c", "go"): 0.5, ("d", "go"): 0.6},
+                        eta=1.0, K_cost=1.0, c_lower=0.3),
+    )
+    return m, improper_policy(m)
+
+
+def test_mixed_chain_table():
+    m, policy = mixed_chains()
+    prep = _prepare(m, policy)
+    assert prep.sure_land.tolist() == [-1, -1, 1, 1, -1, -1]
+    assert prep.sure_len.tolist() == [-1, -1, 2, 1, -1, -1]
+    assert prep.sure_cost.tolist() == [-1.0, -1.0, 0.3 + 0.4, 0.4, -1.0, -1.0]
+
+
+def _stream_runs(model, policy, V, x0s, threads=(1,)):
+    n_reps = 3 * BLOCK + 5
+    out = [(x0, k, vars(estimate_cost(model, policy, x0, n_reps, seed=13, threads=k))) for x0 in x0s for k in threads]
+    return out + [(x0, vars(dynkin_check(model, policy, V, x0, 1.0, n_reps, seed=14))) for x0 in x0s]
+
+
+@pytest.mark.parametrize("case", ["desk", "mixed"])
+def test_resolved_chains_draw_what_stepped_chains_draw(case, desk_solved, monkeypatch):
+    # A sure chain lands by lookup and its block's stream takes the uniforms
+    # the steps would take, so estimates match the stepped ones bit for bit.
+    if case == "desk":
+        model, policy, V = desk_solved["model"], desk_solved["report"].policy, desk_solved["report"].V
+        x0s, threads = ["10,1,2"], (1, 2)
+        flagged = policy.impulsive
+        assert flagged.any() and (_prepare(model, policy).sure_land[flagged] >= 0).all()
+    else:
+        model, policy = mixed_chains()
+        V, x0s, threads = evaluate_policy(model, policy), ["g1", "a", "d"], (1,)
+    lookups = count_lookups(monkeypatch)
+    resolved = _stream_runs(model, policy, V, x0s, threads)
+    assert lookups[0] > 0
+    force_stepping(monkeypatch)
+    lookups[0] = 0
+    assert _stream_runs(model, policy, V, x0s, threads) == resolved
+    assert lookups[0] == 0
+
+
+def test_errors_survive_a_pickle_round_trip():
+    chain = ImproperChainError("chain exceeded the 9-step guard", "x")
+    back = pickle.loads(pickle.dumps(chain))
+    assert type(back) is ImproperChainError and str(back) == str(chain) and back.state == "x"
+    stuck = NonConvergenceError("no fixed point", np.array([1.0, np.nan]), 0.5, 7)
+    back = pickle.loads(pickle.dumps(stuck))
+    assert type(back) is NonConvergenceError and str(back) == str(stuck)
+    assert np.array_equal(back.last, stuck.last, equal_nan=True) and (back.step, back.iterations) == (0.5, 7)
+
+
+def test_a_worker_failure_reaches_the_caller():
+    # It reached the caller as BrokenProcessPool, since the error did not unpickle.
+    m = improper_model()
+    raised = []
+    for threads in (1, 2):
+        with pytest.raises(ImproperChainError) as err:
+            estimate_cost(m, improper_policy(m), "x", 2 * BLOCK + 3, seed=0, threads=threads)
+        raised.append((str(err.value), err.value.state))
+    assert raised[0] == raised[1]
 
 
 def test_block_streams_differ_from_replication_streams():
