@@ -14,13 +14,14 @@ import importlib
 # and validates never imports scipy or the solver.
 _HOME = {name: module for module, names in {
     "_ops": "uniformized_row",
-    "bellman": "Direction SolveReport StationaryPolicy ValueFunction bellman_apply bellman_residual "
+    "bellman": "Direction SolveReport ValueFunction bellman_apply bellman_residual "
                "evaluate_policy extract_policy solve value_iterate",
     "epidemic": "CarrierContractionError CarrierValue EpidemicParams analytic_value build_epidemic_model "
                 "lambda_star solve_carrier_equation threshold_policy",
     "errors": "ImproperChainError NonConvergenceError",
     "intervention": "ChainAnalysis InterventionChain analyze_chains",
-    "model": "ActionCatalog CostModel CtmdpModel ImpulseKernel RateKernel StateSpace Violation validate_model",
+    "model": "ActionCatalog CostModel CtmdpModel ImpulseKernel RateKernel StateSpace StationaryPolicy Violation "
+             "validate_model",
     "simulate": "CostEstimate DynkinReport Trajectory dynkin_check estimate_cost replication_rng sample_chain "
                 "simulate_spaced simulate_trajectory",
 }.items() for name in names.split()}

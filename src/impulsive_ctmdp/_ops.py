@@ -14,16 +14,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import wraps
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonConvergenceError
-from .model import CtmdpModel, row_sums
-
-if TYPE_CHECKING:
-    from .bellman import StationaryPolicy
+from .model import CtmdpModel, StationaryPolicy, row_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,6 +189,28 @@ def factor(A: sp.spmatrix, system: str):
         ) from exc
     except RuntimeError:  # "Factor is exactly singular"
         return None
+
+
+def check_policy(model: CtmdpModel, policy: StationaryPolicy) -> None:
+    """Raise ValueError if the policy is infeasible for the model, naming the
+    first offending state in model order."""
+    st = model.states
+    if policy.phi_i.shape != (st.N,) or policy.phi_g.shape != (st.N,):
+        raise ValueError("policy arrays do not match the state count")
+    comp = compile_model(model)
+    n_imp = np.diff(model.impulse_pairs.ptr)
+    bad_g = ~((policy.phi_g >= 0) & (policy.phi_g < np.diff(comp.g_ptr)))
+    bad_i = (policy.phi_i < -1) | (policy.phi_i >= n_imp)
+    bad = np.flatnonzero(bad_g | bad_i)
+    if not bad.size:
+        return
+    x = int(bad[0])
+    s = st.labels[x]
+    if bad_g[x]:
+        raise ValueError(f"phi_g out of range at state {s!r}")
+    if policy.impulsive[x] and n_imp[x] == 0:
+        raise ValueError(f"state {s!r} flagged for intervention but has no impulsive action")
+    raise ValueError(f"phi_i out of range at state {s!r}")
 
 
 def policy_pairs(comp: CompiledModel, policy: StationaryPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,14 +11,16 @@ the embedded jump chain's operator from above (no self-loop, so each state
 contracts at its own rate q/(eta+q)).  :func:`value_iterate` is the
 reference those monotone iterations define; :func:`solve` does not use it.
 One greedy rule, :func:`_greedy`, picks the policy in :func:`solve` and in
-:func:`extract_policy`.
+:func:`extract_policy`.  A policy's evaluation first asks
+:func:`~impulsive_ctmdp.intervention.analyze_chains`, from the module below
+this one, whether the policy is feasible and its impulse chains land.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,13 +37,13 @@ from ._ops import (
     policy_pairs,
     segment_argmin,
 )
-from .errors import DEFAULT_TOL, ImproperChainError, NonConvergenceError
-from .model import CtmdpModel
+from .errors import DEFAULT_TOL, NonConvergenceError
+from .intervention import analyze_chains
+from .model import CtmdpModel, StationaryPolicy
 
 DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_SET = 1e-8
 ROUNDOFF = 1e-14  # improvement threshold of policy iteration, per unit of K/eta
-LANDING_ROW_TOL = 1e-10  # accepted |1 - mass| of a proper policy's chain exits
 
 
 class Direction(enum.Enum):
@@ -68,64 +70,6 @@ class ValueFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class StationaryPolicy:
-    """Chosen gradual and impulsive action at every state.
-
-    Action values are positions in the state's catalog list.  ``phi_i[x]``
-    is -1 where the policy waits; elsewhere the policy intervenes, and
-    ``impulsive`` (derived) flags that region.  ``phi_g`` is total (on the
-    intervene region it is an arbitrary feasible choice and never applied).
-    All three arrays are read-only, and the two passed in are int64 copies;
-    entries that are not integers raise ValueError.  A policy is a value:
-    two policies with the same decisions are equal and hash alike, so what
-    is derived from one (its evaluation, chain factor and sampling tables)
-    serves every equal policy.
-    """
-
-    phi_g: np.ndarray
-    phi_i: np.ndarray
-    impulsive: np.ndarray = field(init=False)
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        for name in ("phi_g", "phi_i"):
-            raw = np.asarray(getattr(self, name))
-            with np.errstate(invalid="ignore"):
-                a = raw.astype(np.int64) if raw.dtype.kind in "biuf" else None
-            if a is None or not np.array_equal(a, raw):
-                raise ValueError(f"{name} must hold integers")
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        imp = self.phi_i >= 0
-        imp.flags.writeable = False
-        object.__setattr__(self, "impulsive", imp)
-        object.__setattr__(self, "_hash", hash((self.phi_g.tobytes(), self.phi_i.tobytes())))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StationaryPolicy):
-            return NotImplemented
-        return self is other or (self._hash == other._hash and np.array_equal(self.phi_g, other.phi_g)
-                                 and np.array_equal(self.phi_i, other.phi_i))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Unpickled arrays are writable; a worker's copy goes through the constructor.
-        return StationaryPolicy, (self.phi_g, self.phi_i)
-
-    def gradual_action(self, model: CtmdpModel, x: str) -> str:
-        k = model.states.index[x]
-        return model.actions.gradual[x][int(self.phi_g[k])]
-
-    def impulse_action(self, model: CtmdpModel, x: str) -> str:
-        j = int(self.phi_i[model.states.index[x]])
-        if j < 0:
-            raise KeyError(f"the policy waits at state {x!r}")
-        return model.actions.impulsive[x][j]
-
-
-@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Result of :func:`solve`.
 
@@ -144,28 +88,6 @@ class SolveReport:
     residual: float
     gap: float
     evaluations: int
-
-
-def check_policy(model: CtmdpModel, policy: StationaryPolicy) -> None:
-    """Raise ValueError if the policy is infeasible for the model, naming the
-    first offending state in model order."""
-    st = model.states
-    if policy.phi_i.shape != (st.N,) or policy.phi_g.shape != (st.N,):
-        raise ValueError("policy arrays do not match the state count")
-    comp = compile_model(model)
-    n_imp = np.diff(model.impulse_pairs.ptr)
-    bad_g = ~((policy.phi_g >= 0) & (policy.phi_g < np.diff(comp.g_ptr)))
-    bad_i = (policy.phi_i < -1) | (policy.phi_i >= n_imp)
-    bad = np.flatnonzero(bad_g | bad_i)
-    if not bad.size:
-        return
-    x = int(bad[0])
-    s = st.labels[x]
-    if bad_g[x]:
-        raise ValueError(f"phi_g out of range at state {s!r}")
-    if policy.impulsive[x] and n_imp[x] == 0:
-        raise ValueError(f"state {s!r} flagged for intervention but has no impulsive action")
-    raise ValueError(f"phi_i out of range at state {s!r}")
 
 
 def check_state_values(model: CtmdpModel, name: str, values: np.ndarray) -> None:
@@ -229,9 +151,11 @@ def extract_policy(model: CtmdpModel, V: ValueFunction, tol_set: float = DEFAULT
     """The greedy policy at ``V``, by the rule :func:`solve` uses.
 
     A state keeps its best gradual action unless an impulse beats it by more
-    than ``tol_set``.  Exact ties go to the gradual branch and then to the
+    than ``tol_set`` >= 0.  Exact ties go to the gradual branch and then to the
     lowest catalog index.  ``V`` must hold one finite value per state.
     """
+    if not tol_set >= 0:
+        raise ValueError("tol_set must be >= 0")
     check_state_values(model, "V", V.values)
     comp = compile_model(model)
     return _as_policy(comp, _greedy(comp, V.values, slack=tol_set)[0])
@@ -244,7 +168,8 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     one-step rows at phi_g (B = (J + diag(K - q))/(K+eta), c = running
     cost/(K+eta)); flagged states carry the impulse rows at phi_i (B = Q,
     c = impulse cost).  An improper policy raises :class:`ImproperChainError`
-    from its chain system, before I - B is factored.  Raises
+    from :func:`~impulsive_ctmdp.intervention.analyze_chains`, before I - B
+    is factored.  Raises
     :class:`NonConvergenceError` when I - B is singular, when SuperLU runs
     out of memory, or when the defect |B V + c - V| exceeds ``tol`` > 0.
     The solve is done once per (model, policy) while both live and is shared
@@ -258,59 +183,10 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     return V
 
 
-@dataclass(frozen=True, eq=False)
-class _ChainSystem:
-    """A proper policy's relocation rows split at the flagged region: M (flagged
-    to flagged), kept only as the LU factor of I - M, and R (flagged to gradual)."""
-
-    flagged: np.ndarray        # (m,) flagged state indices
-    expected_cost: np.ndarray  # (m,) W = (I - M)^-1 c, read-only
-    R: sp.csr_matrix           # (m, N), zero on flagged columns
-    lu: object                 # SuperLU of I - M
-    guard: int                 # step cap of a sampled chain
-
-
-@per_policy
-def _chain_system(model: CtmdpModel, policy: StationaryPolicy) -> _ChainSystem | None:
-    """Check the policy, split its impulse rows, factorise I - M and solve the
-    expected chain cost; None when nothing is flagged.  Kept per (model,
-    policy) while both live, so the evaluation, the chain analysis, landing
-    values, the guard and the simulator share one factor.
-
-    Raises :class:`ImproperChainError` when I - M is singular or some chain
-    fails to land with probability one ((I - M) s = R 1 must give s = 1),
-    and :class:`NonConvergenceError` when SuperLU runs out of memory.
-    """
-    check_policy(model, policy)
-    comp = compile_model(model)
-    _, flagged, i_rows = policy_pairs(comp, policy)
-    if not flagged.size:
-        return None
-    Q, m, labels = comp.Q_imp[i_rows], flagged.size, model.states.labels
-    to_flagged = policy.impulsive[Q.indices]
-    M = sp.csr_matrix((Q.data * to_flagged, Q.indices, Q.indptr), shape=Q.shape)[:, flagged]
-    R = sp.csr_matrix((Q.data * ~to_flagged, Q.indices, Q.indptr), shape=Q.shape)
-    M.eliminate_zeros()
-    R.eliminate_zeros()
-    lu = factor(sp.identity(m, format="csr") - M, "chain system")
-    if lu is None:
-        raise ImproperChainError(
-            "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[0])])
-    mass = lu.solve(np.asarray(R.sum(axis=1)).ravel())
-    bad = np.flatnonzero(~(np.abs(mass - 1.0) <= LANDING_ROW_TOL))
-    if bad.size:
-        raise ImproperChainError(
-            f"landing distribution row sums to {mass[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
-    W = lu.solve(comp.i_cost[i_rows])
-    W.flags.writeable = False
-    steps = float(np.max(lu.solve(np.ones(m))))
-    return _ChainSystem(flagged, W, R, lu, math.ceil(40.0 * math.e * steps))
-
-
 @per_policy
 def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunction, float]:
     """The policy's value and its defect max |B V + c - V|; see :func:`evaluate_policy`."""
-    _chain_system(model, policy)  # checks the policy and its properness
+    analyze_chains(model, policy)  # checks the policy and its properness
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
     g_rows, flagged, i_rows = policy_pairs(comp, policy)

@@ -18,14 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import CtmdpModel, PairTable
-
-if TYPE_CHECKING:
-    from .bellman import StationaryPolicy
+from .model import CtmdpModel, PairTable, StationaryPolicy
 
 WAIT = "wait"
 IMMUNIZE = "immunize"
@@ -250,8 +246,6 @@ def threshold_policy(params: EpidemicParams, cv: CarrierValue) -> StationaryPoli
     under this policy fire one immunization per susceptible and land at
     (0, c, i).
     """
-    from .bellman import StationaryPolicy  # scipy stays unloaded for the carrier commands
-
     s, c, _, _ = _lattice(params)
     c_star = math.inf if cv.c_star is None else cv.c_star
     return StationaryPolicy(phi_g=np.zeros(s.size, dtype=np.int64),

@@ -31,9 +31,9 @@ class NonConvergenceError(RuntimeError):
 class ImproperChainError(RuntimeError):
     """Impulse chains fail to reach the gradual region.
 
-    Raised when a sampled chain exceeds the guard, or when the chain system
-    of a policy, which its evaluation asks first, is singular or its landing
-    mass differs from one.
+    Raised when a sampled chain exceeds the guard, or when a policy's chain
+    analysis, which its evaluation asks first, finds I - M singular or its
+    landing mass off one.
     """
 
     def __init__(self, message: str, state: str):

@@ -23,10 +23,11 @@ from .model import (
     ImpulseKernel,
     RateKernel,
     StateSpace,
+    StationaryPolicy,
 )
 
 if TYPE_CHECKING:
-    from .bellman import SolveReport, StationaryPolicy
+    from .bellman import SolveReport
     from .simulate import Trajectory
 
 

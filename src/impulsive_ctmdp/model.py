@@ -16,6 +16,8 @@ kernel rows in CSR form and their costs.  Two constructors fill them:
   ``rates.rows``, ``impulses.rows``, ``costs.*_cost`` and ``actions.*`` are
   read-only mapping views computed on read.
 
+A :class:`StationaryPolicy` picks one action per state by its catalog
+position; it is a value over a model's catalogs, so it lives here too.
 All objects are immutable after construction; downstream modules consume
 them read-only.  This module needs numpy only.
 """
@@ -227,6 +229,64 @@ class CtmdpModel:
     @property
     def eta(self) -> float:
         return self.costs.eta
+
+
+@dataclass(frozen=True, eq=False)
+class StationaryPolicy:
+    """Chosen gradual and impulsive action at every state.
+
+    Action values are positions in the state's catalog list.  ``phi_i[x]``
+    is -1 where the policy waits; elsewhere the policy intervenes, and
+    ``impulsive`` (derived) flags that region.  ``phi_g`` is total (on the
+    intervene region it is an arbitrary feasible choice and never applied).
+    All three arrays are read-only, and the two passed in are int64 copies;
+    entries that are not integers raise ValueError.  A policy is a value:
+    two policies with the same decisions are equal and hash alike, so what
+    is derived from one (its evaluation, chain factor and sampling tables)
+    serves every equal policy.
+    """
+
+    phi_g: np.ndarray
+    phi_i: np.ndarray
+    impulsive: np.ndarray = field(init=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("phi_g", "phi_i"):
+            raw = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):
+                a = raw.astype(np.int64) if raw.dtype.kind in "biuf" else None
+            if a is None or not np.array_equal(a, raw):
+                raise ValueError(f"{name} must hold integers")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        imp = self.phi_i >= 0
+        imp.flags.writeable = False
+        object.__setattr__(self, "impulsive", imp)
+        object.__setattr__(self, "_hash", hash((self.phi_g.tobytes(), self.phi_i.tobytes())))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StationaryPolicy):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and np.array_equal(self.phi_g, other.phi_g)
+                                 and np.array_equal(self.phi_i, other.phi_i))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Unpickled arrays are writable; a worker's copy goes through the constructor.
+        return StationaryPolicy, (self.phi_g, self.phi_i)
+
+    def gradual_action(self, model: CtmdpModel, x: str) -> str:
+        k = model.states.index[x]
+        return model.actions.gradual[x][int(self.phi_g[k])]
+
+    def impulse_action(self, model: CtmdpModel, x: str) -> str:
+        j = int(self.phi_i[model.states.index[x]])
+        if j < 0:
+            raise KeyError(f"the policy waits at state {x!r}")
+        return model.actions.impulsive[x][j]
 
 
 def _flatten(st: StateSpace, catalog: Mapping, rows: Mapping, costs: Mapping, kind: _Kind,

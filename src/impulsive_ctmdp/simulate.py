@@ -34,10 +34,10 @@ from functools import partial
 import numpy as np
 
 from ._ops import CompiledModel, compile_model, per_policy, policy_pairs, sample_rows
-from .bellman import StationaryPolicy, ValueFunction, _chain_system, check_state_values
+from .bellman import ValueFunction, check_state_values
 from .errors import DEFAULT_TAIL_TOL, ImproperChainError
-from .intervention import InterventionChain, expected_landing_value
-from .model import CtmdpModel
+from .intervention import InterventionChain, analyze_chains, expected_landing_value
+from .model import CtmdpModel, StationaryPolicy
 
 BLOCK = 1024  # replications per stream; Monte Carlo streams are keyed by (seed, block)
 BATCH = 64    # blocks advanced together at most, which bounds the memory of a call
@@ -119,7 +119,7 @@ class _Prep:
 
 @per_policy
 def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
-    system = _chain_system(model, policy)  # checks the policy and its properness
+    chains = analyze_chains(model, policy)  # checks the policy and its properness
     comp = compile_model(model)
     g_rows, flagged, i_rows = policy_pairs(comp, policy)
     imp_lo = np.zeros(comp.N, dtype=np.int64)
@@ -145,8 +145,8 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
         sure_land=sure_land,
         sure_cost=sure_cost,
         sure_len=sure_len,
-        guard=0 if system is None else system.guard,
-        chain_cost_bound=0.0 if system is None else float(np.max(system.expected_cost)),
+        guard=chains.guard,
+        chain_cost_bound=float(np.max(chains.expected_cost, initial=0.0)),
     )
 
 

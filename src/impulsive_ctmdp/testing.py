@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -80,10 +81,20 @@ def random_value_vector(seed: int, model: CtmdpModel) -> np.ndarray:
     return rng.uniform(-bound, bound, size=model.states.N)
 
 
+# An escaped backslash, or the JSON escape of a character past U+FFFF as a surrogate pair.
+_PAIR = re.compile(r"\\\\|(\\ud[89ab][0-9a-f]{2}\\ud[c-f][0-9a-f]{2})")
+
+
+def _yaml_quote(obj) -> str:
+    """``obj`` (a string or a list of them) as JSON, which YAML reads as a flow
+    scalar or sequence, with each surrogate pair written as YAML's ``\\U`` escape."""
+    return _PAIR.sub(lambda p: "\\U%08x" % ord(json.loads(f'"{p[1]}"')) if p[1] else p[0], json.dumps(obj))
+
+
 def model_document(m: CtmdpModel) -> str:
     """``m`` as a model document: every mapping in its own order, labels and
     actions quoted, floats by ``repr``, so the document parses back to the same tables."""
-    q = json.dumps  # JSON strings and lists of them are YAML flow scalars and sequences
+    q = _yaml_quote
 
     def rows(key, mapping):
         return [f"  - {{state: {q(x)}, action: {q(a)}, {key}: {{{', '.join(f'{q(t)}: {v!r}' for t, v in row)}}}}}"

@@ -23,8 +23,14 @@ from impulsive_ctmdp import (
     value_iterate,
 )
 from impulsive_ctmdp import _ops, bellman, cli
-from impulsive_ctmdp._ops import apply_embedded, apply_operator, compile_model, gradual_branch, impulsive_branch
-from impulsive_ctmdp.bellman import StationaryPolicy, check_policy
+from impulsive_ctmdp._ops import (
+    apply_embedded,
+    apply_operator,
+    check_policy,
+    compile_model,
+    gradual_branch,
+    impulsive_branch,
+)
 from impulsive_ctmdp.epidemic import (
     analytic_value,
     build_epidemic_model,
@@ -34,7 +40,15 @@ from impulsive_ctmdp.epidemic import (
 )
 from impulsive_ctmdp.intervention import analyze_chains
 from impulsive_ctmdp.io import load_epidemic_params
-from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseKernel, RateKernel, StateSpace
+from impulsive_ctmdp.model import (
+    ActionCatalog,
+    CostModel,
+    CtmdpModel,
+    ImpulseKernel,
+    RateKernel,
+    StateSpace,
+    StationaryPolicy,
+)
 from impulsive_ctmdp.testing import random_model, random_value_vector
 
 from conftest import MODELS_DIR, desk_params, improper_model, improper_policy, two_state, zero_cost_model
@@ -95,6 +109,13 @@ def test_value_iterate_rejects_bad_arguments():
         # evaluate_policy raised NonConvergenceError("defect 0.0 exceeds tol=-1.0") and took tol=0.
         with pytest.raises(ValueError, match="^tol must be > 0$"):
             evaluate_policy(m, policy, tol=bad)
+
+
+@pytest.mark.parametrize("tol_set", [float("nan"), -1.0, -math.inf])
+def test_extract_policy_rejects_a_bad_tol_set(tol_set):
+    m = two_state(lam=0.3)
+    with pytest.raises(ValueError, match="^tol_set must be >= 0$"):
+        extract_policy(m, solve(m).V, tol_set=tol_set)
 
 
 def test_value_iterate_nonconvergence_carries_state():

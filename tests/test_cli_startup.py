@@ -61,6 +61,36 @@ def test_solve_loads_the_solver_stack():
     assert report["code"] == 0 and set(SOLVER_STACK) <= set(report["heavy"])
 
 
+LOADED = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m in {stack} or m.split(".")[0] == "scipy")))
+""".format(stack=set(SOLVER_STACK))
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The solver stack's modules that a new interpreter has loaded after running ``code``."""
+    proc = _python("-c", code + LOADED)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_a_threshold_policy_needs_no_solver():
+    # The policy type lives in the numpy-only model, so the carrier commands stay light.
+    code = f"""
+from impulsive_ctmdp import StationaryPolicy, solve_carrier_equation, threshold_policy
+from impulsive_ctmdp.io import load_epidemic_params
+params = load_epidemic_params({EPIDEMIC!r})
+policy = threshold_policy(params, solve_carrier_equation(params))
+assert isinstance(policy, StationaryPolicy) and policy.impulsive.any()
+"""
+    assert _loaded_after(code) == []
+
+
+def test_the_chain_analysis_sits_below_the_solver():
+    # The module order is model <- _ops <- intervention <- bellman <- simulate.
+    assert "impulsive_ctmdp.bellman" not in _loaded_after("import impulsive_ctmdp.intervention")
+
+
 def test_every_public_name_resolves_in_a_fresh_interpreter():
     code = """
 import impulsive_ctmdp as p

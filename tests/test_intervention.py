@@ -17,7 +17,6 @@ from impulsive_ctmdp import (
 from impulsive_ctmdp.intervention import chain_guard, expected_landing_value
 from impulsive_ctmdp.simulate import _prepare, replication_rng
 from impulsive_ctmdp.testing import random_model
-from impulsive_ctmdp.bellman import StationaryPolicy
 from impulsive_ctmdp.model import (
     ActionCatalog,
     CostModel,
@@ -25,6 +24,7 @@ from impulsive_ctmdp.model import (
     ImpulseKernel,
     RateKernel,
     StateSpace,
+    StationaryPolicy,
 )
 
 from conftest import geometric_model, improper_model, improper_policy, two_state
@@ -241,6 +241,7 @@ def test_empty_flag_set_yields_empty_analysis():
     ana = analyze_chains(m, policy)
     assert ana.states == ()
     assert ana.expected_cost.size == 0
+    assert ana.guard == 0 and analyze_chains(m, policy) is ana
 
 
 def test_sure_chains_agree_with_the_chain_system(desk_solved):

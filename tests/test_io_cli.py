@@ -20,6 +20,7 @@ from impulsive_ctmdp.io import (
     parse_model,
     solve_report_table,
 )
+from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseKernel, RateKernel, StateSpace
 from impulsive_ctmdp.testing import model_document, random_model
 
 from conftest import MODELS_DIR, desk_params
@@ -65,6 +66,34 @@ def test_parsed_random_model_matches_the_built_one(seed):
     assert np.array_equal(want.V.values, got.V.values) and want.gap == got.gap
     assert np.array_equal(want.policy.phi_g, got.policy.phi_g)
     assert np.array_equal(want.policy.phi_i, got.policy.phi_i)
+
+
+# Any character a UTF-8 document can carry, with more weight on those YAML or JSON
+# write specially: past U+FFFF, DEL, NEL, the line separator, the BOM, a backslash, a quote.
+LABEL = st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from("\U0001F600\U0010FFFF\x7f\x85\u2028\ufeff\\\"")),
+                min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(LABEL, min_size=2, max_size=3, unique=True), st.lists(LABEL, min_size=2, max_size=2, unique=True))
+def test_model_document_round_trips_any_label(states, actions):
+    # JSON writes a character past U+FFFF as a surrogate pair, which YAML rejects.
+    a, b = states[:2]
+    wait, jump = actions
+    built = CtmdpModel(
+        states=StateSpace(tuple(states)),
+        actions=ActionCatalog(gradual={x: (wait,) for x in states},
+                              impulsive={x: (jump,) if x == a else () for x in states}),
+        rates=RateKernel(rows={(x, wait): ((b, 1.0),) if x == a else () for x in states}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={(a, jump): ((b, 1.0),)}),
+        costs=CostModel(gradual_cost={(x, wait): 1.0 for x in states}, impulse_cost={(a, jump): 0.5},
+                        eta=1.0, K_cost=1.0, c_lower=0.5),
+    )
+    text = model_document(built)
+    parsed = parse_model(text)
+    assert parsed.states.labels == built.states.labels and not validate_model(parsed)
+    assert dict(parsed.actions.gradual) == dict(built.actions.gradual)
+    assert model_document(parsed) == text
 
 
 def test_missing_section_is_reported():

@@ -28,9 +28,16 @@ from impulsive_ctmdp import (
 )
 from impulsive_ctmdp import simulate
 from impulsive_ctmdp._ops import compile_model, sample_rows
-from impulsive_ctmdp.bellman import StationaryPolicy
 from impulsive_ctmdp.io import load_model
-from impulsive_ctmdp.model import ActionCatalog, CostModel, CtmdpModel, ImpulseKernel, RateKernel, StateSpace
+from impulsive_ctmdp.model import (
+    ActionCatalog,
+    CostModel,
+    CtmdpModel,
+    ImpulseKernel,
+    RateKernel,
+    StateSpace,
+    StationaryPolicy,
+)
 from impulsive_ctmdp.simulate import BLOCK, DEFAULT_TAIL_TOL, _block_rng, _blocks, _prepare, _replication_costs
 from impulsive_ctmdp.testing import random_model
 
@@ -564,7 +571,7 @@ def test_derived_tables_live_only_as_long_as_their_model_and_policy():
     assert compile_model(m) is comp
     equal = StationaryPolicy(policy.phi_g, policy.phi_i)
     assert evaluate_policy(m, equal) is report.V  # solve's own evaluation
-    assert analyze_chains(m, policy)._system is analyze_chains(m, equal)._system  # built once
+    assert analyze_chains(m, policy) is analyze_chains(m, equal)  # built once
     estimate_cost(m, policy, m.states.labels[-1], 50, seed=1)
     simulate_trajectory(m, equal, m.states.labels[-1], replication_rng(1, 0))
     assert len(comp.derived) == 1 and _prepare(m, equal) is _prepare(m, policy)
