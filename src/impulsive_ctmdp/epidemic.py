@@ -21,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .model import CtmdpModel, PairTable, StationaryPolicy
 
 WAIT = "wait"
 IMMUNIZE = "immunize"
+CARRIER_ITERATIONS = 10 ** 7  # steps the carrier iteration may take
 
 
 class CarrierContractionError(ValueError):
@@ -135,7 +137,8 @@ def solve_carrier_equation(params: EpidemicParams, tol: float = 1e-12) -> Carrie
 
     Iterates from zero until the a-posteriori error bound meets ``tol``;
     then scans for the smallest carrier count at which waiting is strictly
-    worse than paying the immunization price.
+    worse than paying the immunization price.  Raises
+    :class:`NonConvergenceError` if that takes over ``CARRIER_ITERATIONS`` steps.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
@@ -146,13 +149,16 @@ def solve_carrier_equation(params: EpidemicParams, tol: float = 1e-12) -> Carrie
             f"sup(alpha1 + alpha2) = {d} >= 1; the carrier equation is not a contraction")
     lam = params.immunization_cost
     w = np.zeros(params.C_max + 1)
-    stop = tol * (1.0 - d) if d > 0 else tol
-    for _ in range(10 ** 7):
+    stop = tol * (1.0 - d)
+    for _ in range(CARRIER_ITERATIONS):
         wn = np.minimum(_carrier_map(alphas, w), lam)
         step = float(np.max(np.abs(wn - w)))
         w = wn
-        if step < stop:
+        if step <= stop:
             break
+    else:
+        raise NonConvergenceError(f"no carrier step <= {stop!r} in {CARRIER_ITERATIONS} steps",
+                                  w, step, CARRIER_ITERATIONS)
     above = np.flatnonzero(_carrier_map(alphas, w) > lam + 1e-12)
     c_star = int(above[0]) if above.size else None
     return CarrierValue(v=w, c_star=c_star, lambda_star=lambda_star(params))

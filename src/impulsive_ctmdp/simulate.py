@@ -12,12 +12,12 @@ the discounted tail is provably below ``tail_tol``.
 :func:`estimate_cost` and :func:`dynkin_check` run blocks of ``BLOCK``
 paths, each block on its own stream.  Up to ``BATCH`` blocks advance
 together as one batch; each block still draws what it draws alone, so the
-draws do not depend on the batching.  When every chain that starts at one
-step of a batch is sure (each relocation row on it has one target), the
-paths land by a lookup in a table built once per policy, and each block
-draws, in one call, the uniforms its paths' steps would draw.  An
-:class:`ImproperChainError` names the state of the lowest-index path of the
-batch still in a chain.
+draws do not depend on the batching.  An impulse draws a uniform only from a
+relocation row with two or more targets; on a one-target row the path moves
+and draws nothing.  So a sure chain (each row on it has one target) draws
+nothing, and an unrecorded path lands it by a lookup in a table built once
+per policy.  An :class:`ImproperChainError` names the state of the
+lowest-index path of the batch still in a chain.
 :func:`simulate_trajectory`, :func:`sample_chain` and
 :func:`simulate_spaced` run a one-path batch with a recorder of its epochs;
 :func:`simulate_spaced` adds a wait before each impulse, a sojourn with a
@@ -101,9 +101,8 @@ class _Prep:
     imp_lo: np.ndarray       # bounds of the row of comp.Q_imp under phi_i (0 off the flagged set)
     imp_hi: np.ndarray
     imp_cost: np.ndarray     # impulse cost under phi_i (0 off the flagged set)
-    sure_land: np.ndarray    # landing, cost and length of a sure chain (-1 where the chain is not sure)
+    sure_land: np.ndarray    # landing and cost of a sure chain (-1 where the chain is not sure)
     sure_cost: np.ndarray
-    sure_len: np.ndarray
     guard: int
     chain_cost_bound: float  # max expected chain cost (properness witness)
 
@@ -128,7 +127,7 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
     imp_lo[flagged] = comp.Q_imp.indptr[i_rows]
     imp_hi[flagged] = comp.Q_imp.indptr[i_rows + 1]
     imp_cost[flagged] = comp.i_cost[i_rows]
-    sure_land, sure_cost, sure_len = _sure_chains(comp, policy.impulsive, imp_lo, imp_hi, imp_cost)
+    sure_land, sure_cost = _sure_chains(comp, policy.impulsive, imp_lo, imp_hi, imp_cost)
     return _Prep(
         comp=comp,
         labels=model.states.labels,
@@ -144,37 +143,34 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
         imp_cost=imp_cost,
         sure_land=sure_land,
         sure_cost=sure_cost,
-        sure_len=sure_len,
         guard=chains.guard,
         chain_cost_bound=float(np.max(chains.expected_cost, initial=0.0)),
     )
 
 
 def _sure_chains(comp: CompiledModel, flagged: np.ndarray, imp_lo: np.ndarray, imp_hi: np.ndarray,
-                 imp_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Landing, cost and length of each sure chain, and -1 at every other state.
+                 imp_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Landing and cost of each sure chain, and -1 at every other state.
 
     A chain is sure when every relocation row on it has one target, so its
-    start fixes where it lands.  One forward walk from the flagged states
-    whose row has one target sums the costs from 0.0 in chain order, as
-    :func:`_chains` does.  It ends because the policy is proper: a cycle of
-    such rows never lands.
+    start fixes where it lands and it draws nothing.  One forward walk from
+    the flagged states whose row has one target sums the costs from 0.0 in
+    chain order, as :func:`_chains` does.  It ends because the policy is
+    proper: a cycle of such rows never lands.
     """
     land = np.full(comp.N, -1, dtype=np.int64)
     cost = np.full(comp.N, -1.0)
-    length = np.full(comp.N, -1, dtype=np.int64)
     one = flagged & (imp_hi - imp_lo == 1)
     start = np.flatnonzero(one)
-    at, acc, steps = start, np.zeros(start.size), 0
+    at, acc = start, np.zeros(start.size)
     while start.size:
         acc += imp_cost[at]
         at = comp.Q_imp.indices[imp_lo[at]]
-        steps += 1
         done = ~flagged[at]
-        land[start[done]], cost[start[done]], length[start[done]] = at[done], acc[done], steps
+        land[start[done]], cost[start[done]] = at[done], acc[done]
         go = one[at]
         start, at, acc = start[go], at[go], acc[go]
-    return land, cost, length
+    return land, cost
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -240,14 +236,6 @@ def _draw(rngs: list[np.random.Generator], method: str, ids: np.ndarray) -> np.n
                           or [np.empty(0)])
 
 
-def _discard(rngs: list[np.random.Generator], ids: np.ndarray, counts: np.ndarray) -> None:
-    """Draw and drop ``counts[j]`` uniforms for path ``ids[j]``, as :func:`_draw`
-    would over as many rounds: each block's stream takes its total in one call."""
-    for rng, k in zip(rngs, np.bincount(ids // BLOCK, weights=counts, minlength=len(rngs)).tolist()):
-        if k:
-            rng.random(int(k))
-
-
 def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np.ndarray,
             rec: _Recorder | None = None, waits: list[float] | None = None) -> np.ndarray:
     """Run the impulse chains of a batch of paths; ``x`` ends at the landings.
@@ -256,23 +244,21 @@ def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np
     undiscounted chain cost (0 where it starts unflagged).  A path with
     ``waits`` stops before an impulse whose wait is positive.
 
-    Without a recorder, a batch whose chains are all sure lands by lookup and
-    draws the uniforms the steps would draw; it steps only when some chain
-    must sample.  A sure chain is as long as its expected length, so it
-    cannot reach the guard.
+    Each step draws a uniform for the paths on a row with two or more
+    targets only.  Without a recorder, a path whose chain is sure lands by
+    lookup, and the other paths step; a sure chain draws nothing either way.
     """
     comp = prep.comp
     flagged = prep.impulsive
     cost = np.zeros(x.size)
     act = np.flatnonzero(flagged[x])
-    if rec is None and act.size:
-        at = x[act]
-        land = prep.sure_land[at]
-        if (land >= 0).all():
-            cost[act] = prep.sure_cost[at]
-            x[act] = land
-            _discard(rngs, ids[act], prep.sure_len[at])
-            return cost
+    if rec is None:
+        land = prep.sure_land[x[act]]
+        sure = land >= 0
+        done = act[sure]
+        cost[done] = prep.sure_cost[x[done]]
+        x[done] = land[sure]
+        act = act[~sure]
     steps = 0
     while act.size and not (waits and waits[-1] > 0.0):
         if steps >= prep.guard:
@@ -284,8 +270,9 @@ def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np
             rec.impulse(at[0])
         if waits:
             waits.pop()
-        u = _draw(rngs, "random", ids[act] if len(rngs) > 1 else act)  # one stream reads only the count
-        pos = sample_rows(comp.Q_cum, prep.imp_lo[at], prep.imp_hi[at], u)
+        pos, hi = prep.imp_lo[at], prep.imp_hi[at]
+        many = np.flatnonzero(hi - pos > 1)
+        pos[many] = sample_rows(comp.Q_cum, pos[many], hi[many], _draw(rngs, "random", ids[act[many]]))
         x[act] = comp.Q_imp.indices[pos]
         act = act[flagged[x[act]]]
         steps += 1

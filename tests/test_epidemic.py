@@ -8,6 +8,7 @@ import pytest
 
 from impulsive_ctmdp import (
     EpidemicParams,
+    NonConvergenceError,
     analytic_value,
     build_epidemic_model,
     extract_policy,
@@ -18,6 +19,7 @@ from impulsive_ctmdp import (
     threshold_policy,
     validate_model,
 )
+from impulsive_ctmdp import epidemic
 from impulsive_ctmdp.epidemic import (
     carrier_residual,
     coefficient_monotonicity_violations,
@@ -64,6 +66,36 @@ def test_carrier_equation_checks_its_tolerance():
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError, match="tol"):
             solve_carrier_equation(desk_params(), tol=bad)
+
+
+def test_carrier_equation_stops_at_an_exact_fixed_point():
+    # tol * (1 - d) underflows to 0, and a step of 0 still stops the iteration.
+    p = desk_params()
+    cv = solve_carrier_equation(p, tol=5e-324)
+    assert carrier_residual(p, cv) == 0.0
+    assert cv.c_star == solve_carrier_equation(p).c_star
+
+
+def test_a_slow_contraction_factor_still_converges():
+    # The bound step_k <= step_1 d^(k-1) would ask for about 2.3e7 steps at d = 1 - 1e-6,
+    # past the cap; the walk is killed at c = 0, so the iteration stops after about 2e4.
+    p = replace(desk_params(), eta=1e-6, kappa_i=(0.0, 1e-6))
+    assert carrier_residual(p, solve_carrier_equation(p)) <= 1e-12
+    # At d = 1 - 1e-7 the value saturates at the price after one step, and the next stops.
+    q = EpidemicParams(S=10, I=2, c0=2, C_max=3, eta=1e-7, kappa_r=0.0, immunization_cost=0.1,
+                       rho_b=(0.0, 1.0), rho_d=(0.0, 1.0), kappa_i=(0.0, 1e-7))
+    cv = solve_carrier_equation(q)
+    assert cv.v.tolist() == [0.0, 0.1, 0.1, 0.1] and cv.c_star == 1
+
+
+def test_the_carrier_iteration_cap_raises(monkeypatch):
+    # Frozen carriers contract at once (d = 0), so the cap alone stops the first step.
+    monkeypatch.setattr(epidemic, "CARRIER_ITERATIONS", 1)
+    with pytest.raises(NonConvergenceError, match="in 1 steps") as err:
+        solve_carrier_equation(rho_free_params())
+    assert err.value.iterations == 1 and err.value.step > 0
+    monkeypatch.setattr(epidemic, "CARRIER_ITERATIONS", 2)
+    assert carrier_residual(rho_free_params(), solve_carrier_equation(rho_free_params())) == 0.0
 
 
 def test_rate_tables_pad_as_constant():

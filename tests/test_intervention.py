@@ -250,19 +250,26 @@ def test_sure_chains_agree_with_the_chain_system(desk_solved):
     prep, ana = _prepare(m, policy), analyze_chains(m, policy)
     flagged = np.flatnonzero(policy.impulsive)
     assert flagged.size == len(ana.states) > 0
-    land, length = prep.sure_land[flagged], prep.sure_len[flagged]
+    land = prep.sure_land[flagged]
     assert (land >= 0).all() and not policy.impulsive[land].any()
     assert np.all(np.abs(prep.sure_cost[flagged] - ana.expected_cost) <= 1e-12)
     for k in range(flagged.size):
         row = ana.landing_row(k)
         row[land[k]] -= 1.0
         assert np.abs(row).max() <= 1e-12
+    # Walk the one-target rows from each start: the walk lands where the table
+    # says, within the guard's expected-length bound.
+    at, length = flagged.copy(), np.zeros(flagged.size, dtype=np.int64)
+    while (on := policy.impulsive[at]).any():
+        assert (prep.imp_hi[at[on]] - prep.imp_lo[at[on]] == 1).all()
+        at[on] = prep.comp.Q_imp.indices[prep.imp_lo[at[on]]]
+        length += on
+    assert np.array_equal(at, land)
     assert length.min() >= 1 and length.max() <= chain_guard(m, policy) / (40 * math.e)
-    gradual = ~policy.impulsive
-    assert (prep.sure_land[gradual] == -1).all() and (prep.sure_len[gradual] == -1).all()
+    assert (prep.sure_land[~policy.impulsive] == -1).all()
 
 
 def test_a_chain_with_a_two_target_row_is_not_sure():
     m = geometric_model(p_stay=0.999)
     prep = _prepare(m, flag_all(m))
-    assert prep.sure_land.tolist() == prep.sure_len.tolist() == [-1, -1]
+    assert prep.sure_land.tolist() == [-1, -1]

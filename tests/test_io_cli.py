@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from impulsive_ctmdp import build_epidemic_model, cli, extract_policy, solve, validate_model
+from impulsive_ctmdp import build_epidemic_model, cli, epidemic, extract_policy, solve, validate_model
 from impulsive_ctmdp.bellman import NonConvergenceError
 from impulsive_ctmdp.intervention import ImproperChainError
 from impulsive_ctmdp.io import (
@@ -404,6 +404,16 @@ def test_cli_nonconvergence_exit_code(monkeypatch, capsys):
         raise NonConvergenceError("no", np.zeros(1), 1.0, 1)
     monkeypatch.setattr(cli, "solve", boom)
     assert cli.run(["solve", "--model", str(TWO_STATE)]) == 4
+    assert '"code": 4' in capsys.readouterr().err
+
+
+def test_cli_carrier_iteration_cap_exits_4(tmp_path, monkeypatch, capsys):
+    # This document's carrier iteration takes about 2e4 steps, past the patched cap of 100.
+    doc = tmp_path / "slow.yaml"
+    doc.write_text(EPIDEMIC.read_text().replace("eta: 1.0", "eta: 1.0e-6")
+                   .replace("kappa_i: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]", "kappa_i: [0, 1.0e-6]"))
+    monkeypatch.setattr(epidemic, "CARRIER_ITERATIONS", 100)
+    assert cli.run(["epidemic-solve", "--params", str(doc), "--out", str(tmp_path / "out")]) == 4
     assert '"code": 4' in capsys.readouterr().err
 
 

@@ -156,20 +156,28 @@ def force_stepping(monkeypatch):
     def stepping(model, policy):
         prep = prepare(model, policy)
         none = np.full(prep.comp.N, -1)
-        return dataclasses.replace(prep, sure_land=none, sure_cost=none.astype(float), sure_len=none)
+        return dataclasses.replace(prep, sure_land=none, sure_cost=none.astype(float))
     monkeypatch.setattr(simulate, "_prepare", stepping)
 
 
 def count_lookups(monkeypatch) -> list[int]:
-    """Count the batches whose chains land by lookup."""
-    calls = [0]
-    discard = simulate._discard
+    """Count the paths whose chains land by lookup: the entries read from the
+    ``sure_cost`` of the tables ``_prepare`` gives."""
+    reads = [0]
 
-    def counted(*args):
-        calls[0] += 1
-        discard(*args)
-    monkeypatch.setattr(simulate, "_discard", counted)
-    return calls
+    class Counted(np.ndarray):
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            reads[0] += np.size(out)
+            return out
+
+    prepare = simulate._prepare
+
+    def counting(model, policy):
+        prep = prepare(model, policy)
+        return dataclasses.replace(prep, sure_cost=prep.sure_cost.view(Counted))
+    monkeypatch.setattr(simulate, "_prepare", counting)
+    return reads
 
 
 def mixed_chains() -> tuple[CtmdpModel, StationaryPolicy]:
@@ -195,7 +203,6 @@ def test_mixed_chain_table():
     m, policy = mixed_chains()
     prep = _prepare(m, policy)
     assert prep.sure_land.tolist() == [-1, -1, 1, 1, -1, -1]
-    assert prep.sure_len.tolist() == [-1, -1, 2, 1, -1, -1]
     assert prep.sure_cost.tolist() == [-1.0, -1.0, 0.3 + 0.4, 0.4, -1.0, -1.0]
 
 
@@ -207,8 +214,8 @@ def _stream_runs(model, policy, V, x0s, threads=(1,)):
 
 @pytest.mark.parametrize("case", ["desk", "mixed"])
 def test_resolved_chains_draw_what_stepped_chains_draw(case, desk_solved, monkeypatch):
-    # A sure chain lands by lookup and its block's stream takes the uniforms
-    # the steps would take, so estimates match the stepped ones bit for bit.
+    # A sure chain lands by lookup, and its steps on one-target rows would draw
+    # nothing, so estimates match the stepped ones bit for bit.
     if case == "desk":
         model, policy, V = desk_solved["model"], desk_solved["report"].policy, desk_solved["report"].V
         x0s, threads = ["10,1,2"], (1, 2)
@@ -221,9 +228,56 @@ def test_resolved_chains_draw_what_stepped_chains_draw(case, desk_solved, monkey
     resolved = _stream_runs(model, policy, V, x0s, threads)
     assert lookups[0] > 0
     force_stepping(monkeypatch)
-    lookups[0] = 0
+    lookups = count_lookups(monkeypatch)
     assert _stream_runs(model, policy, V, x0s, threads) == resolved
     assert lookups[0] == 0
+
+
+def test_only_a_two_target_row_draws():
+    # Paths from a (sure), c (samples) and d (-> c, then samples) in one block:
+    # the stream gives one uniform per sampled step, and a's chain lands by lookup.
+    m, policy = mixed_chains()
+    prep = _prepare(m, policy)
+    x = np.array([m.states.index[s] for s in ("a", "c", "d", "a", "c", "g1")])
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    cost = simulate._chains(prep, x, [rng], np.arange(x.size))
+    g1, g2 = m.states.index["g1"], m.states.index["g2"]
+    u = twin.random(3)  # the c paths in step one, then the d path in step two
+    c1, c2, d = np.where(u < 0.5, g1, g2)
+    assert x.tolist() == [g2, c1, d, g2, c2, g1]
+    assert cost.tolist() == [0.3 + 0.4, 0.5, 0.6 + 0.5, 0.3 + 0.4, 0.5, 0.0]
+    assert rng.random() == twin.random()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.data())
+def test_one_target_rows_give_the_same_estimates_by_lookup_and_by_steps(seed, data):
+    # Some impulse rows of a random model collapse to one target, so the solved
+    # policy's chains mix sure steps with sampled ones.  Small blocks make a
+    # short call span several of them.  A slow discount makes intervening pay.
+    m = random_model(seed, max_states=8, eta=0.1)
+    rows = dict(m.impulses.rows)
+    assume(rows)
+    for key in data.draw(st.lists(st.sampled_from(sorted(rows)), unique=True)):
+        rows[key] = ((data.draw(st.sampled_from(m.states.labels)), 1.0),)
+    m = dataclasses.replace(m, impulses=ImpulseKernel(rows=rows))
+    report = solve(m)
+    flagged = np.flatnonzero(report.policy.impulsive)
+    assume(flagged.size)
+    x0s = [m.states.labels[k] for k in (*flagged[:2], 0)]
+
+    def runs():
+        return [(vars(estimate_cost(m, report.policy, x0, 50, seed)),
+                 vars(dynkin_check(m, report.policy, report.V, x0, 1.0, 50, seed))) for x0 in x0s]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BLOCK", 16)
+        looked_up = runs()
+        with pytest.MonkeyPatch.context() as one:
+            one.setattr(simulate, "BATCH", 1)
+            assert runs() == looked_up
+        force_stepping(mp)
+        assert runs() == looked_up
 
 
 def test_errors_survive_a_pickle_round_trip():
