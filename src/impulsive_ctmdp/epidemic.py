@@ -50,13 +50,15 @@ class EpidemicParams:
         n = self.C_max + 1
         for name in ("rho_b", "rho_d", "kappa_i"):
             tab = tuple(float(v) for v in getattr(self, name))
+            if not tab:
+                raise ValueError(f"{name} table is empty")
             if len(tab) < n:
                 # Rate functions are constant past their tabulated saturation point.
                 tab = tab + (tab[-1],) * (n - len(tab))
             if len(tab) != n:
                 raise ValueError(f"{name} table longer than C_max+1={n}")
-            if not all(v >= 0 for v in tab):
-                raise ValueError(f"{name} must be nonnegative")
+            if not all(0 <= v < math.inf for v in tab):
+                raise ValueError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, tab)
         if self.rho_b[0] != 0 or self.rho_d[0] != 0:
             raise ValueError("carrier birth/death rates must vanish at c=0")

@@ -49,17 +49,28 @@ def test_params_reject_bad_scalars():
         replace(desk_params(), c0=99)
 
 
+SMALL = EpidemicParams(S=1, I=0, c0=0, C_max=2, eta=1.0, kappa_r=0.5, immunization_cost=0.2,
+                       rho_b=(0.0, 1.0, 1.0), rho_d=(0.0, 1.0), kappa_i=(0.0, 1.0, 1.0))
+
+
 @pytest.mark.parametrize("field, value", [
     ("rho_b", (0.0, math.nan, 1.0)), ("rho_d", (0.0, math.nan)), ("kappa_i", (0.0, 1.0, math.nan)),
+    ("rho_b", (0.0, math.inf)), ("rho_d", (0.0, 1.0, math.inf)), ("kappa_i", (0.0, math.inf)),
     ("eta", math.nan), ("eta", math.inf), ("kappa_r", math.nan), ("kappa_r", math.inf),
     ("immunization_cost", math.nan), ("immunization_cost", math.inf),
 ])
 def test_params_reject_non_finite_numbers(field, value):
-    # A NaN rate used to pass the sign check, and the model builder dropped its jump.
-    small = EpidemicParams(S=1, I=0, c0=0, C_max=2, eta=1.0, kappa_r=0.5, immunization_cost=0.2,
-                           rho_b=(0.0, 1.0, 1.0), rho_d=(0.0, 1.0), kappa_i=(0.0, 1.0, 1.0))
+    # A NaN rate used to pass the sign check, and the model builder dropped its jump;
+    # an infinite one made the carrier iteration step NaN until its cap.
     with pytest.raises(ValueError):
-        replace(small, **{field: value})
+        replace(SMALL, **{field: value})
+
+
+@pytest.mark.parametrize("name", ["rho_b", "rho_d", "kappa_i"])
+def test_params_reject_an_empty_rate_table(name):
+    # An empty table used to raise IndexError where it is padded to C_max+1.
+    with pytest.raises(ValueError, match=f"^{name} table is empty$"):
+        replace(SMALL, **{name: ()})
 
 
 def test_carrier_equation_checks_its_tolerance():

@@ -1,8 +1,13 @@
 """Model/parameter document parsing and the command-line workflows."""
 
+import contextlib
 import dataclasses
+import gc
+import inspect
 import json
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from impulsive_ctmdp import build_epidemic_model, cli, epidemic, extract_policy, solve, validate_model
+from impulsive_ctmdp import io as mio
 from impulsive_ctmdp.bellman import NonConvergenceError
 from impulsive_ctmdp.intervention import ImproperChainError
 from impulsive_ctmdp.io import (
@@ -50,18 +56,23 @@ def test_parse_model_fields_land_where_expected():
     assert m.costs.eta == 1.0
 
 
-@pytest.mark.parametrize("seed", [*range(20), "desk"])
-def test_parsed_random_model_matches_the_built_one(seed):
-    # Every desk label holds commas, which an unquoted document cannot carry.
-    built = build_epidemic_model(desk_params()) if seed == "desk" else random_model(seed)
-    parsed = parse_model(model_document(built))
+def _assert_same_tables(one: CtmdpModel, other: CtmdpModel) -> None:
+    assert one.states.labels == other.states.labels
     for kind in ("gradual_pairs", "impulse_pairs"):
-        a, b = getattr(built, kind), getattr(parsed, kind)
+        a, b = getattr(one, kind), getattr(other, kind)
         for f in dataclasses.fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
             if f.name.endswith("_rank"):  # None means pair order
                 x, y = (np.arange(len(a.names)) if r is None else r for r in (x, y))
             assert np.array_equal(x, y), (kind, f.name)
+
+
+@pytest.mark.parametrize("seed", [*range(20), "desk"])
+def test_parsed_random_model_matches_the_built_one(seed):
+    # Every desk label holds commas, which an unquoted document cannot carry.
+    built = build_epidemic_model(desk_params()) if seed == "desk" else random_model(seed)
+    parsed = parse_model(model_document(built))
+    _assert_same_tables(built, parsed)
     want, got = solve(built), solve(parsed)
     assert np.array_equal(want.V.values, got.V.values) and want.gap == got.gap
     assert np.array_equal(want.policy.phi_g, got.policy.phi_g)
@@ -94,6 +105,67 @@ def test_model_document_round_trips_any_label(states, actions):
     assert parsed.states.labels == built.states.labels and not validate_model(parsed)
     assert dict(parsed.actions.gradual) == dict(built.actions.gradual)
     assert model_document(parsed) == text
+
+
+def test_parse_model_runs_no_garbage_collection():
+    # A 377 KB document: the parse used to set off 162 collections, over a third of its time.
+    text = model_document(random_model(1, max_states=300))
+    body = inspect.unwrap(parse_model).__code__
+    seen = []
+
+    def hook(phase, info):
+        if phase == "start":
+            frame, inside = sys._getframe(), False
+            while frame is not None and not inside:
+                inside, frame = frame.f_code is body, frame.f_back
+            seen.append((info["generation"], inside))
+
+    gc.callbacks.append(hook)
+    try:
+        parse_model(text)
+    finally:
+        gc.callbacks.remove(hook)
+    # None runs while the document is parsed; the objects it left behind get at
+    # most one young-generation pass once the collector resumes.
+    assert seen in ([], [(0, False)])
+
+
+@pytest.mark.parametrize("text", [
+    TWO_STATE.read_text(),
+    TWO_STATE.read_text().replace("eta: 1.0", "eta: fast"),
+    "states: [a\n",
+], ids=["parsed", "parse-error", "yaml-error"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_model_leaves_the_collector_as_it_found_it(text, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(ModelParseError):
+            parse_model(text)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_both_loaders_parse_alike(monkeypatch):
+    # The pure-Python loader stands in when PyYAML lacks libyaml.
+    def parse_with(loader, text):
+        monkeypatch.setattr(mio, "_LOADER", loader)
+        try:
+            return parse_model(text)
+        except ModelParseError as exc:
+            return str(exc)
+
+    loaders = (yaml.SafeLoader, yaml.CSafeLoader)
+    for seed in range(5):
+        python, libyaml = (parse_with(loader, model_document(random_model(seed))) for loader in loaders)
+        _assert_same_tables(python, libyaml)
+        assert python.actions.gradual == libyaml.actions.gradual
+        assert python.actions.impulsive == libyaml.actions.impulsive
+    text = model_document(random_model(0))
+    for bad in (text.replace("eta: 1.0", "eta: fast"), text.replace("K_rate:", "K_rat:"),
+                text + 'states: ["x0"]\n'):
+        python, libyaml = (parse_with(loader, bad) for loader in loaders)
+        assert python == libyaml and re.search(r"\(line \d+\)", python), (python, libyaml)
 
 
 def test_missing_section_is_reported():
@@ -205,6 +277,25 @@ def test_params_semantic_error_wrapped():
     text = EPIDEMIC.read_text().replace("rho_b: [0.0, 1.0]", "rho_b: [0.7, 1.0]")
     with pytest.raises(ModelParseError, match="vanish at c=0"):
         parse_epidemic_params(text)
+
+
+@pytest.mark.parametrize("name, table, message", [
+    ("rho_b", "[]", "table is empty"), ("rho_d", "[]", "table is empty"), ("kappa_i", "[]", "table is empty"),
+    ("rho_b", "[0, inf]", "must be finite and nonnegative"),
+    ("kappa_i", "[0, inf]", "must be finite and nonnegative"),
+])
+def test_cli_bad_rate_table_exits_2_at_once(tmp_path, capsys, name, table, message):
+    # An empty table used to end in an IndexError traceback (exit 1); an infinite
+    # entry passed the sign check, and the carrier iteration stepped NaN until its cap.
+    text = re.sub(rf"^{name}: .*$", f"{name}: {table}", EPIDEMIC.read_text(), count=1, flags=re.M)
+    assert f"\n{name}: {table}\n" in text
+    doc = tmp_path / "params.yaml"
+    doc.write_text(text)
+    start = time.perf_counter()
+    assert cli.run(["epidemic-solve", "--params", str(doc), "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "parse" and f"{name} {message}" in error["message"]
 
 
 # --- CLI -------------------------------------------------------------------
