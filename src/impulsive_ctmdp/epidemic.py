@@ -8,7 +8,8 @@ at price ``immunization_cost``; "immunize everyone" is realized as a chain
 of single immunizations.
 
 The value separates as V(s, c, i) = s * v(c) + i / (eta + kappa_r), where v
-solves a one-dimensional contraction fixed point over the carrier count.
+solves a one-dimensional optimal stopping equation over the carrier count
+(an exact solve, by policy iteration).
 The optimal strategy is a threshold in c: immunize all susceptibles once the
 carrier count reaches c_star, never if the price is at least the critical
 price lambda_star.
@@ -26,7 +27,6 @@ from .model import CtmdpModel, PairTable, StationaryPolicy
 
 WAIT = "wait"
 IMMUNIZE = "immunize"
-CARRIER_ITERATIONS = 10 ** 7  # steps the carrier iteration may take
 
 
 class CarrierContractionError(ValueError):
@@ -72,6 +72,9 @@ class EpidemicParams:
             raise ValueError("eta must be finite and > 0, and kappa_r finite and >= 0")
         if not 0 < self.immunization_cost < math.inf:
             raise ValueError("immunization cost must be finite and > 0")
+        for b, d, k in zip(self.rho_b, self.rho_d, self.kappa_i):
+            if not (math.isfinite(self.eta + b + d + k) and math.isfinite(k / (self.eta + self.kappa_r))):
+                raise ValueError("eta + rho_b + rho_d + kappa_i and kappa_i / (eta + kappa_r) must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,36 +137,43 @@ def lambda_star(params: EpidemicParams) -> float:
     return (ki / (params.eta + params.kappa_r)) / (params.eta + ki)
 
 
-def solve_carrier_equation(params: EpidemicParams, tol: float = 1e-12) -> CarrierValue:
-    """Contraction iteration for the per-susceptible carrier value v(c).
+def _thomas(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> list[float]:
+    """x with lower[k-1] x[k-1] + x[k] + upper[k] x[k+1] = rhs[k]; stable unpivoted if |lower| + |upper| < 1."""
+    lo, up, x = lower.tolist(), upper.tolist() + [0.0], rhs.tolist()
+    for k in range(1, len(x)):
+        m = 1.0 - lo[k - 1] * up[k - 1]
+        up[k], x[k] = up[k] / m, (x[k] - lo[k - 1] * x[k - 1]) / m
+    for k in range(len(x) - 2, -1, -1):
+        x[k] -= up[k] * x[k + 1]
+    return x
 
-    Iterates from zero until the a-posteriori error bound meets ``tol``;
-    then scans for the smallest carrier count at which waiting is strictly
-    worse than paying the immunization price.  Raises
-    :class:`NonConvergenceError` if that takes over ``CARRIER_ITERATIONS`` steps.
+
+def solve_carrier_equation(params: EpidemicParams, tol: float = 1e-12) -> CarrierValue:
+    """Exact solve of the carrier value v(c) by policy iteration; raises
+    :class:`NonConvergenceError` if its residual (``carrier_residual``) exceeds
+    ``tol * max(1, lambda)``, as the residual's roundoff grows with v <= lambda.
+
+    Starts by stopping at every carrier count.  Each round keeps stopping only
+    where waiting costs more than the price and solves the waiting counts'
+    tridiagonal system; the stop set only shrinks, so at most C_max + 1 solves.
+    c_star is the first count where waiting is strictly worse than the price.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
     a1, a2, _ = alphas = _alphas(params, truncated=True)
-    d = float(np.max(a1 + a2))
-    if d >= 1.0:
-        raise CarrierContractionError(
-            f"sup(alpha1 + alpha2) = {d} >= 1; the carrier equation is not a contraction")
+    if (d := float(np.max(a1 + a2))) >= 1.0:
+        raise CarrierContractionError(f"sup(alpha1 + alpha2) = {d} >= 1; the carrier equation is not a contraction")
     lam = params.immunization_cost
-    w = np.zeros(params.C_max + 1)
-    stop = tol * (1.0 - d)
-    for _ in range(CARRIER_ITERATIONS):
-        wn = np.minimum(_carrier_map(alphas, w), lam)
-        step = float(np.max(np.abs(wn - w)))
-        w = wn
-        if step <= stop:
-            break
-    else:
-        raise NonConvergenceError(f"no carrier step <= {stop!r} in {CARRIER_ITERATIONS} steps",
-                                  w, step, CARRIER_ITERATIONS)
-    above = np.flatnonzero(_carrier_map(alphas, w) > lam + 1e-12)
-    c_star = int(above[0]) if above.size else None
-    return CarrierValue(v=w, c_star=c_star, lambda_star=lambda_star(params))
+    stop, w, solves = np.ones(params.C_max + 1, dtype=bool), np.full(params.C_max + 1, lam), 0
+    while not np.array_equal(keep := stop & ((g := _carrier_map(alphas, w)) > lam), stop):
+        stop, solves, wait, w = keep, solves + 1, np.flatnonzero(~keep), np.where(keep, lam, 0.0)
+        link = np.diff(wait) == 1  # a stopped neighbour's lam moves into the right-hand side
+        w[wait] = _thomas(-a2[wait[1:]] * link, -a1[wait[:-1]] * link, _carrier_map(alphas, w)[wait])
+    if (residual := float(np.max(np.abs(np.minimum(g, lam) - w)))) > tol * max(1.0, lam):
+        raise NonConvergenceError(f"carrier residual {residual!r} exceeds tol={tol!r} times max(1, lambda)",
+                                  w, residual, solves)
+    above = np.flatnonzero(g > lam + 1e-12)
+    return CarrierValue(v=w, c_star=int(above[0]) if above.size else None, lambda_star=lambda_star(params))
 
 
 def carrier_residual(params: EpidemicParams, cv: CarrierValue) -> float:

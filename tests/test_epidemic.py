@@ -2,9 +2,11 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulsive_ctmdp import (
     EpidemicParams,
@@ -66,6 +68,17 @@ def test_params_reject_non_finite_numbers(field, value):
         replace(SMALL, **{field: value})
 
 
+@pytest.mark.parametrize("changes", [
+    {"rho_b": (0.0, 1.0e308), "rho_d": (0.0, 1.0e308)},   # eta + rho_b + rho_d + kappa_i overflows
+    {"kappa_i": (0.0, 1.0e300), "eta": 1.0e-10},          # kappa_i / (eta + kappa_r) overflows
+])
+def test_params_reject_rates_that_overflow(changes):
+    # Each entry is finite, but the carrier coefficients used to come out NaN, and the
+    # carrier iteration stepped NaN until a timeout killed it.
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(SMALL, kappa_r=0.0, **changes)
+
+
 @pytest.mark.parametrize("name", ["rho_b", "rho_d", "kappa_i"])
 def test_params_reject_an_empty_rate_table(name):
     # An empty table used to raise IndexError where it is padded to C_max+1.
@@ -80,7 +93,7 @@ def test_carrier_equation_checks_its_tolerance():
 
 
 def test_carrier_equation_stops_at_an_exact_fixed_point():
-    # tol * (1 - d) underflows to 0, and a step of 0 still stops the iteration.
+    # The smallest positive tol passes: the exact solve leaves the desk model no residual.
     p = desk_params()
     cv = solve_carrier_equation(p, tol=5e-324)
     assert carrier_residual(p, cv) == 0.0
@@ -88,25 +101,92 @@ def test_carrier_equation_stops_at_an_exact_fixed_point():
 
 
 def test_a_slow_contraction_factor_still_converges():
-    # The bound step_k <= step_1 d^(k-1) would ask for about 2.3e7 steps at d = 1 - 1e-6,
-    # past the cap; the walk is killed at c = 0, so the iteration stops after about 2e4.
+    # The exact solve's rounds do not depend on d = 1 - 1e-6: the stop set only shrinks,
+    # so there are at most C_max + 1 solves.
     p = replace(desk_params(), eta=1e-6, kappa_i=(0.0, 1e-6))
-    assert carrier_residual(p, solve_carrier_equation(p)) <= 1e-12
-    # At d = 1 - 1e-7 the value saturates at the price after one step, and the next stops.
+    with mock.patch.object(epidemic, "_thomas", wraps=epidemic._thomas) as thomas:
+        assert carrier_residual(p, solve_carrier_equation(p)) <= 1e-15
+    assert thomas.call_count <= p.C_max + 1
+    # At d = 1 - 1e-7 waiting costs more than the price wherever carriers infect.
     q = EpidemicParams(S=10, I=2, c0=2, C_max=3, eta=1e-7, kappa_r=0.0, immunization_cost=0.1,
                        rho_b=(0.0, 1.0), rho_d=(0.0, 1.0), kappa_i=(0.0, 1e-7))
     cv = solve_carrier_equation(q)
     assert cv.v.tolist() == [0.0, 0.1, 0.1, 0.1] and cv.c_star == 1
 
 
-def test_the_carrier_iteration_cap_raises(monkeypatch):
-    # Frozen carriers contract at once (d = 0), so the cap alone stops the first step.
-    monkeypatch.setattr(epidemic, "CARRIER_ITERATIONS", 1)
-    with pytest.raises(NonConvergenceError, match="in 1 steps") as err:
-        solve_carrier_equation(rho_free_params())
-    assert err.value.iterations == 1 and err.value.step > 0
-    monkeypatch.setattr(epidemic, "CARRIER_ITERATIONS", 2)
-    assert carrier_residual(rho_free_params(), solve_carrier_equation(rho_free_params())) == 0.0
+def test_a_tol_below_the_roundoff_floor_raises():
+    # Just below the critical price the exact solve leaves a residual of about one ulp of v,
+    # 1.1e-16; a tol below that raises exit 4's error, carrying the residual as its step.
+    p = replace(desk_params(), immunization_cost=0.431818181818)
+    cv = solve_carrier_equation(p)
+    residual = carrier_residual(p, cv)
+    assert 0.0 < residual <= 1e-15
+    with pytest.raises(NonConvergenceError, match="exceeds tol=1e-20") as err:
+        solve_carrier_equation(p, tol=1e-20)
+    assert err.value.step == residual and np.array_equal(err.value.last, cv.v)
+
+
+@pytest.mark.parametrize("eta, lam, tol", [(1e-4, 2e4, 1e-12), (1e-6, 2e6, 1e-10)])
+def test_a_large_price_solves_at_the_default_tols(eta, lam, tol):
+    # v comes near lambda_star (about 1e4 and 1e6), and the exact solve's residual of a
+    # few ulps of it (1.8e-12, 2.3e-10) exceeds the library's and the CLI's default tol;
+    # tol is relative to max(1, lambda), so both solve.
+    p = replace(desk_params(), eta=eta, kappa_r=0.0, immunization_cost=lam)
+    cv = solve_carrier_equation(p, tol=tol)
+    assert tol < carrier_residual(p, cv) <= tol * lam and cv.c_star is None
+
+
+def _value_iteration(p: EpidemicParams) -> np.ndarray:
+    """Carrier value by plain value iteration in extended precision, from below (0)
+    and from above (the price), which bracket it, until the bracket is below 1e-14
+    or neither end moves."""
+    rb, rd, ki = (np.array(t, dtype=np.longdouble) for t in (p.rho_b, p.rho_d, p.kappa_i))
+    rb[-1] = 0  # no births at the truncation
+    denom = p.eta + rb + rd + ki
+    lam = p.immunization_cost
+
+    def step(w):
+        up, down = np.append(w[1:], w[-1]), np.append(w[0], w[:-1])
+        return np.minimum((rb * up + rd * down + ki / (p.eta + p.kappa_r)) / denom, lam)
+
+    lo, hi = np.zeros(p.C_max + 1, dtype=np.longdouble), np.full(p.C_max + 1, lam, dtype=np.longdouble)
+    for _ in range(10 ** 6):
+        new = step(lo), step(hi)
+        if np.max(hi - lo) <= 1e-14 or (np.array_equal(new[0], lo) and np.array_equal(new[1], hi)):
+            return (lo + hi) / 2
+        lo, hi = new
+    raise AssertionError("reference value iteration did not close its bracket")
+
+
+# Rates up to 1 against eta down to 1e-3 give contraction factors up to 1 - 5e-4, so the
+# bracket, which shrinks at least by that factor per step, closes within 7e4 steps.
+RATE = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+
+@st.composite
+def carrier_problems(draw):
+    c_max = draw(st.integers(1, 60))
+    tables = [(0.0,) + tuple(draw(st.lists(RATE, min_size=0, max_size=c_max))) for _ in range(3)]
+    return EpidemicParams(S=1, I=0, c0=0, C_max=c_max, eta=draw(st.sampled_from([1e-3, 0.1, 1.0, 5.0])),
+                          kappa_r=draw(st.floats(0.0, 2.0)), immunization_cost=draw(st.floats(0.01, 1.0)),
+                          rho_b=tables[0], rho_d=tables[1], kappa_i=tables[2])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(carrier_problems())
+def test_carrier_solve_matches_value_iteration(p):
+    # Random tables, with zero and non-monotone entries.  The reference's bracket is
+    # within 1e-14 of the value; 1e-13 leaves room for the solve's roundoff, which a
+    # contraction factor near 1 amplifies.
+    with mock.patch.object(epidemic, "_thomas", wraps=epidemic._thomas) as thomas:
+        cv = solve_carrier_equation(p)
+    assert thomas.call_count <= p.C_max + 1
+    ref = _value_iteration(p)
+    assert np.max(np.abs(cv.v - ref)) <= 1e-13
+    assert carrier_residual(p, cv) <= 1e-15
+    waiting = epidemic._carrier_map(epidemic._alphas(p, truncated=True), ref)
+    above = np.flatnonzero(waiting > p.immunization_cost + 1e-12)
+    assert cv.c_star == (int(above[0]) if above.size else None)
 
 
 def test_rate_tables_pad_as_constant():
