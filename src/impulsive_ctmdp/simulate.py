@@ -15,17 +15,21 @@ together as one batch; each block still draws what it draws alone, so the
 draws do not depend on the batching.  An impulse draws a uniform only from a
 relocation row with two or more targets; on a one-target row the path moves
 and draws nothing.  So a sure chain (each row on it has one target) draws
-nothing, and an unrecorded path lands it by a lookup in a table built once
-per policy.  An :class:`ImproperChainError` names the state of the
-lowest-index path of the batch still in a chain.
+nothing, and a batch lands it by a lookup in a table built once per
+policy.  An :class:`ImproperChainError` names the state of the lowest-index
+path of the batch still in a chain.
+
 :func:`simulate_trajectory`, :func:`sample_chain` and
-:func:`simulate_spaced` run a one-path batch with a recorder of its epochs;
+:func:`simulate_spaced` record one path, epoch by epoch, impulse by impulse.
+It walks on scalars (:func:`_walk`) and makes exactly the draws, sums and
+discount factors of a one-path batch, which is its reference.
 :func:`simulate_spaced` adds a wait before each impulse, a sojourn with a
 deadline.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -92,7 +96,6 @@ class _Prep:
     comp: CompiledModel
     labels: tuple[str, ...]  # state labels, for messages
     impulsive: np.ndarray    # the policy's intervene region
-    phi_i: np.ndarray        # the policy's impulse choice
     g_rows: np.ndarray       # gradual pair under phi_g
     total_rate: np.ndarray   # jump rate under phi_g
     run_cost: np.ndarray     # running cost under phi_g
@@ -132,7 +135,6 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
         comp=comp,
         labels=model.states.labels,
         impulsive=policy.impulsive,
-        phi_i=policy.phi_i,
         g_rows=g_rows,
         total_rate=comp.g_total_rate[g_rows],
         run_cost=comp.g_cost[g_rows],
@@ -188,38 +190,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# The engine.  A batch of paths advances one event at a time.  A one-path
-# batch may pass a recorder and a wait schedule (its next waits, next last).
-
-
-class _Recorder:
-    """Epochs of a one-path batch: one at time 0 and one per natural jump,
-    each with the impulses of the chain that started there."""
-
-    def __init__(self) -> None:
-        self.epochs: list[tuple[float, int, int, list[int] | None]] = []
-        self.end = math.inf  # where the path stopped: the horizon, or inf once absorbed
-
-    def epoch(self, t: float, pre: int, target: int, chain: bool) -> None:
-        self.epochs.append((float(t), int(pre), int(target), [] if chain else None))
-
-    def impulse(self, x: int) -> None:
-        self.epochs[-1][3].append(int(x))
-
-    def trajectory(self, model: CtmdpModel, prep: _Prep, x: int, gradual: float, impulse: float) -> Trajectory:
-        """The recorded path; it ends at state ``x``."""
-        labels = model.states.labels
-        actions = model.actions.impulsive
-        posts = [pre for _, pre, _, _ in self.epochs[1:]] + [x]  # where each chain left the path
-        epochs = []
-        for (t, pre, target, steps), post in zip(self.epochs, posts):
-            chain = None if steps is None else InterventionChain(
-                steps=tuple((labels[s], actions[labels[s]][prep.phi_i[s]]) for s in steps),
-                landing=labels[post],
-                total_cost=sum((float(prep.imp_cost[s]) for s in steps), 0.0),
-            )
-            epochs.append(Epoch(t, labels[pre], labels[target], chain, labels[post]))
-        return Trajectory(tuple(epochs), gradual, impulse, self.end)
+# The engine.  A batch of paths advances one event at a time.
 
 
 def _draw(rngs: list[np.random.Generator], method: str, ids: np.ndarray) -> np.ndarray:
@@ -236,40 +207,31 @@ def _draw(rngs: list[np.random.Generator], method: str, ids: np.ndarray) -> np.n
                           or [np.empty(0)])
 
 
-def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np.ndarray,
-            rec: _Recorder | None = None, waits: list[float] | None = None) -> np.ndarray:
+def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np.ndarray) -> np.ndarray:
     """Run the impulse chains of a batch of paths; ``x`` ends at the landings.
 
     ``ids`` are the paths' batch indices, ascending.  Returns each path's
-    undiscounted chain cost (0 where it starts unflagged).  A path with
-    ``waits`` stops before an impulse whose wait is positive.
-
-    Each step draws a uniform for the paths on a row with two or more
-    targets only.  Without a recorder, a path whose chain is sure lands by
-    lookup, and the other paths step; a sure chain draws nothing either way.
+    undiscounted chain cost (0 where it starts unflagged).  A path whose
+    chain is sure lands by lookup, and the other paths step; each step draws
+    a uniform for the paths on a row with two or more targets only.
     """
     comp = prep.comp
     flagged = prep.impulsive
     cost = np.zeros(x.size)
     act = np.flatnonzero(flagged[x])
-    if rec is None:
-        land = prep.sure_land[x[act]]
-        sure = land >= 0
-        done = act[sure]
-        cost[done] = prep.sure_cost[x[done]]
-        x[done] = land[sure]
-        act = act[~sure]
+    land = prep.sure_land[x[act]]
+    sure = land >= 0
+    done = act[sure]
+    cost[done] = prep.sure_cost[x[done]]
+    x[done] = land[sure]
+    act = act[~sure]
     steps = 0
-    while act.size and not (waits and waits[-1] > 0.0):
+    while act.size:
         if steps >= prep.guard:
             raise ImproperChainError(f"chain exceeded the {prep.guard}-step guard without reaching a gradual state",
                                      prep.labels[x[act[0]]])
         at = x[act]
         cost[act] += prep.imp_cost[at]
-        if rec is not None:
-            rec.impulse(at[0])
-        if waits:
-            waits.pop()
         pos, hi = prep.imp_lo[at], prep.imp_hi[at]
         many = np.flatnonzero(hi - pos > 1)
         pos[many] = sample_rows(comp.Q_cum, pos[many], hi[many], _draw(rngs, "random", ids[act[many]]))
@@ -280,20 +242,15 @@ def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np
 
 
 def _advance(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], horizon: float,
-             flow_rate: np.ndarray, absorbed_end: float,
-             rec: _Recorder | None = None, waits: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+             flow_rate: np.ndarray, absorbed_end: float) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of paths from time 0 to ``horizon``; ``x`` ends at their final states.
 
-    ``x`` starts outside the flagged set, or paused before a wait.  Returns,
-    per path, the discounted integral of ``flow_rate`` (a rate per state) and
-    the discounted impulse cost.  A path at a state without jumps integrates
-    up to ``absorbed_end``.  A wait is a sojourn at the flagged state with a
-    deadline: if the deadline comes first, the chain resumes there; if a
-    natural jump comes first, the path jumps and intervenes no more.
+    ``x`` starts outside the flagged set.  Returns, per path, the discounted
+    integral of ``flow_rate`` (a rate per state) and the discounted impulse
+    cost.  A path at a state without jumps integrates up to ``absorbed_end``.
     """
     comp = prep.comp
     eta = comp.eta
-    flagged = prep.impulsive
     flow = np.zeros(x.size)
     impulses = np.zeros(x.size)
     live = np.arange(x.size)
@@ -304,31 +261,16 @@ def _advance(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], horizo
         moves = rate > 0.0
         wait = np.divide(_draw(rngs, "standard_exponential", live), rate, out=np.full(live.size, np.inf), where=moves)
         t_next = t + wait
-        # A paused path's sojourn runs against the end of its wait.
-        paused = waits is not None and bool(flagged[at[0]])
-        resume = paused and bool(t[0] + waits[-1] < t_next[0])
-        if resume:
-            t_next, moves = t + waits[-1], np.ones(1, dtype=bool)
         end = np.where(moves, np.minimum(t_next, horizon), absorbed_end)
         flow[live] += flow_rate[at] * (np.exp(-eta * t) - np.exp(-eta * end)) / eta
-        if rec is not None:
-            rec.end = float(end[0])
         go = moves & (t_next <= horizon)
         live, at, t = live[go], at[go], t_next[go]
-        if resume:  # the wait is served and the chain resumes in place
-            waits[-1] = 0.0
-            z, hit = at.copy(), np.ones(live.size, dtype=bool)
-        else:
-            if paused:  # a natural jump came first: the path intervenes no more
-                flagged = np.zeros_like(flagged)
-            pos = sample_rows(comp.J_cum, prep.jump_lo[at], prep.jump_hi[at], _draw(rngs, "random", live))
-            z = comp.J.indices[pos]
-            hit = flagged[z]
-            if rec is not None and live.size:
-                rec.epoch(t[0], at[0], z[0], hit[0])
+        pos = sample_rows(comp.J_cum, prep.jump_lo[at], prep.jump_hi[at], _draw(rngs, "random", live))
+        z = comp.J.indices[pos]
+        hit = prep.impulsive[z]
         if hit.any():
             landed, ids = z[hit], live[hit]
-            impulses[ids] += _chains(prep, landed, rngs, ids, rec, waits) * np.exp(-eta * t[hit])
+            impulses[ids] += _chains(prep, landed, rngs, ids) * np.exp(-eta * t[hit])
             z[hit] = landed
         x[live] = z
     return flow, impulses
@@ -341,34 +283,89 @@ def _state_index(model: CtmdpModel, x0: str) -> int:
         raise ValueError(f"x0 {x0!r} is not a state of the model") from None
 
 
-def _one_path(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.Generator,
-              tail_tol: float | None, deltas: list[float] | None = None) -> Trajectory:
-    """Record a one-path batch from ``x0``; without ``tail_tol`` it stops after the chain at time 0."""
+def _walk(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.Generator,
+          tail_tol: float | None, deltas: list[float] | None = None) -> Trajectory:
+    """Record one path from ``x0``; without ``tail_tol`` it stops after the chain at time 0.
+
+    The path walks on scalars and makes the draws of a one-path batch of
+    :func:`_advance`.  With ``deltas``, a chain stops before an impulse whose
+    wait is positive, and the path sojourns at that flagged state against
+    the wait's deadline: if the deadline comes first, the chain resumes
+    there; if a natural jump comes first, the path jumps and intervenes no
+    more.  The guard counts the steps of each stretch of a chain.
+    """
     prep = _prepare(model, policy)
     horizon = None if tail_tol is None else prep.horizon(tail_tol)
-    k = _state_index(model, x0)
-    x = np.array([k])
-    rec = _Recorder()
-    rec.epoch(0.0, k, k, prep.impulsive[k])
-    waits = None if deltas is None else [float(d) for d in reversed(deltas)]
-    first = float(_chains(prep, x, [rng], np.arange(1), rec, waits)[0])
-    if horizon is None:
-        return rec.trajectory(model, prep, int(x[0]), 0.0, first)
-    flow, impulses = _advance(prep, x, [rng], horizon, prep.run_cost, math.inf, rec, waits)
-    return rec.trajectory(model, prep, int(x[0]), float(flow[0]), first + float(impulses[0]))
+    comp, labels, eta, flagged = prep.comp, prep.labels, prep.comp.eta, prep.impulsive
+    x = _state_index(model, x0)
+    waits = None if deltas is None else [float(d) for d in reversed(deltas)]  # next wait last
+    epochs = [(0.0, x, x, [] if flagged[x] else None)]  # time, pre-jump state, target, the chain's impulses
+
+    def chain(x):
+        """Impulses from ``x`` until the path lands or pauses; where it stops, and their cost."""
+        cost, steps = 0.0, 0
+        while flagged[x] and not (waits and waits[-1] > 0.0):
+            if steps >= prep.guard:
+                raise ImproperChainError(f"chain exceeded the {prep.guard}-step guard without reaching a gradual state",
+                                         labels[x])
+            cost += prep.imp_cost[x]
+            epochs[-1][3].append(x)
+            if waits:
+                waits.pop()
+            pos, hi = prep.imp_lo[x], prep.imp_hi[x]
+            if hi - pos > 1:
+                pos = bisect.bisect_right(comp.Q_cum, rng.random(), pos, hi - 1)
+            x = comp.Q_imp.indices[pos]
+            steps += 1
+        return x, cost
+
+    x, first = chain(x)
+    flow = impulses = t = 0.0
+    end, intervene = math.inf, True  # end: where the path stopped, the horizon or inf once absorbed
+    while horizon is not None:
+        rate, e = prep.total_rate[x], rng.standard_exponential()  # drawn also where nothing jumps
+        t_next = t + e / rate if rate > 0.0 else math.inf
+        paused = intervene and flagged[x]
+        resume = paused and t + waits[-1] < t_next
+        if resume:
+            t_next = t + waits[-1]
+        moves = rate > 0.0 or resume
+        end = min(t_next, horizon) if moves else math.inf
+        flow += prep.run_cost[x] * (np.exp(-eta * t) - np.exp(-eta * end)) / eta
+        if not (moves and t_next <= horizon):
+            break
+        t, z = t_next, x
+        if resume:  # the wait is served and the chain resumes in place
+            waits[-1] = 0.0
+        else:
+            if paused:  # a natural jump came first: the path intervenes no more
+                intervene = False
+            z = comp.J.indices[bisect.bisect_right(comp.J_cum, rng.random(), prep.jump_lo[x], prep.jump_hi[x] - 1)]
+            epochs.append((float(t), x, z, [] if intervene and flagged[z] else None))
+        x = z
+        if intervene and flagged[z]:
+            x, cost = chain(z)
+            impulses += cost * np.exp(-eta * t)
+    actions = model.actions.impulsive
+    posts = [pre for _, pre, _, _ in epochs[1:]] + [x]  # where each chain left the path
+    return Trajectory(tuple(
+        Epoch(time, labels[pre], labels[target], None if steps is None else InterventionChain(
+            steps=tuple((labels[s], actions[labels[s]][policy.phi_i[s]]) for s in steps),
+            landing=labels[post], total_cost=sum((float(prep.imp_cost[s]) for s in steps), 0.0)), labels[post])
+        for (time, pre, target, steps), post in zip(epochs, posts)), float(flow), float(first + impulses), float(end))
 
 
 def sample_chain(model: CtmdpModel, policy: StationaryPolicy, x: str, rng: np.random.Generator) -> InterventionChain:
     """Sample one intervention chain started at a flagged state."""
     if not policy.impulsive[_state_index(model, x)]:
         raise ValueError(f"state {x!r} is not flagged for intervention under this policy")
-    return _one_path(model, policy, x, rng, None).epochs[0].chain
+    return _walk(model, policy, x, rng, None).epochs[0].chain
 
 
 def simulate_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: str,
                         rng: np.random.Generator, tail_tol: float = DEFAULT_TAIL_TOL) -> Trajectory:
     """Sample one trajectory from ``x0``, recording every epoch."""
-    return _one_path(model, policy, x0, rng, tail_tol)
+    return _walk(model, policy, x0, rng, tail_tol)
 
 
 def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
@@ -385,7 +382,7 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
     """
     if not all(d >= 0 for d in deltas):
         raise ValueError("waits must be nonnegative")
-    return _one_path(model, policy, x0, rng, tail_tol, deltas)
+    return _walk(model, policy, x0, rng, tail_tol, deltas)
 
 
 def _blocks(prep: _Prep, x0: int, seed: int, n_reps: int, blocks: range, horizon: float,

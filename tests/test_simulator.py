@@ -249,12 +249,11 @@ def test_only_a_two_target_row_draws():
     assert rng.random() == twin.random()
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(st.integers(0, 10_000), st.data())
-def test_one_target_rows_give_the_same_estimates_by_lookup_and_by_steps(seed, data):
-    # Some impulse rows of a random model collapse to one target, so the solved
-    # policy's chains mix sure steps with sampled ones.  Small blocks make a
-    # short call span several of them.  A slow discount makes intervening pay.
+def one_target_rows(seed, data):
+    """A random model, some of whose impulse rows collapse to one target, and
+    its solved policy, which flags some state; the chains mix sure steps with
+    sampled ones.  A slow discount makes intervening pay.  Also returns two
+    flagged states and state 0 as starts."""
     m = random_model(seed, max_states=8, eta=0.1)
     rows = dict(m.impulses.rows)
     assume(rows)
@@ -264,7 +263,14 @@ def test_one_target_rows_give_the_same_estimates_by_lookup_and_by_steps(seed, da
     report = solve(m)
     flagged = np.flatnonzero(report.policy.impulsive)
     assume(flagged.size)
-    x0s = [m.states.labels[k] for k in (*flagged[:2], 0)]
+    return m, report, [m.states.labels[k] for k in (*flagged[:2], 0)]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.data())
+def test_one_target_rows_give_the_same_estimates_by_lookup_and_by_steps(seed, data):
+    # Small blocks make a short call span several blocks.
+    m, report, x0s = one_target_rows(seed, data)
 
     def runs():
         return [(vars(estimate_cost(m, report.policy, x0, 50, seed)),
@@ -278,6 +284,58 @@ def test_one_target_rows_give_the_same_estimates_by_lookup_and_by_steps(seed, da
             assert runs() == looked_up
         force_stepping(mp)
         assert runs() == looked_up
+
+
+def assert_walk_is_a_one_path_batch(model, policy, x0, seed, rep):
+    """The recorded path from ``x0`` costs what the batch engine gives one path
+    on the twin stream, ends where it ends and leaves the stream where it does."""
+    rng, twin = replication_rng(seed, rep), replication_rng(seed, rep)
+    traj = simulate_trajectory(model, policy, x0, rng)
+    prep = _prepare(model, policy)
+    x = np.array([model.states.index[x0]])
+    first = simulate._chains(prep, x, [twin], np.arange(1))
+    flow, impulses = simulate._advance(prep, x, [twin], prep.horizon(DEFAULT_TAIL_TOL), prep.run_cost, math.inf)
+    assert traj.discounted_gradual_cost == flow[0]
+    assert traj.discounted_impulse_cost == first[0] + impulses[0]
+    assert traj.epochs[-1].post_state == model.states.labels[x[0]]
+    assert rng.random() == twin.random()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.data())
+def test_recorded_paths_are_one_path_batches(seed, data):
+    # The walk makes the batch's draws, float additions and discount factors,
+    # on sure and sampled chains alike (the batch looks sure chains up).
+    m, report, x0s = one_target_rows(seed, data)
+    for x0 in x0s:
+        for rep in range(4):
+            assert_walk_is_a_one_path_batch(m, report.policy, x0, seed, rep)
+
+
+def test_recorded_desk_paths_are_one_path_batches(desk_solved):
+    m, policy = desk_solved["model"], desk_solved["report"].policy
+    flagged = [m.states.labels[k] for k in np.flatnonzero(policy.impulsive)[::500]]
+    for x0 in ["10,1,2", *flagged]:
+        for rep in range(10):
+            assert_walk_is_a_one_path_batch(m, policy, x0, 5, rep)
+
+
+def test_every_sampler_raises_at_the_guard(monkeypatch):
+    # Chains of 1,000 impulses on average against a 3-step guard; a spaced
+    # path's guard counts the steps after its wait.
+    m = geometric_model(p_stay=0.999)
+    policy = improper_policy(m)
+    prepare = simulate._prepare
+    monkeypatch.setattr(simulate, "_prepare", lambda model, pol: dataclasses.replace(prepare(model, pol), guard=3))
+    calls = [lambda: sample_chain(m, policy, "x", replication_rng(0, 0)),
+             lambda: simulate_trajectory(m, policy, "x", replication_rng(0, 0)),
+             lambda: simulate_spaced(m, policy, "x", replication_rng(0, 0), [0.1]),
+             lambda: estimate_cost(m, policy, "x", 10, seed=0)]
+    message = "^chain exceeded the 3-step guard without reaching a gradual state$"
+    for call in calls:
+        with pytest.raises(ImproperChainError, match=message) as err:
+            call()
+        assert err.value.state == "x" and policy.impulsive[m.states.index[err.value.state]]
 
 
 def test_errors_survive_a_pickle_round_trip():
