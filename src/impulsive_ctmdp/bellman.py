@@ -38,7 +38,7 @@ from ._ops import (
     segment_argmin,
 )
 from .errors import DEFAULT_TOL, NonConvergenceError
-from .intervention import analyze_chains
+from .intervention import analyze_chains, fold_sure
 from .model import CtmdpModel, StationaryPolicy
 
 DEFAULT_MAX_ITER = 10 ** 6
@@ -162,16 +162,20 @@ def extract_policy(model: CtmdpModel, V: ValueFunction, tol_set: float = DEFAULT
 
 
 def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DEFAULT_TOL) -> ValueFunction:
-    """Discounted cost of a fixed stationary policy, by one sparse LU solve.
+    """Discounted cost of a fixed stationary policy, by one sparse LU solve
+    over the waiting states and the flagged states whose chains draw.
 
     The value solves V = B V + c.  Gradual states carry the uniformized
     one-step rows at phi_g (B = (J + diag(K - q))/(K+eta), c = running
     cost/(K+eta)); flagged states carry the impulse rows at phi_i (B = Q,
-    c = impulse cost).  An improper policy raises :class:`ImproperChainError`
-    from :func:`~impulsive_ctmdp.intervention.analyze_chains`, before I - B
-    is factored.  Raises
+    c = impulse cost).  A sure chain's start has V = W + mass V[landing]
+    from :func:`~impulsive_ctmdp.intervention.analyze_chains`, so its row
+    leaves the system and the entries into it move to its landing.  An
+    improper policy raises :class:`ImproperChainError` from that analysis,
+    before the policy system is factored.  Raises
     :class:`NonConvergenceError` when I - B is singular, when SuperLU runs
-    out of memory, or when the defect |B V + c - V| exceeds ``tol`` > 0.
+    out of memory, or when the defect max |B V + c - V| over all states
+    exceeds ``tol`` > 0.
     The solve is done once per (model, policy) while both live and is shared
     by equal policies; ``tol`` is checked on every call.
     """
@@ -186,21 +190,34 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
 @per_policy
 def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunction, float]:
     """The policy's value and its defect max |B V + c - V|; see :func:`evaluate_policy`."""
-    analyze_chains(model, policy)  # checks the policy and its properness
+    chains = analyze_chains(model, policy)  # checks the policy and its properness
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
     g_rows, flagged, i_rows = policy_pairs(comp, policy)
-    # Each state's own row: uniformized as in gradual_branch, or its impulse row.
-    pick = np.arange(comp.N)
-    pick[flagged] = comp.N + np.arange(flagged.size)
-    uniformized = (comp.J[g_rows] + sp.diags(K - comp.g_total_rate[g_rows])) / (K + eta)
-    B = sp.vstack([uniformized, comp.Q_imp[i_rows]], format="csr")[pick]
-    c = np.concatenate([comp.g_cost[g_rows] / (K + eta), comp.i_cost[i_rows]])[pick]
-    lu = factor(sp.identity(comp.N, format="csr") - B, "policy system")
+    # The system has a row for each waiting state, uniformized as in
+    # gradual_branch, and for each flagged state whose chain draws, its
+    # impulse row, in model order.  A sure chain's start has
+    # V = W + mass V[landing], and fold_sure moves each entry into it there.
+    wait, draws = np.flatnonzero(~policy.impulsive), flagged[chains.draws]
+    keep = np.flatnonzero(chains.land < 0)
+    order = np.argsort(np.concatenate([wait, draws]))
+    g_wait, i_draws = g_rows[wait], i_rows[chains.draws]
+    stay = sp.csr_matrix((K - comp.g_total_rate[g_wait], wait, np.arange(wait.size + 1)), shape=(wait.size, comp.N))
+    B = sp.vstack([(comp.J[g_wait] + stay) / (K + eta), comp.Q_imp[i_draws]], format="csr")[order]
+    c = np.concatenate([comp.g_cost[g_wait] / (K + eta), comp.i_cost[i_draws]])[order]
+    W = np.zeros(comp.N)
+    W[flagged] = chains.expected_cost
+    B, (inflow,) = fold_sure(B, chains.land, chains.mass, W)
+    lu = factor(sp.identity(keep.size, format="csr") - B[:, keep], "policy system")
     if lu is None:
         raise NonConvergenceError("policy evaluation failed; I - B is singular", np.full(comp.N, np.nan), np.inf, 0)
-    V = lu.solve(c)
-    return ValueFunction(V), float(np.max(np.abs(B @ V + c - V)))
+    V = np.empty(comp.N)
+    V[keep] = lu.solve(c + inflow)
+    sure = np.flatnonzero(chains.land >= 0)
+    V[sure] = W[sure] + chains.mass[sure] * V[chains.land[sure]]
+    TV = gradual_branch(comp, V)[g_rows]
+    TV[flagged] = impulsive_branch(comp, V)[i_rows]
+    return ValueFunction(V), float(np.max(np.abs(TV - V)))
 
 
 def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:

@@ -6,6 +6,12 @@ the recorded sequence of (state, action) steps; a policy is proper when
 every chain terminates with probability one.  :func:`analyze_chains` decides
 that and solves the chain quantities once per (model, policy); the policy
 evaluation in :mod:`bellman`, the simulator and the readers here share it.
+
+A chain is sure when every relocation row on it has one target: its start
+fixes where it lands.  One walk gives each sure chain's landing, cost, mass
+and length, so the chain is one relocation, and :func:`fold_sure` takes the
+sure states out of a linear system.  Only the chains that draw are left to
+an LU factor.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._ops import check_policy, compile_model, factor, per_policy, policy_pairs
+from ._ops import CompiledModel, check_policy, compile_model, factor, per_policy, policy_pairs
 from .errors import ImproperChainError
 from .model import CtmdpModel, StationaryPolicy
 
@@ -32,34 +38,51 @@ class InterventionChain:
 
 @dataclass(frozen=True, eq=False)
 class ChainAnalysis:
-    """A proper policy's relocation rows split at the flagged region: M (flagged
-    to flagged), kept only as the LU factor ``lu`` of I - M, and R (flagged to
-    gradual); both None when nothing is flagged.
+    """A proper policy's impulse chains, split into sure chains and chains that draw.
 
     ``states`` lists the flagged state labels in model order, ``expected_cost``
     the expected total impulse cost W = (I - M)^-1 c of a chain started at
-    each (read-only) and ``guard`` the step cap of a sampled chain.
-    ``landing_row(k)`` is the landing distribution of the chain started at
-    ``states[k]``: a probability vector over all states with support in the
-    gradual region, computed on demand by one solve.
+    each (read-only) and ``guard`` the step cap of a sampled chain; M is the
+    relocation kernel from flagged to flagged states.  ``landing_row(k)`` is
+    the landing distribution of the chain started at ``states[k]``: a
+    probability vector over all states with support in the gradual region.
+
+    Per state, ``land`` is the landing of the sure chain started there (-1
+    where there is none), ``mass`` the product of its one-target weights, and
+    ``path_cost`` its impulse costs summed from 0.0 in chain order, as a
+    sampled path adds them (-1.0 where there is no sure chain).  ``lu`` is
+    the LU factor of I - M and ``R`` the relocation rows into the gradual
+    region, both over the flagged states whose chains draw (``draws``,
+    positions in ``states``) with the sure states folded out; both are None
+    when no chain draws.
     """
 
     states: tuple[str, ...]
     expected_cost: np.ndarray
     guard: int
-    flagged: np.ndarray = field(repr=False)  # (m,) flagged state indices
-    R: sp.csr_matrix | None = field(repr=False)  # (m, N), zero on flagged columns
+    flagged: np.ndarray = field(repr=False)    # (m,) flagged state indices
+    land: np.ndarray = field(repr=False)       # (N,)
+    mass: np.ndarray = field(repr=False)       # (N,)
+    path_cost: np.ndarray = field(repr=False)  # (N,)
+    draws: np.ndarray = field(repr=False)      # (d,) ascending positions in ``states``
+    R: sp.csr_matrix | None = field(repr=False)  # (d, N), zero on flagged columns
     lu: object = field(repr=False)
 
     def landing_row(self, k: int) -> np.ndarray:
-        e = np.zeros(len(self.states))
-        e[k] = 1.0
+        x = self.flagged[k]
+        if self.land[x] >= 0:
+            row = np.zeros(self.land.size)
+            row[self.land[x]] = self.mass[x]
+            return row
+        e = np.zeros(self.draws.size)
+        e[np.searchsorted(self.draws, k)] = 1.0
         return self.R.T @ self.lu.solve(e, trans="T")
 
 
 def chain_guard(model: CtmdpModel, policy: StationaryPolicy) -> int:
     """Step cap of a sampled chain under a proper policy: ceil(40 e m), where
-    m is the largest expected number of impulses of a chain, (I - M)^-1 1.
+    m is the largest expected number of impulses of a chain, (I - M)^-1 1
+    (a sure chain's weighted length, from its walk).
 
     From any flagged state a chain outlives e m steps with probability at
     most 1/e (Markov), and restarting the bound k times gives
@@ -69,54 +92,130 @@ def chain_guard(model: CtmdpModel, policy: StationaryPolicy) -> int:
     return analyze_chains(model, policy).guard
 
 
+def fold_sure(A: sp.csr_matrix, land: np.ndarray, mass: np.ndarray,
+              *sides: np.ndarray) -> tuple[sp.csr_matrix, list[np.ndarray]]:
+    """Fold sure chains into the rows of ``A``, whose columns are states.
+
+    An entry p in the column of a state j where a sure chain starts
+    (``land[j] >= 0``) becomes p * ``mass[j]`` in the column ``land[j]``, and
+    adds p * ``side[j]`` to the row's entry of each vector returned, one per
+    ``side``.  Other entries keep their value and column, so with no sure
+    column the matrix has ``A``'s entries.  The result may hold duplicates.
+    """
+    cols = A.indices
+    sure = land[cols] >= 0
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))[sure]
+    p, j = A.data[sure], cols[sure]
+    data = A.data.copy()
+    data[sure] = p * mass[j]
+    folded = sp.csr_matrix((data, np.where(sure, land[cols], cols), A.indptr), shape=A.shape)
+    return folded, [np.bincount(rows, p * side[j], minlength=A.shape[0]) for side in sides]
+
+
+def _sure_walk(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray, i_rows: np.ndarray):
+    """Per state: the landing of its sure chain (-1 where none), the chain's
+    mass, its cost and length weighted as (I - M)^-1 weighs them, and its
+    plain cost sum (-1.0 where none).
+
+    A sure chain visits each flagged state at most once, so it lands within
+    m = ``flagged.size`` steps.  Off the one-target rows a state steps to
+    itself, and log2(m) squarings of that step take each start to where its
+    walk is after at least m steps, counting its one-target steps: a gradual
+    state for a sure chain, a flagged one for a chain that draws or a closed
+    cycle of one-target rows.  Then one forward walk steps the sure chains,
+    longest first so that the chains still walking are a prefix, and adds
+    each step's cost in chain order.
+    """
+    N, Q = comp.N, comp.Q_imp
+    lo = Q.indptr[i_rows]
+    one = np.zeros(N, dtype=bool)
+    one[flagged] = Q.indptr[i_rows + 1] - lo == 1
+    pos = np.flatnonzero(one[flagged])
+    x = flagged[pos]
+    nxt, weight, c = np.arange(N), np.zeros(N), np.zeros(N)
+    nxt[x], weight[x], c[x] = Q.indices[lo[pos]], Q.data[lo[pos]], comp.i_cost[i_rows[pos]]
+    end, count = nxt, one.astype(np.int64)
+    for _ in range(flagged.size.bit_length()):
+        count = count + count[end]
+        end = end[end]
+    starts = x[~impulsive[end[x]]]
+    starts = starts[np.argsort(-count[starts], kind="stable")]
+    lengths = count[starts]
+    walking = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))  # at step t, the chains longer than t
+    at, run_mass = starts.copy(), np.ones(starts.size)
+    run_cost, run_length, run_sum = np.zeros(starts.size), np.zeros(starts.size), np.zeros(starts.size)
+    for k in walking.tolist():
+        step = at[:k]
+        cost_at = c[step]
+        run_cost[:k] += run_mass[:k] * cost_at
+        run_length[:k] += run_mass[:k]
+        run_sum[:k] += cost_at
+        run_mass[:k] *= weight[step]
+        at[:k] = nxt[step]
+    land = np.full(N, -1, dtype=np.int64)
+    mass, cost, length, path_cost = np.zeros(N), np.zeros(N), np.zeros(N), np.full(N, -1.0)
+    land[starts], mass[starts], cost[starts], length[starts], path_cost[starts] = (
+        at, run_mass, run_cost, run_length, run_sum)
+    return land, mass, cost, length, path_cost
+
+
 @per_policy
 def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis:
-    """Check the policy, split its impulse rows, factorise I - M and solve W
-    and the guard with that factor; kept per (model, policy) while both live.
+    """Check the policy, walk its sure chains, factorise I - M over the
+    chains that draw and solve W, the landing masses and the guard; kept per
+    (model, policy) while both live.
 
     Raises ValueError for an infeasible policy, :class:`ImproperChainError`
     when I - M is singular or some chain fails to land with probability one
-    ((I - M) s = R 1 must give s = 1 within ``LANDING_ROW_TOL``), and
+    (its landing mass must be 1 within ``LANDING_ROW_TOL``), and
     :class:`NonConvergenceError` when SuperLU runs out of memory.
     """
     check_policy(model, policy)
     comp = compile_model(model)
     _, flagged, i_rows = policy_pairs(comp, policy)
-    if not flagged.size:
-        W = np.empty(0)
-        W.flags.writeable = False
-        return ChainAnalysis(states=(), expected_cost=W, guard=0, flagged=flagged, R=None, lu=None)
-    Q, m, labels = comp.Q_imp[i_rows], flagged.size, model.states.labels
-    to_flagged = policy.impulsive[Q.indices]
-    M = sp.csr_matrix((Q.data * to_flagged, Q.indices, Q.indptr), shape=Q.shape)[:, flagged]
-    R = sp.csr_matrix((Q.data * ~to_flagged, Q.indices, Q.indptr), shape=Q.shape)
-    M.eliminate_zeros()
-    R.eliminate_zeros()
-    lu = factor(sp.identity(m, format="csr") - M, "chain system")
-    if lu is None:
-        raise ImproperChainError(
-            "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[0])])
-    mass = lu.solve(np.asarray(R.sum(axis=1)).ravel())
-    bad = np.flatnonzero(~(np.abs(mass - 1.0) <= LANDING_ROW_TOL))
+    labels = model.states.labels
+    land, mass, cost, length, path_cost = _sure_walk(comp, policy.impulsive, flagged, i_rows)
+    draws = np.flatnonzero(land[flagged] < 0)
+    hits, W, steps = mass[flagged], cost[flagged], length[flagged]
+    R = lu = None
+    if draws.size:
+        # Rows of the chains that draw, with each entry into a sure chain moved to its landing.
+        Q, (c_in, steps_in) = fold_sure(comp.Q_imp[i_rows[draws]], land, mass, cost, length)
+        to_flagged = policy.impulsive[Q.indices]
+        M = sp.csr_matrix((Q.data * to_flagged, Q.indices, Q.indptr), shape=Q.shape)[:, flagged[draws]]
+        R = sp.csr_matrix((Q.data * ~to_flagged, Q.indices, Q.indptr), shape=Q.shape)
+        M.eliminate_zeros()
+        R.eliminate_zeros()
+        lu = factor(sp.identity(draws.size, format="csr") - M, "chain system")
+        if lu is None:
+            raise ImproperChainError(
+                "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[draws[0]])])
+        hits[draws] = lu.solve(np.asarray(R.sum(axis=1)).ravel())
+    bad = np.flatnonzero(~(np.abs(hits - 1.0) <= LANDING_ROW_TOL))
     if bad.size:
         raise ImproperChainError(
-            f"landing distribution row sums to {mass[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
-    W = lu.solve(comp.i_cost[i_rows])
+            f"landing distribution row sums to {hits[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
+    if draws.size:
+        W[draws] = lu.solve(comp.i_cost[i_rows[draws]] + c_in)
+        steps[draws] = lu.solve(1.0 + steps_in)
     W.flags.writeable = False
-    steps = float(np.max(lu.solve(np.ones(m))))
     return ChainAnalysis(states=tuple(map(labels.__getitem__, flagged.tolist())), expected_cost=W,
-                         guard=math.ceil(40.0 * math.e * steps), flagged=flagged, R=R, lu=lu)
+                         guard=math.ceil(40.0 * math.e * float(np.max(steps, initial=0.0))), flagged=flagged,
+                         land=land, mass=mass, path_cost=path_cost, draws=draws, R=R, lu=lu)
 
 
 def expected_landing_value(model: CtmdpModel, policy: StationaryPolicy, W: np.ndarray) -> np.ndarray:
     """Expected value of ``W`` at the post-intervention state, per state.
 
     Identity on gradual states; on flagged states, W averaged over the
-    chain's landing distribution, (I - M)^-1 R W.  Raises
+    chain's landing distribution, (I - M)^-1 R W: the landing's mass times W
+    there for a sure chain, one solve for the chains that draw.  Raises
     :class:`ImproperChainError` for an improper policy.
     """
     out = np.array(W, dtype=np.float64)
     chains = analyze_chains(model, policy)
-    if chains.states:
-        out[chains.flagged] = chains.lu.solve(chains.R @ out)
+    if chains.lu is not None:
+        out[chains.flagged[chains.draws]] = chains.lu.solve(chains.R @ out)
+    sure = np.flatnonzero(chains.land >= 0)
+    out[sure] = chains.mass[sure] * out[chains.land[sure]]  # landings are gradual, so unchanged
     return out

@@ -15,9 +15,11 @@ together as one batch; each block still draws what it draws alone, so the
 draws do not depend on the batching.  An impulse draws a uniform only from a
 relocation row with two or more targets; on a one-target row the path moves
 and draws nothing.  So a sure chain (each row on it has one target) draws
-nothing, and a batch lands it by a lookup in a table built once per
-policy.  An :class:`ImproperChainError` names the state of the lowest-index
-path of the batch still in a chain.
+nothing, and a batch lands it by a lookup in the policy's sure-chain table
+from :func:`~impulsive_ctmdp.intervention.analyze_chains`, whose cost is
+summed in chain order as a stepping path sums it.  An
+:class:`ImproperChainError` names the state of the lowest-index path of the
+batch still in a chain.
 
 :func:`simulate_trajectory`, :func:`sample_chain` and
 :func:`simulate_spaced` record one path, epoch by epoch, impulse by impulse.
@@ -104,8 +106,8 @@ class _Prep:
     imp_lo: np.ndarray       # bounds of the row of comp.Q_imp under phi_i (0 off the flagged set)
     imp_hi: np.ndarray
     imp_cost: np.ndarray     # impulse cost under phi_i (0 off the flagged set)
-    sure_land: np.ndarray    # landing and cost of a sure chain (-1 where the chain is not sure)
-    sure_cost: np.ndarray
+    sure_land: np.ndarray    # landing and plain cost sum of a sure chain, from analyze_chains
+    sure_cost: np.ndarray    # (-1 where the chain is not sure)
     guard: int
     chain_cost_bound: float  # max expected chain cost (properness witness)
 
@@ -130,7 +132,6 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
     imp_lo[flagged] = comp.Q_imp.indptr[i_rows]
     imp_hi[flagged] = comp.Q_imp.indptr[i_rows + 1]
     imp_cost[flagged] = comp.i_cost[i_rows]
-    sure_land, sure_cost = _sure_chains(comp, policy.impulsive, imp_lo, imp_hi, imp_cost)
     return _Prep(
         comp=comp,
         labels=model.states.labels,
@@ -143,36 +144,11 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
         imp_lo=imp_lo,
         imp_hi=imp_hi,
         imp_cost=imp_cost,
-        sure_land=sure_land,
-        sure_cost=sure_cost,
+        sure_land=chains.land,
+        sure_cost=chains.path_cost,
         guard=chains.guard,
         chain_cost_bound=float(np.max(chains.expected_cost, initial=0.0)),
     )
-
-
-def _sure_chains(comp: CompiledModel, flagged: np.ndarray, imp_lo: np.ndarray, imp_hi: np.ndarray,
-                 imp_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Landing and cost of each sure chain, and -1 at every other state.
-
-    A chain is sure when every relocation row on it has one target, so its
-    start fixes where it lands and it draws nothing.  One forward walk from
-    the flagged states whose row has one target sums the costs from 0.0 in
-    chain order, as :func:`_chains` does.  It ends because the policy is
-    proper: a cycle of such rows never lands.
-    """
-    land = np.full(comp.N, -1, dtype=np.int64)
-    cost = np.full(comp.N, -1.0)
-    one = flagged & (imp_hi - imp_lo == 1)
-    start = np.flatnonzero(one)
-    at, acc = start, np.zeros(start.size)
-    while start.size:
-        acc += imp_cost[at]
-        at = comp.Q_imp.indices[imp_lo[at]]
-        done = ~flagged[at]
-        land[start[done]], cost[start[done]] = at[done], acc[done]
-        go = one[at]
-        start, at, acc = start[go], at[go], acc[go]
-    return land, cost
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:

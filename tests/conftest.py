@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 from impulsive_ctmdp import (
     EpidemicParams,
@@ -24,6 +26,7 @@ from impulsive_ctmdp.model import (
     RateKernel,
     StateSpace,
 )
+from impulsive_ctmdp.testing import random_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO_ROOT / "models"
@@ -107,6 +110,42 @@ def geometric_model(p_stay: float = 0.5, cost: float = 0.7) -> CtmdpModel:
                         impulse_cost={("x", "jump"): cost},
                         eta=1.0, K_cost=1.0, c_lower=cost),
     )
+
+
+def mixed_chains() -> tuple[CtmdpModel, StationaryPolicy]:
+    """Flagged a -> b -> g2 is a sure chain; c samples g1 or g2; d -> c is a
+    sure step into that two-target row, so a chain from d is not sure."""
+    labels = ("g1", "g2", "a", "b", "c", "d")
+    m = CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={s: ("wait",) for s in labels},
+                              impulsive={s: ("go",) if s in "abcd" else () for s in labels}),
+        rates=RateKernel(rows={("g1", "wait"): (("a", 1.0), ("d", 0.3)), ("g2", "wait"): (("g1", 1.0), ("c", 0.2)),
+                               **{(s, "wait"): () for s in "abcd"}}, K_rate=1.5),
+        impulses=ImpulseKernel(rows={("a", "go"): (("b", 1.0),), ("b", "go"): (("g2", 1.0),),
+                                     ("c", "go"): (("g1", 0.5), ("g2", 0.5)), ("d", "go"): (("c", 1.0),)}),
+        costs=CostModel(gradual_cost={(s, "wait"): {"g1": 1.0, "g2": 0.5}.get(s, 0.0) for s in labels},
+                        impulse_cost={("a", "go"): 0.3, ("b", "go"): 0.4, ("c", "go"): 0.5, ("d", "go"): 0.6},
+                        eta=1.0, K_cost=1.0, c_lower=0.3),
+    )
+    return m, improper_policy(m)
+
+
+def one_target_rows(seed, data):
+    """A random model, some of whose impulse rows collapse to one target, and
+    its solved policy, which flags some state; the chains mix sure steps with
+    sampled ones.  A slow discount makes intervening pay.  Also returns two
+    flagged states and state 0 as starts."""
+    m = random_model(seed, max_states=8, eta=0.1)
+    rows = dict(m.impulses.rows)
+    assume(rows)
+    for key in data.draw(st.lists(st.sampled_from(sorted(rows)), unique=True)):
+        rows[key] = ((data.draw(st.sampled_from(m.states.labels)), 1.0),)
+    m = dataclasses.replace(m, impulses=ImpulseKernel(rows=rows))
+    report = solve(m)
+    flagged = np.flatnonzero(report.policy.impulsive)
+    assume(flagged.size)
+    return m, report, [m.states.labels[k] for k in (*flagged[:2], 0)]
 
 
 def desk_params(lam: float = 0.2, c_max: int = 30) -> EpidemicParams:

@@ -287,22 +287,28 @@ def counting_splu(monkeypatch) -> list:
     return factored
 
 
-@pytest.mark.parametrize("leak", [0.0, 1e-13])
-def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak):
+@pytest.mark.parametrize("leak, sure", [pytest.param(0.0, False, id="0.0"), pytest.param(1e-13, False, id="1e-13"),
+                                        pytest.param(0.0, True, id="sure")])
+def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak, sure):
     # The 2-cycle of improper_model, exact and leaking 1e-13 per impulse,
-    # plus a third state that waits: only the 2 x 2 chain system is
-    # factored, never the 3 x 3 policy system.
+    # plus a third state that waits, and with ``sure`` a fourth whose sure
+    # chain lands there: only the 2 x 2 chain system of the cycle is
+    # factored, never the policy system.
     base = improper_model()
+    extra = ("a",) if sure else ()
     m = dataclasses.replace(
         base,
-        states=StateSpace(("x", "y", "z")),
-        actions=ActionCatalog(gradual={**base.actions.gradual, "z": ("wait",)},
-                              impulsive={**base.actions.impulsive, "z": ()}),
-        rates=RateKernel(rows={**base.rates.rows, ("z", "wait"): ()}, K_rate=1.0),
-        impulses=ImpulseKernel(rows={("x", "swap"): (("y", 1.0 - leak),), ("y", "swap"): (("x", 1.0 - leak),)}),
-        costs=dataclasses.replace(base.costs, gradual_cost={**base.costs.gradual_cost, ("z", "wait"): 0.0}),
+        states=StateSpace(("x", "y", "z") + extra),
+        actions=ActionCatalog(gradual={**base.actions.gradual, "z": ("wait",), **{a: ("wait",) for a in extra}},
+                              impulsive={**base.actions.impulsive, "z": (), **{a: ("go",) for a in extra}}),
+        rates=RateKernel(rows={**base.rates.rows, ("z", "wait"): (), **{(a, "wait"): () for a in extra}}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={("x", "swap"): (("y", 1.0 - leak),), ("y", "swap"): (("x", 1.0 - leak),),
+                                     **{(a, "go"): (("z", 1.0),) for a in extra}}),
+        costs=dataclasses.replace(base.costs, gradual_cost={**base.costs.gradual_cost, ("z", "wait"): 0.0,
+                                                            **{(a, "wait"): 0.0 for a in extra}},
+                                  impulse_cost={**base.costs.impulse_cost, **{(a, "go"): 0.5 for a in extra}}),
     )
-    policy = StationaryPolicy(phi_g=[0, 0, 0], phi_i=[0, 0, -1])
+    policy = StationaryPolicy(phi_g=[0] * m.states.N, phi_i=[0, 0, -1] + [0] * len(extra))
     factored = counting_splu(monkeypatch)
     with pytest.raises(ImproperChainError) as info:
         evaluate_policy(m, policy)
@@ -326,18 +332,25 @@ def test_policies_compare_by_their_decisions():
 def test_pipeline_factors_each_system_once(monkeypatch):
     # solve -> extract_policy -> evaluate_policy -> analyze_chains: the policy
     # extracted at solve's V equals solve's policy, so the evaluation solve
-    # made serves it, and so does the I - M it factored first to check the
-    # policy's properness.
+    # made serves it, and so does the chain analysis it made first to check
+    # the policy's properness.  Stated change: every desk chain is sure, so
+    # its chain system is not factored and the policy system keeps only the
+    # 553 waiting states (2,728 states, 2,175 flagged).  The random model's
+    # impulse rows have full support, so no chain is sure and both systems
+    # keep their full size.
     factored = counting_splu(monkeypatch)
-    m = build_epidemic_model(load_epidemic_params(str(MODELS_DIR / "epidemic_desk.yaml")))
-    report = solve(m)
-    assert report.evaluations == 1
-    policy = extract_policy(m, report.V)
-    assert policy == report.policy and policy is not report.policy
-    assert evaluate_policy(m, policy) is report.V
-    chains = analyze_chains(m, policy)
-    assert len(chains.states) > 0
-    assert factored == [(len(chains.states), len(chains.states)), (m.states.N, m.states.N)]
+    desk = build_epidemic_model(load_epidemic_params(str(MODELS_DIR / "epidemic_desk.yaml")))
+    for m in (desk, random_model(2)):
+        factored.clear()
+        report = solve(m)
+        assert report.evaluations == 1
+        policy = extract_policy(m, report.V)
+        assert policy == report.policy and policy is not report.policy
+        assert evaluate_policy(m, policy) is report.V
+        chains = analyze_chains(m, policy)
+        n, N = len(chains.states), m.states.N
+        assert n > 0
+        assert factored == ([(553, 553)] if m is desk else [(n, n), (N, N)])
 
 
 def test_a_cached_evaluation_checks_each_tol():
@@ -354,18 +367,22 @@ def test_a_cached_evaluation_checks_each_tol():
 
 @pytest.mark.parametrize("failure", [SystemError("Can't expand MemType 1"), MemoryError()])
 def test_lu_memory_failures_are_non_convergence(monkeypatch, capsys, failure):
-    # SuperLU out of memory ended in a traceback with exit 1.
-    m = build_epidemic_model(desk_params(lam=0.05, c_max=4))
-    policy = solve(m).policy  # factored before the failure is armed
+    # SuperLU out of memory ended in a traceback with exit 1.  Stated change:
+    # the chain system is factored only where chains draw, as on the random
+    # model's full-support impulse rows, not on the desk model's sure chains.
+    drawing = random_model(2)
+    policy = solve(drawing).policy  # factored before the failure is armed
 
     def out_of_memory(*args, **kwargs):
         raise failure
     monkeypatch.setattr(scipy.sparse.linalg, "splu", out_of_memory)
-    n, flagged = m.states.N, int(np.count_nonzero(policy.impulsive))
+    flagged = int(np.count_nonzero(policy.impulsive))
     assert flagged > 0
-    # solve has factored this policy's chain system for m; a copy of the model starts afresh.
+    # solve has factored this policy's chain system; a copy of the model starts afresh.
     with pytest.raises(NonConvergenceError, match=f"{flagged} x {flagged} chain system ran out of memory"):
-        analyze_chains(dataclasses.replace(m), policy)
+        analyze_chains(dataclasses.replace(drawing), policy)
+    m = build_epidemic_model(desk_params(lam=0.05, c_max=4))
+    n = m.states.N
     wait = StationaryPolicy(phi_g=np.zeros(n, dtype=np.int64), phi_i=np.full(n, -1))
     with pytest.raises(NonConvergenceError, match=f"{n} x {n} policy system ran out of memory") as info:
         evaluate_policy(m, wait)

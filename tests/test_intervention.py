@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulsive_ctmdp import (
     ImproperChainError,
@@ -27,7 +28,7 @@ from impulsive_ctmdp.model import (
     StationaryPolicy,
 )
 
-from conftest import geometric_model, improper_model, improper_policy, two_state
+from conftest import geometric_model, improper_model, improper_policy, mixed_chains, one_target_rows, two_state
 
 
 def flag_all(model):
@@ -244,29 +245,124 @@ def test_empty_flag_set_yields_empty_analysis():
     assert ana.guard == 0 and analyze_chains(m, policy) is ana
 
 
+def dense_system(model, policy):
+    """The policy system V = B V + c as dense arrays, read from the model's rows."""
+    N, K, eta, index = model.states.N, model.K, model.costs.eta, model.states.index
+    B, c = np.zeros((N, N)), np.zeros(N)
+    for k, x in enumerate(model.states.labels):
+        if policy.impulsive[k]:
+            a = model.actions.impulsive[x][policy.phi_i[k]]
+            rows, c[k] = model.impulses.rows[(x, a)], model.costs.impulse_cost[(x, a)]
+        else:
+            a = model.actions.gradual[x][policy.phi_g[k]]
+            rows = [(y, r / (K + eta)) for y, r in model.rates.rows[(x, a)]]
+            B[k, k] = (K - sum(r for _, r in model.rates.rows[(x, a)])) / (K + eta)
+            c[k] = model.costs.gradual_cost[(x, a)] / (K + eta)
+        for y, w in rows:
+            B[k, index[y]] += w
+    return B, c
+
+
+def dense_chains(model, policy):
+    """W = (I - M)^-1 c, the landing rows (I - M)^-1 R and the expected chain
+    lengths (I - M)^-1 1 over all flagged states; None when the spectral
+    radius of M is 1, so that some chain never lands."""
+    B, c = dense_system(model, policy)
+    flagged = np.flatnonzero(policy.impulsive)
+    M = B[np.ix_(flagged, flagged)]
+    if np.max(np.abs(np.linalg.eigvals(M)), initial=0.0) >= 1.0 - 1e-9:
+        return None
+    R = B[flagged].copy()
+    R[:, flagged] = 0.0
+    inv = np.linalg.inv(np.eye(flagged.size) - M)
+    return inv @ c[flagged], inv @ R, inv @ np.ones(flagged.size)
+
+
+def close(a, ref) -> bool:
+    return bool(np.all(np.abs(np.asarray(a) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))))
+
+
+def assert_matches_dense_reference(model, policy):
+    """Chain quantities and the policy's value against dense solves over all
+    flagged states; an improper policy must raise in both."""
+    dense = dense_chains(model, policy)
+    if dense is None:
+        with pytest.raises(ImproperChainError):
+            analyze_chains(model, policy)
+        with pytest.raises(ImproperChainError):
+            evaluate_policy(model, policy)
+        return
+    W, landing, length = dense
+    ana = analyze_chains(model, policy)
+    assert close(ana.expected_cost, W)
+    assert ana.guard == math.ceil(40 * math.e * float(np.max(length, initial=0.0)))
+    for k in range(len(ana.states)):
+        assert close(ana.landing_row(k), landing[k])
+    v = np.linspace(-1.0, 2.0, model.states.N)
+    out = v.copy()
+    out[policy.impulsive] = landing @ v
+    assert close(expected_landing_value(model, policy, v), out)
+    B, c = dense_system(model, policy)
+    assert close(evaluate_policy(model, policy).values, np.linalg.solve(np.eye(model.states.N) - B, c))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.data())
+def test_chains_and_values_match_a_dense_reference(seed, data):
+    # Random models whose impulse rows partly collapse to one target, under
+    # the solved policy and under the policy that flags every impulse-capable
+    # state: sure chains, sampled chains and sure steps into sampled rows,
+    # and closed cycles of one-target rows that never land.
+    m, report, _ = one_target_rows(seed, data)
+    for policy in (report.policy, flag_all(m)):
+        assert_matches_dense_reference(m, policy)
+
+
+def test_mixed_chains_match_a_dense_reference():
+    m, policy = mixed_chains()
+    ana = analyze_chains(m, policy)
+    assert [ana.states[k] for k in ana.draws] == ["c", "d"]
+    assert_matches_dense_reference(m, policy)
+
+
+def test_a_near_unit_one_target_weight_certifies():
+    # A sure chain's mass is the product of its one-target weights: here
+    # 1 - 1e-12, which validation accepts and the landing check allows.
+    m = replace(two_state(lam=0.3), impulses=ImpulseKernel(rows={("1", "reset"): (("0", 1.0 - 1e-12),)}))
+    report = solve(m)
+    assert report.gap <= 1e-10 and report.policy.impulsive.tolist() == [False, True]
+    ana = analyze_chains(m, report.policy)
+    assert ana.land.tolist() == [-1, 0] and ana.mass[1] == 1.0 - 1e-12 and ana.lu is None
+    assert_matches_dense_reference(m, report.policy)
+    # Over two such steps the systems weigh the second cost by the first
+    # weight, while a sampled path, and so the lookup, adds both costs.
+    w = 1.0 - 1e-12
+    m = replace(two_step_chain_model(), impulses=ImpulseKernel(rows={("x", "go"): (("y", w),), ("y", "go"): (("z", w),)}))
+    policy = flag_all(m)
+    assert analyze_chains(m, policy).expected_cost[0] == 0.4 + w * 0.6
+    assert _prepare(m, policy).sure_cost[0] == 0.4 + 0.6 == sample_chain(m, policy, "x", replication_rng(0, 0)).total_cost
+    assert_matches_dense_reference(m, policy)
+
+
 def test_sure_chains_agree_with_the_chain_system(desk_solved):
-    # Immunizing one susceptible relocates to one state, so every desk chain is sure.
+    # Immunizing one susceptible relocates to one state, so every desk chain
+    # is sure.  The simulator's table and the chain analysis come from the
+    # same walk; both are checked against the dense (I - M)^-1.
     m, policy = desk_solved["model"], desk_solved["report"].policy
     prep, ana = _prepare(m, policy), analyze_chains(m, policy)
     flagged = np.flatnonzero(policy.impulsive)
     assert flagged.size == len(ana.states) > 0
+    W, landing, length = dense_chains(m, policy)
     land = prep.sure_land[flagged]
     assert (land >= 0).all() and not policy.impulsive[land].any()
-    assert np.all(np.abs(prep.sure_cost[flagged] - ana.expected_cost) <= 1e-12)
-    for k in range(flagged.size):
-        row = ana.landing_row(k)
-        row[land[k]] -= 1.0
-        assert np.abs(row).max() <= 1e-12
-    # Walk the one-target rows from each start: the walk lands where the table
-    # says, within the guard's expected-length bound.
-    at, length = flagged.copy(), np.zeros(flagged.size, dtype=np.int64)
-    while (on := policy.impulsive[at]).any():
-        assert (prep.imp_hi[at[on]] - prep.imp_lo[at[on]] == 1).all()
-        at[on] = prep.comp.Q_imp.indices[prep.imp_lo[at[on]]]
-        length += on
-    assert np.array_equal(at, land)
-    assert length.min() >= 1 and length.max() <= chain_guard(m, policy) / (40 * math.e)
     assert (prep.sure_land[~policy.impulsive] == -1).all()
+    hit = np.zeros_like(landing)
+    hit[np.arange(flagged.size), land] = 1.0
+    assert np.abs(landing - hit).max() <= 1e-12
+    assert close(prep.sure_cost[flagged], W) and close(ana.expected_cost, W)
+    for k in range(0, flagged.size, 97):
+        assert close(ana.landing_row(k), landing[k])
+    assert length.min() >= 1 and ana.guard == math.ceil(40 * math.e * float(length.max()))
 
 
 def test_a_chain_with_a_two_target_row_is_not_sure():
