@@ -115,47 +115,42 @@ def fold_sure(A: sp.csr_matrix, land: np.ndarray, mass: np.ndarray,
 def _sure_walk(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray, i_rows: np.ndarray):
     """Per state: the landing of its sure chain (-1 where none), the chain's
     mass, its cost and length weighted as (I - M)^-1 weighs them, and its
-    plain cost sum (-1.0 where none).
+    plain cost sum in chain order (-1.0 where none).
 
-    A sure chain visits each flagged state at most once, so it lands within
-    m = ``flagged.size`` steps.  Off the one-target rows a state steps to
-    itself, and log2(m) squarings of that step take each start to where its
-    walk is after at least m steps, counting its one-target steps: a gradual
-    state for a sure chain, a flagged one for a chain that draws or a closed
-    cycle of one-target rows.  Then one forward walk steps the sure chains,
-    longest first so that the chains still walking are a prefix, and adds
-    each step's cost in chain order.
+    One forward walk from the flagged states whose row has one target drops
+    each chain when it lands or reaches a row with two or more targets.  A
+    sure chain visits each flagged state at most once, so it lands within
+    m = ``flagged.size`` steps; a chain still walking after m steps is on a
+    closed cycle of one-target rows and is not sure.
     """
     N, Q = comp.N, comp.Q_imp
     lo = Q.indptr[i_rows]
     one = np.zeros(N, dtype=bool)
     one[flagged] = Q.indptr[i_rows + 1] - lo == 1
     pos = np.flatnonzero(one[flagged])
-    x = flagged[pos]
-    nxt, weight, c = np.arange(N), np.zeros(N), np.zeros(N)
-    nxt[x], weight[x], c[x] = Q.indices[lo[pos]], Q.data[lo[pos]], comp.i_cost[i_rows[pos]]
-    end, count = nxt, one.astype(np.int64)
-    for _ in range(flagged.size.bit_length()):
-        count = count + count[end]
-        end = end[end]
-    starts = x[~impulsive[end[x]]]
-    starts = starts[np.argsort(-count[starts], kind="stable")]
-    lengths = count[starts]
-    walking = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))  # at step t, the chains longer than t
-    at, run_mass = starts.copy(), np.ones(starts.size)
-    run_cost, run_length, run_sum = np.zeros(starts.size), np.zeros(starts.size), np.zeros(starts.size)
-    for k in walking.tolist():
-        step = at[:k]
-        cost_at = c[step]
-        run_cost[:k] += run_mass[:k] * cost_at
-        run_length[:k] += run_mass[:k]
-        run_sum[:k] += cost_at
-        run_mass[:k] *= weight[step]
-        at[:k] = nxt[step]
+    nxt, weight, c = np.zeros(N, dtype=np.int64), np.zeros(N), np.zeros(N)
+    start = flagged[pos]
+    nxt[start], weight[start], c[start] = Q.indices[lo[pos]], Q.data[lo[pos]], comp.i_cost[i_rows[pos]]
     land = np.full(N, -1, dtype=np.int64)
     mass, cost, length, path_cost = np.zeros(N), np.zeros(N), np.zeros(N), np.full(N, -1.0)
-    land[starts], mass[starts], cost[starts], length[starts], path_cost[starts] = (
-        at, run_mass, run_cost, run_length, run_sum)
+    at, run_mass = start, np.ones(start.size)
+    run_cost, run_length, run_sum = np.zeros(start.size), np.zeros(start.size), np.zeros(start.size)
+    for _ in range(flagged.size):
+        if not start.size:
+            break
+        cost_at = c[at]
+        run_cost += run_mass * cost_at
+        run_length += run_mass
+        run_sum += cost_at
+        run_mass *= weight[at]
+        at = nxt[at]
+        done = ~impulsive[at]
+        x = start[done]
+        land[x], mass[x], cost[x], length[x], path_cost[x] = (
+            at[done], run_mass[done], run_cost[done], run_length[done], run_sum[done])
+        go = one[at]
+        start, at, run_mass, run_cost, run_length, run_sum = (
+            start[go], at[go], run_mass[go], run_cost[go], run_length[go], run_sum[go])
     return land, mass, cost, length, path_cost
 
 
@@ -166,8 +161,9 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     (model, policy) while both live.
 
     Raises ValueError for an infeasible policy, :class:`ImproperChainError`
-    when I - M is singular or some chain fails to land with probability one
-    (its landing mass must be 1 within ``LANDING_ROW_TOL``), and
+    when I - M is singular (naming the lowest flagged state whose chain
+    draws) or some chain fails to land with probability one (its landing
+    mass must be 1 within ``LANDING_ROW_TOL``), and
     :class:`NonConvergenceError` when SuperLU runs out of memory.
     """
     check_policy(model, policy)

@@ -291,14 +291,15 @@ def counting_splu(monkeypatch) -> list:
                                         pytest.param(0.0, True, id="sure")])
 def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak, sure):
     # The 2-cycle of improper_model, exact and leaking 1e-13 per impulse,
-    # plus a third state that waits, and with ``sure`` a fourth whose sure
-    # chain lands there: only the 2 x 2 chain system of the cycle is
-    # factored, never the policy system.
+    # plus a third state that waits, and with ``sure`` a first state whose
+    # sure chain lands there: only the 2 x 2 chain system of the cycle is
+    # factored, never the policy system, and the error names the lowest
+    # flagged state whose chain draws, not the sure start.
     base = improper_model()
     extra = ("a",) if sure else ()
     m = dataclasses.replace(
         base,
-        states=StateSpace(("x", "y", "z") + extra),
+        states=StateSpace(extra + ("x", "y", "z")),
         actions=ActionCatalog(gradual={**base.actions.gradual, "z": ("wait",), **{a: ("wait",) for a in extra}},
                               impulsive={**base.actions.impulsive, "z": (), **{a: ("go",) for a in extra}}),
         rates=RateKernel(rows={**base.rates.rows, ("z", "wait"): (), **{(a, "wait"): () for a in extra}}, K_rate=1.0),
@@ -308,11 +309,11 @@ def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak, sure):
                                                             **{(a, "wait"): 0.0 for a in extra}},
                                   impulse_cost={**base.costs.impulse_cost, **{(a, "go"): 0.5 for a in extra}}),
     )
-    policy = StationaryPolicy(phi_g=[0] * m.states.N, phi_i=[0, 0, -1] + [0] * len(extra))
+    policy = StationaryPolicy(phi_g=[0] * m.states.N, phi_i=[0] * len(extra) + [0, 0, -1])
     factored = counting_splu(monkeypatch)
     with pytest.raises(ImproperChainError) as info:
         evaluate_policy(m, policy)
-    assert info.value.state in ("x", "y")
+    assert info.value.state == "x"
     assert factored == [(2, 2)]
 
 
