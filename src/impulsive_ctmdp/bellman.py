@@ -38,7 +38,7 @@ from ._ops import (
     segment_argmin,
 )
 from .errors import DEFAULT_TOL, NonConvergenceError
-from .intervention import analyze_chains, fold_sure
+from .intervention import analyze_chains
 from .model import CtmdpModel, StationaryPolicy
 
 DEFAULT_MAX_ITER = 10 ** 6
@@ -168,10 +168,11 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     The value solves V = B V + c.  Gradual states carry the uniformized
     one-step rows at phi_g (B = (J + diag(K - q))/(K+eta), c = running
     cost/(K+eta)); flagged states carry the impulse rows at phi_i (B = Q,
-    c = impulse cost).  A sure chain's start has V = W + mass V[landing]
-    from :func:`~impulsive_ctmdp.intervention.analyze_chains`, so its row
-    leaves the system and the entries into it move to its landing.  An
-    improper policy raises :class:`ImproperChainError` from that analysis,
+    c = impulse cost).  A sure chain's start x has V(x) = (S V)(x) + w(x),
+    with the shortcut matrix S and the weighted sure-chain cost w of
+    :func:`~impulsive_ctmdp.intervention.analyze_chains`, so its row leaves
+    the system: I - B S over the other states, with c + B w on the right.
+    An improper policy raises :class:`ImproperChainError` from that analysis,
     before the policy system is factored.  Raises
     :class:`NonConvergenceError` when I - B is singular, when SuperLU runs
     out of memory, or when the defect max |B V + c - V| over all states
@@ -196,8 +197,8 @@ def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunct
     g_rows, flagged, i_rows = policy_pairs(comp, policy)
     # The system has a row for each waiting state, uniformized as in
     # gradual_branch, and for each flagged state whose chain draws, its
-    # impulse row, in model order.  A sure chain's start has
-    # V = W + mass V[landing], and fold_sure moves each entry into it there.
+    # impulse row, in model order.  A sure chain's start x has
+    # V(x) = (S V)(x) + w(x), and the product B S moves each entry into it there.
     wait, draws = np.flatnonzero(~policy.impulsive), flagged[chains.draws]
     keep = np.flatnonzero(chains.land < 0)
     order = np.argsort(np.concatenate([wait, draws]))
@@ -205,16 +206,12 @@ def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunct
     stay = sp.csr_matrix((K - comp.g_total_rate[g_wait], wait, np.arange(wait.size + 1)), shape=(wait.size, comp.N))
     B = sp.vstack([(comp.J[g_wait] + stay) / (K + eta), comp.Q_imp[i_draws]], format="csr")[order]
     c = np.concatenate([comp.g_cost[g_wait] / (K + eta), comp.i_cost[i_draws]])[order]
-    W = np.zeros(comp.N)
-    W[flagged] = chains.expected_cost
-    B, (inflow,) = fold_sure(B, chains.land, chains.mass, W)
-    lu = factor(sp.identity(keep.size, format="csr") - B[:, keep], "policy system")
+    lu = factor(sp.identity(keep.size, format="csr") - (B @ chains.S)[:, keep], "policy system")
     if lu is None:
         raise NonConvergenceError("policy evaluation failed; I - B is singular", np.full(comp.N, np.nan), np.inf, 0)
-    V = np.empty(comp.N)
-    V[keep] = lu.solve(c + inflow)
-    sure = np.flatnonzero(chains.land >= 0)
-    V[sure] = W[sure] + chains.mass[sure] * V[chains.land[sure]]
+    V = np.zeros(comp.N)
+    V[keep] = lu.solve(c + B @ chains.w)
+    V = chains.S @ V + chains.w
     TV = gradual_branch(comp, V)[g_rows]
     TV[flagged] = impulsive_branch(comp, V)[i_rows]
     return ValueFunction(V), float(np.max(np.abs(TV - V)))

@@ -9,9 +9,9 @@ evaluation in :mod:`bellman`, the simulator and the readers here share it.
 
 A chain is sure when every relocation row on it has one target: its start
 fixes where it lands.  One walk gives each sure chain's landing, cost, mass
-and length, so the chain is one relocation, and :func:`fold_sure` takes the
-sure states out of a linear system.  Only the chains that draw are left to
-an LU factor.
+and length, so the chain is one relocation: a row of the sparse shortcut
+matrix S, by which a product folds the sure states out of a linear system.
+Only the chains that draw are left to an LU factor.
 """
 
 from __future__ import annotations
@@ -42,19 +42,26 @@ class ChainAnalysis:
 
     ``states`` lists the flagged state labels in model order, ``expected_cost``
     the expected total impulse cost W = (I - M)^-1 c of a chain started at
-    each (read-only) and ``guard`` the step cap of a sampled chain; M is the
-    relocation kernel from flagged to flagged states.  ``landing_row(k)`` is
-    the landing distribution of the chain started at ``states[k]``: a
-    probability vector over all states with support in the gradual region.
+    each (read-only); M is the relocation kernel from flagged to flagged
+    states.  ``guard`` is the step cap of a sampled chain, ceil(40 e m) with m
+    the largest expected number of impulses of a chain, (I - M)^-1 1: from
+    any flagged state a chain outlives e m steps with probability at most 1/e
+    (Markov), and restarting the bound k times gives P(length > k e m) <=
+    e^-k, so a proper chain trips the cap with probability at most e^-40; 0
+    when nothing is flagged.  ``landing_row(k)`` is the landing distribution
+    of the chain started at ``states[k]``: a probability vector over all
+    states with support in the gradual region.
 
     Per state, ``land`` is the landing of the sure chain started there (-1
-    where there is none), ``mass`` the product of its one-target weights, and
-    ``path_cost`` its impulse costs summed from 0.0 in chain order, as a
-    sampled path adds them (-1.0 where there is no sure chain).  ``lu`` is
-    the LU factor of I - M and ``R`` the relocation rows into the gradual
-    region, both over the flagged states whose chains draw (``draws``,
-    positions in ``states``) with the sure states folded out; both are None
-    when no chain draws.
+    where there is none), ``w`` its cost weighted as (I - M)^-1 weighs it
+    (0.0 where there is none) and ``path_cost`` its impulse costs summed from
+    0.0 in chain order, as a sampled path adds them (-1.0 where there is
+    none).  Row x of the N x N shortcut matrix ``S`` holds the sure chain's
+    mass, the product of its one-target weights, at ``land[x]``; every other
+    row holds 1 on the diagonal.  ``lu`` is the LU factor of I - M and ``R``
+    the relocation rows into the gradual region, both over the flagged
+    states whose chains draw (``draws``, positions in ``states``) with the
+    sure states folded out by ``S``; both are None when no chain draws.
     """
 
     states: tuple[str, ...]
@@ -62,8 +69,9 @@ class ChainAnalysis:
     guard: int
     flagged: np.ndarray = field(repr=False)    # (m,) flagged state indices
     land: np.ndarray = field(repr=False)       # (N,)
-    mass: np.ndarray = field(repr=False)       # (N,)
+    w: np.ndarray = field(repr=False)          # (N,)
     path_cost: np.ndarray = field(repr=False)  # (N,)
+    S: sp.csr_matrix = field(repr=False)       # (N, N)
     draws: np.ndarray = field(repr=False)      # (d,) ascending positions in ``states``
     R: sp.csr_matrix | None = field(repr=False)  # (d, N), zero on flagged columns
     lu: object = field(repr=False)
@@ -71,45 +79,10 @@ class ChainAnalysis:
     def landing_row(self, k: int) -> np.ndarray:
         x = self.flagged[k]
         if self.land[x] >= 0:
-            row = np.zeros(self.land.size)
-            row[self.land[x]] = self.mass[x]
-            return row
+            return self.S[x].toarray().ravel()
         e = np.zeros(self.draws.size)
         e[np.searchsorted(self.draws, k)] = 1.0
         return self.R.T @ self.lu.solve(e, trans="T")
-
-
-def chain_guard(model: CtmdpModel, policy: StationaryPolicy) -> int:
-    """Step cap of a sampled chain under a proper policy: ceil(40 e m), where
-    m is the largest expected number of impulses of a chain, (I - M)^-1 1
-    (a sure chain's weighted length, from its walk).
-
-    From any flagged state a chain outlives e m steps with probability at
-    most 1/e (Markov), and restarting the bound k times gives
-    P(length > k e m) <= e^-k; so a proper chain trips the cap with
-    probability at most e^-40.  0 when nothing is flagged.
-    """
-    return analyze_chains(model, policy).guard
-
-
-def fold_sure(A: sp.csr_matrix, land: np.ndarray, mass: np.ndarray,
-              *sides: np.ndarray) -> tuple[sp.csr_matrix, list[np.ndarray]]:
-    """Fold sure chains into the rows of ``A``, whose columns are states.
-
-    An entry p in the column of a state j where a sure chain starts
-    (``land[j] >= 0``) becomes p * ``mass[j]`` in the column ``land[j]``, and
-    adds p * ``side[j]`` to the row's entry of each vector returned, one per
-    ``side``.  Other entries keep their value and column, so with no sure
-    column the matrix has ``A``'s entries.  The result may hold duplicates.
-    """
-    cols = A.indices
-    sure = land[cols] >= 0
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))[sure]
-    p, j = A.data[sure], cols[sure]
-    data = A.data.copy()
-    data[sure] = p * mass[j]
-    folded = sp.csr_matrix((data, np.where(sure, land[cols], cols), A.indptr), shape=A.shape)
-    return folded, [np.bincount(rows, p * side[j], minlength=A.shape[0]) for side in sides]
 
 
 def _sure_walk(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray, i_rows: np.ndarray):
@@ -171,16 +144,19 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     _, flagged, i_rows = policy_pairs(comp, policy)
     labels = model.states.labels
     land, mass, cost, length, path_cost = _sure_walk(comp, policy.impulsive, flagged, i_rows)
-    draws = np.flatnonzero(land[flagged] < 0)
+    sure = land >= 0
+    S = sp.csr_matrix((np.where(sure, mass, 1.0), np.where(sure, land, np.arange(comp.N)),
+                       np.arange(comp.N + 1)), shape=(comp.N, comp.N))
+    draws = np.flatnonzero(~sure[flagged])
     hits, W, steps = mass[flagged], cost[flagged], length[flagged]
     R = lu = None
     if draws.size:
         # Rows of the chains that draw, with each entry into a sure chain moved to its landing.
-        Q, (c_in, steps_in) = fold_sure(comp.Q_imp[i_rows[draws]], land, mass, cost, length)
-        to_flagged = policy.impulsive[Q.indices]
-        M = sp.csr_matrix((Q.data * to_flagged, Q.indices, Q.indptr), shape=Q.shape)[:, flagged[draws]]
-        R = sp.csr_matrix((Q.data * ~to_flagged, Q.indices, Q.indptr), shape=Q.shape)
-        M.eliminate_zeros()
+        Q = comp.Q_imp[i_rows[draws]]
+        c_in, steps_in = Q @ cost, Q @ length
+        Q = (Q @ S).sorted_indices()
+        M = Q[:, flagged[draws]]
+        R = sp.csr_matrix((Q.data * ~policy.impulsive[Q.indices], Q.indices, Q.indptr), shape=Q.shape)
         R.eliminate_zeros()
         lu = factor(sp.identity(draws.size, format="csr") - M, "chain system")
         if lu is None:
@@ -197,21 +173,19 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     W.flags.writeable = False
     return ChainAnalysis(states=tuple(map(labels.__getitem__, flagged.tolist())), expected_cost=W,
                          guard=math.ceil(40.0 * math.e * float(np.max(steps, initial=0.0))), flagged=flagged,
-                         land=land, mass=mass, path_cost=path_cost, draws=draws, R=R, lu=lu)
+                         land=land, w=cost, path_cost=path_cost, S=S, draws=draws, R=R, lu=lu)
 
 
 def expected_landing_value(model: CtmdpModel, policy: StationaryPolicy, W: np.ndarray) -> np.ndarray:
     """Expected value of ``W`` at the post-intervention state, per state.
 
     Identity on gradual states; on flagged states, W averaged over the
-    chain's landing distribution, (I - M)^-1 R W: the landing's mass times W
-    there for a sure chain, one solve for the chains that draw.  Raises
+    chain's landing distribution, (I - M)^-1 R W: one solve for the chains
+    that draw, then the shortcut ``S`` for the sure chains.  Raises
     :class:`ImproperChainError` for an improper policy.
     """
     out = np.array(W, dtype=np.float64)
     chains = analyze_chains(model, policy)
     if chains.lu is not None:
         out[chains.flagged[chains.draws]] = chains.lu.solve(chains.R @ out)
-    sure = np.flatnonzero(chains.land >= 0)
-    out[sure] = chains.mass[sure] * out[chains.land[sure]]  # landings are gradual, so unchanged
-    return out
+    return chains.S @ out

@@ -112,18 +112,24 @@ def geometric_model(p_stay: float = 0.5, cost: float = 0.7) -> CtmdpModel:
     )
 
 
-def mixed_chains() -> tuple[CtmdpModel, StationaryPolicy]:
+def mixed_chains(shared_landing: bool = False) -> tuple[CtmdpModel, StationaryPolicy]:
     """Flagged a -> b -> g2 is a sure chain; c samples g1 or g2; d -> c is a
-    sure step into that two-target row, so a chain from d is not sure."""
+    sure step into that two-target row, so a chain from d is not sure.
+
+    With ``shared_landing``, g1's rate row also targets g2 and c's impulse row
+    also targets b, so that folding the sure chain into g2 sums two entries
+    into one column, in the policy system and in the chain system."""
     labels = ("g1", "g2", "a", "b", "c", "d")
+    g1 = (("a", 1.0), ("d", 0.3)) + ((("g2", 0.2),) if shared_landing else ())
+    c = (("g1", 0.4), ("g2", 0.3), ("b", 0.3)) if shared_landing else (("g1", 0.5), ("g2", 0.5))
     m = CtmdpModel(
         states=StateSpace(labels),
         actions=ActionCatalog(gradual={s: ("wait",) for s in labels},
                               impulsive={s: ("go",) if s in "abcd" else () for s in labels}),
-        rates=RateKernel(rows={("g1", "wait"): (("a", 1.0), ("d", 0.3)), ("g2", "wait"): (("g1", 1.0), ("c", 0.2)),
+        rates=RateKernel(rows={("g1", "wait"): g1, ("g2", "wait"): (("g1", 1.0), ("c", 0.2)),
                                **{(s, "wait"): () for s in "abcd"}}, K_rate=1.5),
         impulses=ImpulseKernel(rows={("a", "go"): (("b", 1.0),), ("b", "go"): (("g2", 1.0),),
-                                     ("c", "go"): (("g1", 0.5), ("g2", 0.5)), ("d", "go"): (("c", 1.0),)}),
+                                     ("c", "go"): c, ("d", "go"): (("c", 1.0),)}),
         costs=CostModel(gradual_cost={(s, "wait"): {"g1": 1.0, "g2": 0.5}.get(s, 0.0) for s in labels},
                         impulse_cost={("a", "go"): 0.3, ("b", "go"): 0.4, ("c", "go"): 0.5, ("d", "go"): 0.6},
                         eta=1.0, K_cost=1.0, c_lower=0.3),

@@ -27,7 +27,7 @@ from impulsive_ctmdp import (
     value_iterate,
 )
 from impulsive_ctmdp.bellman import ValueFunction
-from impulsive_ctmdp.intervention import chain_guard
+from impulsive_ctmdp.intervention import analyze_chains
 from impulsive_ctmdp.model import CostModel, CtmdpModel
 from impulsive_ctmdp.epidemic import enumerate_states, state_label
 from impulsive_ctmdp.simulate import replication_rng
@@ -210,7 +210,7 @@ def test_criterion_09_non_explosion(capsys, desk_solved):
     ):
         if policy is None:
             policy = extract_policy(model, solve(model).V)
-        guard = chain_guard(model, policy)
+        guard = analyze_chains(model, policy).guard
         counts = []
         for rep in range(n):
             traj = simulate_trajectory(model, policy, x0, replication_rng(seed, rep))

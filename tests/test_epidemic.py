@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from impulsive_ctmdp import (
+    CarrierContractionError,
     EpidemicParams,
     NonConvergenceError,
     analytic_value,
@@ -112,6 +113,14 @@ def test_a_slow_contraction_factor_still_converges():
                        rho_b=(0.0, 1.0), rho_d=(0.0, 1.0), kappa_i=(0.0, 1e-7))
     cv = solve_carrier_equation(q)
     assert cv.v.tolist() == [0.0, 0.1, 0.1, 0.1] and cv.c_star == 1
+
+
+def test_a_carrier_equation_that_does_not_contract_raises():
+    # Unit birth and death rates with eta and the infection rate at 1e-20:
+    # sup(alpha1 + alpha2) = 2 / (2 + 2e-20) rounds to 1.0.
+    p = replace(desk_params(), eta=1e-20, kappa_i=(0.0, 1e-20))
+    with pytest.raises(CarrierContractionError, match=r"sup\(alpha1 \+ alpha2\) = 1\.0 >= 1"):
+        solve_carrier_equation(p)
 
 
 def test_a_tol_below_the_roundoff_floor_raises():

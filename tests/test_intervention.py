@@ -15,7 +15,7 @@ from impulsive_ctmdp import (
     sample_chain,
     solve,
 )
-from impulsive_ctmdp.intervention import chain_guard, expected_landing_value
+from impulsive_ctmdp.intervention import expected_landing_value
 from impulsive_ctmdp.simulate import _prepare, replication_rng
 from impulsive_ctmdp.testing import random_model
 from impulsive_ctmdp.model import (
@@ -213,9 +213,9 @@ def test_value_decomposes_through_chain():
 def test_chain_guard_formula():
     # ceil(40 e m), with m the largest expected number of impulses of a chain.
     m = two_state(lam=0.3)   # one deterministic impulse
-    assert chain_guard(m, extract_policy(m, solve(m).V)) == math.ceil(40 * math.e * 1)
+    assert analyze_chains(m, extract_policy(m, solve(m).V)).guard == math.ceil(40 * math.e * 1)
     g = geometric_model()    # two impulses on average
-    assert chain_guard(g, flag_all(g)) == math.ceil(40 * math.e * 2)
+    assert analyze_chains(g, flag_all(g)).guard == math.ceil(40 * math.e * 2)
 
 
 def test_long_proper_chains_pass_the_guard():
@@ -319,10 +319,11 @@ def test_chains_and_values_match_a_dense_reference(seed, data):
 
 
 def test_mixed_chains_match_a_dense_reference():
-    m, policy = mixed_chains()
-    ana = analyze_chains(m, policy)
-    assert [ana.states[k] for k in ana.draws] == ["c", "d"]
-    assert_matches_dense_reference(m, policy)
+    for shared_landing in (False, True):
+        m, policy = mixed_chains(shared_landing)
+        ana = analyze_chains(m, policy)
+        assert [ana.states[k] for k in ana.draws] == ["c", "d"]
+        assert_matches_dense_reference(m, policy)
 
 
 def test_a_near_unit_one_target_weight_certifies():
@@ -332,7 +333,7 @@ def test_a_near_unit_one_target_weight_certifies():
     report = solve(m)
     assert report.gap <= 1e-10 and report.policy.impulsive.tolist() == [False, True]
     ana = analyze_chains(m, report.policy)
-    assert ana.land.tolist() == [-1, 0] and ana.mass[1] == 1.0 - 1e-12 and ana.lu is None
+    assert ana.land.tolist() == [-1, 0] and ana.S[1, 0] == 1.0 - 1e-12 and ana.lu is None
     assert_matches_dense_reference(m, report.policy)
     # Over two such steps the systems weigh the second cost by the first
     # weight, while a sampled path, and so the lookup, adds both costs.

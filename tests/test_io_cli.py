@@ -525,6 +525,19 @@ def test_cli_carrier_tol_below_the_roundoff_floor_exits_4(tmp_path, capsys):
     assert cli.run(["epidemic-solve", "--params", str(doc), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_cli_carrier_equation_that_does_not_contract_exits_3(tmp_path, capsys):
+    # sup(alpha1 + alpha2) rounds to 1.0: a validation failure with the JSON error record.
+    doc = tmp_path / "no_contraction.yaml"
+    text = EPIDEMIC.read_text()
+    text = text.replace("eta: 1.0", "eta: 1.0e-20").replace("kappa_i: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]", "kappa_i: [0, 1.0e-20]")
+    assert "eta: 1.0e-20" in text and "kappa_i: [0, 1.0e-20]" in text
+    doc.write_text(text)
+    assert cli.run(["epidemic-solve", "--params", str(doc), "--out", str(tmp_path / "out")]) == 3
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["code"] == 3 and error["type"] == "validation"
+    assert "sup(alpha1 + alpha2) = 1.0 >= 1" in error["message"]
+
+
 def test_cli_improper_chain_exit_code(monkeypatch, capsys):
     def boom(model, tol):
         raise ImproperChainError("loop", "1")
