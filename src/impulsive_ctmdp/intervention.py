@@ -8,10 +8,11 @@ that and solves the chain quantities once per (model, policy); the policy
 evaluation in :mod:`bellman`, the simulator and the readers here share it.
 
 A chain is sure when every relocation row on it has one target: its start
-fixes where it lands.  One walk gives each sure chain's landing, cost, mass
-and length, so the chain is one relocation: a row of the sparse shortcut
-matrix S, by which a product folds the sure states out of a linear system.
-Only the chains that draw are left to an LU factor.
+fixes where it lands.  One backward pass from the landings gives each sure
+chain's landing, mass, cost and length, so the chain is one relocation: a
+row of the sparse shortcut matrix S, by which a product folds the sure
+states out of a linear system.  Only the chains that draw are left to an
+LU factor.
 """
 
 from __future__ import annotations
@@ -53,12 +54,11 @@ class ChainAnalysis:
     states with support in the gradual region.
 
     Per state, ``land`` is the landing of the sure chain started there (-1
-    where there is none), ``w`` its cost weighted as (I - M)^-1 weighs it
-    (0.0 where there is none) and ``path_cost`` its impulse costs summed from
-    0.0 in chain order, as a sampled path adds them (-1.0 where there is
-    none).  Row x of the N x N shortcut matrix ``S`` holds the sure chain's
-    mass, the product of its one-target weights, at ``land[x]``; every other
-    row holds 1 on the diagonal.  ``lu`` is the LU factor of I - M and ``R``
+    where there is none) and ``w`` its cost weighted as (I - M)^-1 weighs it
+    (0.0 where there is none), which the sampler also charges for the chain.
+    Row x of the N x N shortcut matrix ``S`` holds the sure chain's mass, the
+    product of its one-target weights, at ``land[x]``; every other row holds
+    1 on the diagonal.  ``lu`` is the LU factor of I - M and ``R``
     the relocation rows into the gradual region, both over the flagged
     states whose chains draw (``draws``, positions in ``states``) with the
     sure states folded out by ``S``; both are None when no chain draws.
@@ -70,7 +70,6 @@ class ChainAnalysis:
     flagged: np.ndarray = field(repr=False)    # (m,) flagged state indices
     land: np.ndarray = field(repr=False)       # (N,)
     w: np.ndarray = field(repr=False)          # (N,)
-    path_cost: np.ndarray = field(repr=False)  # (N,)
     S: sp.csr_matrix = field(repr=False)       # (N, N)
     draws: np.ndarray = field(repr=False)      # (d,) ascending positions in ``states``
     R: sp.csr_matrix | None = field(repr=False)  # (d, N), zero on flagged columns
@@ -85,51 +84,39 @@ class ChainAnalysis:
         return self.R.T @ self.lu.solve(e, trans="T")
 
 
-def _sure_walk(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray, i_rows: np.ndarray):
-    """Per state: the landing of its sure chain (-1 where none), the chain's
-    mass, its cost and length weighted as (I - M)^-1 weighs them, and its
-    plain cost sum in chain order (-1.0 where none).
+def _sure_chains(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray, i_rows: np.ndarray):
+    """Per state: the landing of its sure chain (-1 where none), and the
+    chain's mass, cost and length weighted as (I - M)^-1 weighs them (0.0
+    where none).
 
-    One forward walk from the flagged states whose row has one target drops
-    each chain when it lands or reaches a row with two or more targets.  A
-    sure chain visits each flagged state at most once, so it lands within
-    m = ``flagged.size`` steps; a chain still walking after m steps is on a
-    closed cycle of one-target rows and is not sure.
+    Resolved backward from the landings: first the one-target rows into a
+    waiting state, then, frontier by frontier, the one-target rows into the
+    states just resolved, each w(x) = c(x) + p(x) w(next(x)).  Each row is
+    read once; a row into a closed cycle of one-target rows, or into a row
+    with two or more targets, is never resolved and is not sure.
     """
     N, Q = comp.N, comp.Q_imp
     lo = Q.indptr[i_rows]
-    one = np.zeros(N, dtype=bool)
-    one[flagged] = Q.indptr[i_rows + 1] - lo == 1
-    pos = np.flatnonzero(one[flagged])
-    nxt, weight, c = np.zeros(N, dtype=np.int64), np.zeros(N), np.zeros(N)
-    start = flagged[pos]
-    nxt[start], weight[start], c[start] = Q.indices[lo[pos]], Q.data[lo[pos]], comp.i_cost[i_rows[pos]]
+    pos = np.flatnonzero(Q.indptr[i_rows + 1] - lo == 1)
+    x, to, p, c = flagged[pos], Q.indices[lo[pos]], Q.data[lo[pos]], comp.i_cost[i_rows[pos]]
+    order = np.argsort(to, kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(to, minlength=N))))
     land = np.full(N, -1, dtype=np.int64)
-    mass, cost, length, path_cost = np.zeros(N), np.zeros(N), np.zeros(N), np.full(N, -1.0)
-    at, run_mass = start, np.ones(start.size)
-    run_cost, run_length, run_sum = np.zeros(start.size), np.zeros(start.size), np.zeros(start.size)
-    for _ in range(flagged.size):
-        if not start.size:
-            break
-        cost_at = c[at]
-        run_cost += run_mass * cost_at
-        run_length += run_mass
-        run_sum += cost_at
-        run_mass *= weight[at]
-        at = nxt[at]
-        done = ~impulsive[at]
-        x = start[done]
-        land[x], mass[x], cost[x], length[x], path_cost[x] = (
-            at[done], run_mass[done], run_cost[done], run_length[done], run_sum[done])
-        go = one[at]
-        start, at, run_mass, run_cost, run_length, run_sum = (
-            start[go], at[go], run_mass[go], run_cost[go], run_length[go], run_sum[go])
-    return land, mass, cost, length, path_cost
+    mass, cost, length = np.zeros(N), np.zeros(N), np.zeros(N)
+    rows = np.flatnonzero(~impulsive[to])
+    y = x[rows]
+    land[y], mass[y], cost[y], length[y] = to[rows], p[rows], c[rows], 1.0
+    while rows.size:
+        at, n = ptr[y], ptr[y + 1] - ptr[y]  # the rows into y: order[at:at + n], per y
+        rows = order[np.repeat(at - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        y, z, q = x[rows], to[rows], p[rows]
+        land[y], mass[y], cost[y], length[y] = land[z], q * mass[z], c[rows] + q * cost[z], 1.0 + q * length[z]
+    return land, mass, cost, length
 
 
 @per_policy
 def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis:
-    """Check the policy, walk its sure chains, factorise I - M over the
+    """Check the policy, resolve its sure chains, factorise I - M over the
     chains that draw and solve W, the landing masses and the guard; kept per
     (model, policy) while both live.
 
@@ -143,7 +130,7 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     comp = compile_model(model)
     _, flagged, i_rows = policy_pairs(comp, policy)
     labels = model.states.labels
-    land, mass, cost, length, path_cost = _sure_walk(comp, policy.impulsive, flagged, i_rows)
+    land, mass, cost, length = _sure_chains(comp, policy.impulsive, flagged, i_rows)
     sure = land >= 0
     S = sp.csr_matrix((np.where(sure, mass, 1.0), np.where(sure, land, np.arange(comp.N)),
                        np.arange(comp.N + 1)), shape=(comp.N, comp.N))
@@ -173,7 +160,7 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     W.flags.writeable = False
     return ChainAnalysis(states=tuple(map(labels.__getitem__, flagged.tolist())), expected_cost=W,
                          guard=math.ceil(40.0 * math.e * float(np.max(steps, initial=0.0))), flagged=flagged,
-                         land=land, w=cost, path_cost=path_cost, S=S, draws=draws, R=R, lu=lu)
+                         land=land, w=cost, S=S, draws=draws, R=R, lu=lu)
 
 
 def expected_landing_value(model: CtmdpModel, policy: StationaryPolicy, W: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ relocation row with two or more targets; on a one-target row the path moves
 and draws nothing.  So a sure chain (each row on it has one target) draws
 nothing, and a batch lands it by a lookup in the policy's sure-chain table
 from :func:`~impulsive_ctmdp.intervention.analyze_chains`, whose cost is
-summed in chain order as a stepping path sums it.  An
+the chain's weighted cost, the one the policy evaluation uses.  An
 :class:`ImproperChainError` names the state of the lowest-index path of the
 batch still in a chain.
 
@@ -106,8 +106,8 @@ class _Prep:
     imp_lo: np.ndarray       # bounds of the row of comp.Q_imp under phi_i (0 off the flagged set)
     imp_hi: np.ndarray
     imp_cost: np.ndarray     # impulse cost under phi_i (0 off the flagged set)
-    sure_land: np.ndarray    # landing and plain cost sum of a sure chain, from analyze_chains
-    sure_cost: np.ndarray    # (-1 where the chain is not sure)
+    sure_land: np.ndarray    # landing and weighted cost of a sure chain, from analyze_chains
+    sure_cost: np.ndarray    # (-1 and 0.0 where the chain is not sure)
     guard: int
     chain_cost_bound: float  # max expected chain cost (properness witness)
 
@@ -145,7 +145,7 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
         imp_hi=imp_hi,
         imp_cost=imp_cost,
         sure_land=chains.land,
-        sure_cost=chains.path_cost,
+        sure_cost=chains.w,
         guard=chains.guard,
         chain_cost_bound=float(np.max(chains.expected_cost, initial=0.0)),
     )
@@ -277,9 +277,10 @@ def _walk(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.G
     waits = None if deltas is None else [float(d) for d in reversed(deltas)]  # next wait last
     epochs = [(0.0, x, x, [] if flagged[x] else None)]  # time, pre-jump state, target, the chain's impulses
 
-    def chain(x):
-        """Impulses from ``x`` until the path lands or pauses; where it stops, and their cost."""
-        cost, steps = 0.0, 0
+    def chain(start):
+        """Impulses from ``start`` until the path lands or pauses; where it stops,
+        and their cost: the table's, for a sure chain that lands."""
+        x, cost, steps = start, 0.0, 0
         while flagged[x] and not (waits and waits[-1] > 0.0):
             if steps >= prep.guard:
                 raise ImproperChainError(f"chain exceeded the {prep.guard}-step guard without reaching a gradual state",
@@ -293,7 +294,7 @@ def _walk(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.G
                 pos = bisect.bisect_right(comp.Q_cum, rng.random(), pos, hi - 1)
             x = comp.Q_imp.indices[pos]
             steps += 1
-        return x, cost
+        return x, prep.sure_cost[start] if prep.sure_land[start] == x else cost
 
     x, first = chain(x)
     flow = impulses = t = 0.0

@@ -287,16 +287,17 @@ def counting_splu(monkeypatch) -> list:
     return factored
 
 
-@pytest.mark.parametrize("leak, sure", [pytest.param(0.0, False, id="0.0"), pytest.param(1e-13, False, id="1e-13"),
-                                        pytest.param(0.0, True, id="sure")])
-def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak, sure):
+@pytest.mark.parametrize("leak, first", [pytest.param(0.0, None, id="0.0"), pytest.param(1e-13, None, id="1e-13"),
+                                         pytest.param(0.0, "z", id="sure"), pytest.param(0.0, "x", id="tail")])
+def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak, first):
     # The 2-cycle of improper_model, exact and leaking 1e-13 per impulse,
-    # plus a third state that waits, and with ``sure`` a first state whose
-    # sure chain lands there: only the 2 x 2 chain system of the cycle is
-    # factored, never the policy system, and the error names the lowest
-    # flagged state whose chain draws, not the sure start.
+    # plus a third state that waits, and with ``first`` a first state whose
+    # one-target row goes there: only the chain system of the drawing chains
+    # is factored, never the policy system, and the error names the lowest
+    # flagged state whose chain draws.  A sure chain into z lands and is not
+    # named; a tail into the cycle is never resolved, so it draws too.
     base = improper_model()
-    extra = ("a",) if sure else ()
+    extra = ("a",) if first else ()
     m = dataclasses.replace(
         base,
         states=StateSpace(extra + ("x", "y", "z")),
@@ -304,7 +305,7 @@ def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak, sure):
                               impulsive={**base.actions.impulsive, "z": (), **{a: ("go",) for a in extra}}),
         rates=RateKernel(rows={**base.rates.rows, ("z", "wait"): (), **{(a, "wait"): () for a in extra}}, K_rate=1.0),
         impulses=ImpulseKernel(rows={("x", "swap"): (("y", 1.0 - leak),), ("y", "swap"): (("x", 1.0 - leak),),
-                                     **{(a, "go"): (("z", 1.0),) for a in extra}}),
+                                     **{(a, "go"): ((first, 1.0),) for a in extra}}),
         costs=dataclasses.replace(base.costs, gradual_cost={**base.costs.gradual_cost, ("z", "wait"): 0.0,
                                                             **{(a, "wait"): 0.0 for a in extra}},
                                   impulse_cost={**base.costs.impulse_cost, **{(a, "go"): 0.5 for a in extra}}),
@@ -313,8 +314,8 @@ def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak, sure):
     factored = counting_splu(monkeypatch)
     with pytest.raises(ImproperChainError) as info:
         evaluate_policy(m, policy)
-    assert info.value.state == "x"
-    assert factored == [(2, 2)]
+    assert info.value.state == ("a" if first == "x" else "x")
+    assert factored == [(3, 3) if first == "x" else (2, 2)]
 
 
 def test_policies_compare_by_their_decisions():

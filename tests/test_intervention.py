@@ -335,13 +335,13 @@ def test_a_near_unit_one_target_weight_certifies():
     ana = analyze_chains(m, report.policy)
     assert ana.land.tolist() == [-1, 0] and ana.S[1, 0] == 1.0 - 1e-12 and ana.lu is None
     assert_matches_dense_reference(m, report.policy)
-    # Over two such steps the systems weigh the second cost by the first
-    # weight, while a sampled path, and so the lookup, adds both costs.
+    # Over two such steps the systems, and so the sampler's lookup, weigh the
+    # second cost by the first weight, while a recorded chain adds both costs.
     w = 1.0 - 1e-12
     m = replace(two_step_chain_model(), impulses=ImpulseKernel(rows={("x", "go"): (("y", w),), ("y", "go"): (("z", w),)}))
     policy = flag_all(m)
-    assert analyze_chains(m, policy).expected_cost[0] == 0.4 + w * 0.6
-    assert _prepare(m, policy).sure_cost[0] == 0.4 + 0.6 == sample_chain(m, policy, "x", replication_rng(0, 0)).total_cost
+    assert _prepare(m, policy).sure_cost[0] == 0.4 + w * 0.6 == analyze_chains(m, policy).expected_cost[0]
+    assert sample_chain(m, policy, "x", replication_rng(0, 0)).total_cost == 0.4 + 0.6
     assert_matches_dense_reference(m, policy)
 
 

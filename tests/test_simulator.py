@@ -186,7 +186,7 @@ def test_mixed_chain_table():
     m, policy = mixed_chains()
     prep = _prepare(m, policy)
     assert prep.sure_land.tolist() == [-1, -1, 1, 1, -1, -1]
-    assert prep.sure_cost.tolist() == [-1.0, -1.0, 0.3 + 0.4, 0.4, -1.0, -1.0]
+    assert prep.sure_cost.tolist() == [0.0, 0.0, 0.3 + 0.4, 0.4, 0.0, 0.0]
 
 
 def _stream_runs(model, policy, V, x0s, threads=(1,)):
@@ -284,6 +284,32 @@ def test_recorded_desk_paths_are_one_path_batches(desk_solved):
     for x0 in ["10,1,2", *flagged]:
         for rep in range(10):
             assert_walk_is_a_one_path_batch(m, policy, x0, 5, rep)
+
+
+def test_recorded_sure_chains_cost_what_the_table_says():
+    # x -> y -> u -> z is sure; z jumps back to x.  Summed in chain order the
+    # costs give 0.6000000000000001, and in reverse order 0.6: a recorded
+    # path charges the table's weighted cost, as the batch does, while the
+    # recorded chain lists the plain sum of its steps.
+    labels = ("x", "y", "u", "z")
+    m = CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={s: ("wait",) for s in labels},
+                              impulsive={s: ("go",) if s != "z" else () for s in labels}),
+        rates=RateKernel(rows={("z", "wait"): (("x", 1.0),), **{(s, "wait"): () for s in "xyu"}}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={("x", "go"): (("y", 1.0),), ("y", "go"): (("u", 1.0),),
+                                     ("u", "go"): (("z", 1.0),)}),
+        costs=CostModel(gradual_cost={(s, "wait"): 1.0 if s == "z" else 0.0 for s in labels},
+                        impulse_cost={("x", "go"): 0.1, ("y", "go"): 0.2, ("u", "go"): 0.3},
+                        eta=1.0, K_cost=1.0, c_lower=0.1),
+    )
+    policy = improper_policy(m)
+    for x0 in ("x", "z"):
+        for rep in range(4):
+            assert_walk_is_a_one_path_batch(m, policy, x0, 3, rep)
+    assert _prepare(m, policy).sure_cost[0] == analyze_chains(m, policy).w[0]
+    chain = sample_chain(m, policy, "x", replication_rng(0, 0))
+    assert chain.total_cost == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
 
 
 def test_every_sampler_raises_at_the_guard(monkeypatch):
