@@ -213,6 +213,12 @@ def check_policy(model: CtmdpModel, policy: StationaryPolicy) -> None:
     raise ValueError(f"phi_i out of range at state {s!r}")
 
 
+def check_state_values(model: CtmdpModel, name: str, values: np.ndarray) -> None:
+    """Raise ValueError, naming ``name``, unless ``values`` holds one finite value per state."""
+    if values.shape != (model.states.N,) or not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must hold one finite value per state ({model.states.N})")
+
+
 def policy_pairs(comp: CompiledModel, policy: StationaryPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each state's gradual pair, the flagged states (ascending), and their
     impulse pairs; the policy must have passed ``check_policy``."""

@@ -29,6 +29,7 @@ from ._ops import (
     CompiledModel,
     apply_embedded,
     apply_operator,
+    check_state_values,
     compile_model,
     factor,
     gradual_branch,
@@ -88,12 +89,6 @@ class SolveReport:
     residual: float
     gap: float
     evaluations: int
-
-
-def check_state_values(model: CtmdpModel, name: str, values: np.ndarray) -> None:
-    """Raise ValueError, naming ``name``, unless ``values`` holds one finite value per state."""
-    if values.shape != (model.states.N,) or not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must hold one finite value per state ({model.states.N})")
 
 
 def bellman_apply(model: CtmdpModel, F: ValueFunction) -> ValueFunction:
@@ -200,7 +195,7 @@ def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunct
     # impulse row, in model order.  A sure chain's start x has
     # V(x) = (S V)(x) + w(x), and the product B S moves each entry into it there.
     wait, draws = np.flatnonzero(~policy.impulsive), flagged[chains.draws]
-    keep = np.flatnonzero(chains.land < 0)
+    keep = np.flatnonzero(chains.land == np.arange(comp.N))
     order = np.argsort(np.concatenate([wait, draws]))
     g_wait, i_draws = g_rows[wait], i_rows[chains.draws]
     stay = sp.csr_matrix((K - comp.g_total_rate[g_wait], wait, np.arange(wait.size + 1)), shape=(wait.size, comp.N))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._ops import CompiledModel, check_policy, compile_model, factor, per_policy, policy_pairs
+from ._ops import CompiledModel, check_policy, check_state_values, compile_model, factor, per_policy, policy_pairs
 from .errors import ImproperChainError
 from .model import CtmdpModel, StationaryPolicy
 
@@ -53,15 +53,15 @@ class ChainAnalysis:
     of the chain started at ``states[k]``: a probability vector over all
     states with support in the gradual region.
 
-    Per state, ``land`` is the landing of the sure chain started there (-1
-    where there is none) and ``w`` its cost weighted as (I - M)^-1 weighs it
-    (0.0 where there is none), which the sampler also charges for the chain.
-    Row x of the N x N shortcut matrix ``S`` holds the sure chain's mass, the
-    product of its one-target weights, at ``land[x]``; every other row holds
-    1 on the diagonal.  ``lu`` is the LU factor of I - M and ``R``
-    the relocation rows into the gradual region, both over the flagged
-    states whose chains draw (``draws``, positions in ``states``) with the
-    sure states folded out by ``S``; both are None when no chain draws.
+    Per state, the read-only ``land`` and ``w`` are the landing of the sure
+    chain started there and its cost weighted as (I - M)^-1 weighs it, which
+    the sampler charges; a state that waits or whose chain draws lands on
+    itself at cost 0.  Row x of the N x N shortcut matrix ``S`` holds the
+    chain's mass, the product of its one-target weights, at ``land[x]``.
+    ``lu`` is the LU factor of I - M and ``R`` the relocation rows into the
+    gradual region, both over the flagged states whose chains draw
+    (``draws``, positions in ``states``) with the sure states folded out by
+    ``S``; both are None when no chain draws.
     """
 
     states: tuple[str, ...]
@@ -77,7 +77,7 @@ class ChainAnalysis:
 
     def landing_row(self, k: int) -> np.ndarray:
         x = self.flagged[k]
-        if self.land[x] >= 0:
+        if self.land[x] != x:
             return self.S[x].toarray().ravel()
         e = np.zeros(self.draws.size)
         e[np.searchsorted(self.draws, k)] = 1.0
@@ -85,15 +85,14 @@ class ChainAnalysis:
 
 
 def _sure_chains(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray, i_rows: np.ndarray):
-    """Per state: the landing of its sure chain (-1 where none), and the
-    chain's mass, cost and length weighted as (I - M)^-1 weighs them (0.0
-    where none).
+    """Per state: the landing of its sure chain, and its mass, cost and length
+    weighted as (I - M)^-1 weighs them; any other state lands on itself (mass 1, the rest 0).
 
-    Resolved backward from the landings: first the one-target rows into a
-    waiting state, then, frontier by frontier, the one-target rows into the
-    states just resolved, each w(x) = c(x) + p(x) w(next(x)).  Each row is
-    read once; a row into a closed cycle of one-target rows, or into a row
-    with two or more targets, is never resolved and is not sure.
+    Resolved backward from the landings: the waiting states are the first
+    frontier, and each next one holds the one-target rows into the states
+    just resolved, each w(x) = c(x) + p(x) w(next(x)).  Each row is read
+    once; a row into a closed cycle of one-target rows, or into a row with
+    two or more targets, is never resolved and is not sure.
     """
     N, Q = comp.N, comp.Q_imp
     lo = Q.indptr[i_rows]
@@ -101,12 +100,9 @@ def _sure_chains(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray
     x, to, p, c = flagged[pos], Q.indices[lo[pos]], Q.data[lo[pos]], comp.i_cost[i_rows[pos]]
     order = np.argsort(to, kind="stable")
     ptr = np.concatenate(([0], np.cumsum(np.bincount(to, minlength=N))))
-    land = np.full(N, -1, dtype=np.int64)
-    mass, cost, length = np.zeros(N), np.zeros(N), np.zeros(N)
-    rows = np.flatnonzero(~impulsive[to])
-    y = x[rows]
-    land[y], mass[y], cost[y], length[y] = to[rows], p[rows], c[rows], 1.0
-    while rows.size:
+    land, mass, cost, length = np.arange(N), np.ones(N), np.zeros(N), np.zeros(N)
+    y = np.flatnonzero(~impulsive)
+    while y.size:
         at, n = ptr[y], ptr[y + 1] - ptr[y]  # the rows into y: order[at:at + n], per y
         rows = order[np.repeat(at - np.cumsum(n) + n, n) + np.arange(n.sum())]
         y, z, q = x[rows], to[rows], p[rows]
@@ -131,10 +127,8 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     _, flagged, i_rows = policy_pairs(comp, policy)
     labels = model.states.labels
     land, mass, cost, length = _sure_chains(comp, policy.impulsive, flagged, i_rows)
-    sure = land >= 0
-    S = sp.csr_matrix((np.where(sure, mass, 1.0), np.where(sure, land, np.arange(comp.N)),
-                       np.arange(comp.N + 1)), shape=(comp.N, comp.N))
-    draws = np.flatnonzero(~sure[flagged])
+    S = sp.csr_matrix((mass, land, np.arange(comp.N + 1)), shape=(comp.N, comp.N))
+    draws = np.flatnonzero(land[flagged] == flagged)
     hits, W, steps = mass[flagged], cost[flagged], length[flagged]
     R = lu = None
     if draws.size:
@@ -142,22 +136,20 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
         Q = comp.Q_imp[i_rows[draws]]
         c_in, steps_in = Q @ cost, Q @ length
         Q = (Q @ S).sorted_indices()
-        M = Q[:, flagged[draws]]
-        R = sp.csr_matrix((Q.data * ~policy.impulsive[Q.indices], Q.indices, Q.indptr), shape=Q.shape)
-        R.eliminate_zeros()
-        lu = factor(sp.identity(draws.size, format="csr") - M, "chain system")
+        # M before R: R shares Q's index arrays, and R.eliminate_zeros() rewrites them in place.
+        lu = factor(sp.identity(draws.size, format="csr") - Q[:, flagged[draws]], "chain system")
         if lu is None:
             raise ImproperChainError(
                 "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[draws[0]])])
-        hits[draws] = lu.solve(np.asarray(R.sum(axis=1)).ravel())
+        R = sp.csr_matrix((Q.data * ~policy.impulsive[Q.indices], Q.indices, Q.indptr), shape=Q.shape)
+        R.eliminate_zeros()
+        hits[draws], W[draws], steps[draws] = lu.solve(np.column_stack(
+            [np.asarray(R.sum(axis=1)).ravel(), comp.i_cost[i_rows[draws]] + c_in, 1.0 + steps_in])).T
     bad = np.flatnonzero(~(np.abs(hits - 1.0) <= LANDING_ROW_TOL))
     if bad.size:
         raise ImproperChainError(
             f"landing distribution row sums to {hits[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
-    if draws.size:
-        W[draws] = lu.solve(comp.i_cost[i_rows[draws]] + c_in)
-        steps[draws] = lu.solve(1.0 + steps_in)
-    W.flags.writeable = False
+    W.flags.writeable = land.flags.writeable = cost.flags.writeable = False
     return ChainAnalysis(states=tuple(map(labels.__getitem__, flagged.tolist())), expected_cost=W,
                          guard=math.ceil(40.0 * math.e * float(np.max(steps, initial=0.0))), flagged=flagged,
                          land=land, w=cost, S=S, draws=draws, R=R, lu=lu)
@@ -168,10 +160,12 @@ def expected_landing_value(model: CtmdpModel, policy: StationaryPolicy, W: np.nd
 
     Identity on gradual states; on flagged states, W averaged over the
     chain's landing distribution, (I - M)^-1 R W: one solve for the chains
-    that draw, then the shortcut ``S`` for the sure chains.  Raises
+    that draw, then the shortcut ``S`` for the sure chains.  Raises ValueError
+    unless ``W`` holds one finite value per state, and
     :class:`ImproperChainError` for an improper policy.
     """
     out = np.array(W, dtype=np.float64)
+    check_state_values(model, "W", out)
     chains = analyze_chains(model, policy)
     if chains.lu is not None:
         out[chains.flagged[chains.draws]] = chains.lu.solve(chains.R @ out)

@@ -39,8 +39,8 @@ from functools import partial
 
 import numpy as np
 
-from ._ops import CompiledModel, compile_model, per_policy, policy_pairs, sample_rows
-from .bellman import ValueFunction, check_state_values
+from ._ops import CompiledModel, check_state_values, compile_model, per_policy, policy_pairs, sample_rows
+from .bellman import ValueFunction
 from .errors import DEFAULT_TAIL_TOL, ImproperChainError
 from .intervention import InterventionChain, analyze_chains, expected_landing_value
 from .model import CtmdpModel, StationaryPolicy
@@ -107,7 +107,7 @@ class _Prep:
     imp_hi: np.ndarray
     imp_cost: np.ndarray     # impulse cost under phi_i (0 off the flagged set)
     sure_land: np.ndarray    # landing and weighted cost of a sure chain, from analyze_chains
-    sure_cost: np.ndarray    # (-1 and 0.0 where the chain is not sure)
+    sure_cost: np.ndarray    # (the state itself and 0.0 where the chain is not sure)
     guard: int
     chain_cost_bound: float  # max expected chain cost (properness witness)
 
@@ -187,20 +187,16 @@ def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np
     """Run the impulse chains of a batch of paths; ``x`` ends at the landings.
 
     ``ids`` are the paths' batch indices, ascending.  Returns each path's
-    undiscounted chain cost (0 where it starts unflagged).  A path whose
-    chain is sure lands by lookup, and the other paths step; each step draws
-    a uniform for the paths on a row with two or more targets only.
+    undiscounted chain cost (0 where it starts unflagged).  Each flagged path
+    first moves by the sure-chain table; those still flagged then step, each
+    step drawing a uniform for the paths on a row with two or more targets only.
     """
     comp = prep.comp
     flagged = prep.impulsive
     cost = np.zeros(x.size)
     act = np.flatnonzero(flagged[x])
-    land = prep.sure_land[x[act]]
-    sure = land >= 0
-    done = act[sure]
-    cost[done] = prep.sure_cost[x[done]]
-    x[done] = land[sure]
-    act = act[~sure]
+    cost[act], x[act] = prep.sure_cost[x[act]], prep.sure_land[x[act]]
+    act = act[flagged[x[act]]]
     steps = 0
     while act.size:
         if steps >= prep.guard:
@@ -279,7 +275,7 @@ def _walk(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.G
 
     def chain(start):
         """Impulses from ``start`` until the path lands or pauses; where it stops,
-        and their cost: the table's, for a sure chain that lands."""
+        and their cost: the table's, for a stretch from a sure start that lands."""
         x, cost, steps = start, 0.0, 0
         while flagged[x] and not (waits and waits[-1] > 0.0):
             if steps >= prep.guard:
@@ -294,7 +290,7 @@ def _walk(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.G
                 pos = bisect.bisect_right(comp.Q_cum, rng.random(), pos, hi - 1)
             x = comp.Q_imp.indices[pos]
             steps += 1
-        return x, prep.sure_cost[start] if prep.sure_land[start] == x else cost
+        return x, prep.sure_cost[start] if x == prep.sure_land[start] != start else cost
 
     x, first = chain(x)
     flow = impulses = t = 0.0

@@ -236,6 +236,28 @@ def test_expected_landing_value_identity_on_gradual():
     assert abs(out[1] - 2.0) <= 1e-9   # deterministic landing at state 0
 
 
+def test_expected_landing_value_rejects_a_bad_value_vector():
+    # An all-NaN W came back as NaNs, and a W of N + 1 values failed inside
+    # scipy ("matmul: dimension mismatch").
+    m = two_state(lam=0.3)
+    policy = extract_policy(m, solve(m).V)
+    for bad in (np.full(2, math.nan), np.zeros(3)):
+        with pytest.raises(ValueError, match=r"^W must hold one finite value per state \(2\)$"):
+            expected_landing_value(m, policy, bad)
+
+
+def test_chain_tables_are_read_only():
+    # The analysis is kept per policy and shared by every equal policy, and
+    # the simulator charges and lands sure chains from these very arrays.
+    m, policy = mixed_chains()
+    ana = analyze_chains(m, policy)
+    prep = _prepare(m, policy)
+    assert prep.sure_land is ana.land and prep.sure_cost is ana.w
+    for table in (ana.land, ana.w, ana.expected_cost):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
 def test_empty_flag_set_yields_empty_analysis():
     m = two_state()
     policy = extract_policy(m, solve(m).V)
@@ -333,7 +355,7 @@ def test_a_near_unit_one_target_weight_certifies():
     report = solve(m)
     assert report.gap <= 1e-10 and report.policy.impulsive.tolist() == [False, True]
     ana = analyze_chains(m, report.policy)
-    assert ana.land.tolist() == [-1, 0] and ana.S[1, 0] == 1.0 - 1e-12 and ana.lu is None
+    assert ana.land.tolist() == [0, 0] and ana.S[1, 0] == 1.0 - 1e-12 and ana.lu is None
     assert_matches_dense_reference(m, report.policy)
     # Over two such steps the systems, and so the sampler's lookup, weigh the
     # second cost by the first weight, while a recorded chain adds both costs.
@@ -355,8 +377,9 @@ def test_sure_chains_agree_with_the_chain_system(desk_solved):
     assert flagged.size == len(ana.states) > 0
     W, landing, length = dense_chains(m, policy)
     land = prep.sure_land[flagged]
-    assert (land >= 0).all() and not policy.impulsive[land].any()
-    assert (prep.sure_land[~policy.impulsive] == -1).all()
+    assert (land != flagged).all() and not policy.impulsive[land].any()
+    wait = np.flatnonzero(~policy.impulsive)
+    assert (prep.sure_land[wait] == wait).all()
     hit = np.zeros_like(landing)
     hit[np.arange(flagged.size), land] = 1.0
     assert np.abs(landing - hit).max() <= 1e-12
@@ -370,4 +393,4 @@ def test_sure_chains_agree_with_the_chain_system(desk_solved):
 def test_a_chain_with_a_two_target_row_is_not_sure():
     m = geometric_model(p_stay=0.999)
     prep = _prepare(m, flag_all(m))
-    assert prep.sure_land.tolist() == [-1, -1]
+    assert prep.sure_land.tolist() == [0, 1]

@@ -152,32 +152,31 @@ def test_lockstep_batches_draw_what_lone_blocks_draw(case, desk_solved, monkeypa
 
 
 def force_stepping(monkeypatch):
-    """Make every chain step: ``_prepare`` gives tables whose sure chains are all -1."""
+    """Make every chain step: ``_prepare`` gives tables in which every state lands on itself."""
     prepare = simulate._prepare
 
     def stepping(model, policy):
         prep = prepare(model, policy)
-        none = np.full(prep.comp.N, -1)
-        return dataclasses.replace(prep, sure_land=none, sure_cost=none.astype(float))
+        return dataclasses.replace(prep, sure_land=np.arange(prep.comp.N), sure_cost=np.zeros(prep.comp.N))
     monkeypatch.setattr(simulate, "_prepare", stepping)
 
 
 def count_lookups(monkeypatch) -> list[int]:
     """Count the paths whose chains land by lookup: the entries read from the
-    ``sure_cost`` of the tables ``_prepare`` gives."""
+    ``sure_land`` of the tables ``_prepare`` gives that differ from their index."""
     reads = [0]
 
     class Counted(np.ndarray):
         def __getitem__(self, key):
             out = super().__getitem__(key)
-            reads[0] += np.size(out)
+            reads[0] += int(np.count_nonzero(np.asarray(out) != np.asarray(key)))
             return out
 
     prepare = simulate._prepare
 
     def counting(model, policy):
         prep = prepare(model, policy)
-        return dataclasses.replace(prep, sure_cost=prep.sure_cost.view(Counted))
+        return dataclasses.replace(prep, sure_land=prep.sure_land.view(Counted))
     monkeypatch.setattr(simulate, "_prepare", counting)
     return reads
 
@@ -185,7 +184,7 @@ def count_lookups(monkeypatch) -> list[int]:
 def test_mixed_chain_table():
     m, policy = mixed_chains()
     prep = _prepare(m, policy)
-    assert prep.sure_land.tolist() == [-1, -1, 1, 1, -1, -1]
+    assert prep.sure_land.tolist() == [0, 1, 1, 1, 4, 5]
     assert prep.sure_cost.tolist() == [0.0, 0.0, 0.3 + 0.4, 0.4, 0.0, 0.0]
 
 
@@ -203,7 +202,7 @@ def test_resolved_chains_draw_what_stepped_chains_draw(case, desk_solved, monkey
         model, policy, V = desk_solved["model"], desk_solved["report"].policy, desk_solved["report"].V
         x0s, threads = ["10,1,2"], (1, 2)
         flagged = policy.impulsive
-        assert flagged.any() and (_prepare(model, policy).sure_land[flagged] >= 0).all()
+        assert flagged.any() and (_prepare(model, policy).sure_land[flagged] != np.flatnonzero(flagged)).all()
     else:
         model, policy = mixed_chains()
         V, x0s, threads = evaluate_policy(model, policy), ["g1", "a", "d"], (1,)
@@ -562,6 +561,30 @@ def test_spaced_interruption_switches_to_gradual_only():
             chains = [ep.chain for ep in traj.epochs if ep.chain is not None]
             assert all(len(c.steps) == 0 for c in chains)
     assert interrupted >= 45  # P(jump < 50) is essentially 1
+
+
+def test_spaced_chain_pausing_at_its_own_start_costs_its_steps():
+    # s -> a -> s draws at s, and the third impulse waits, so 146 of these
+    # 200 paths pause at their own start s, where the chain table lands s on
+    # itself at cost 0.  The pause is a stretch that did not land: it is
+    # charged the steps it took.
+    labels = ("s", "a", "t")
+    m = CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={x: ("wait",) for x in labels},
+                              impulsive={"s": ("go",), "a": ("go",), "t": ()}),
+        rates=RateKernel(rows={("s", "wait"): (("t", 1.0),), ("a", "wait"): (), ("t", "wait"): ()}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={("s", "go"): (("a", 0.7), ("t", 0.3)), ("a", "go"): (("s", 1.0),)}),
+        costs=CostModel(gradual_cost={(x, "wait"): 0.0 for x in labels},
+                        impulse_cost={("s", "go"): 0.5, ("a", "go"): 0.25}, eta=1.0, K_cost=1.0, c_lower=0.25),
+    )
+    policy = StationaryPolicy(phi_g=np.zeros(3, dtype=np.int64), phi_i=[0, 0, -1])
+    paused = 0
+    for rep in range(200):
+        traj = simulate_spaced(m, policy, "s", replication_rng(3, rep), [0.0, 0.0, 1e9])
+        assert traj.discounted_impulse_cost == traj.epochs[0].chain.total_cost
+        paused += traj.epochs[0].post_state == "s"
+    assert paused == 146
 
 
 def test_natural_jump_count_bounded_by_uniform_rate():
