@@ -220,7 +220,8 @@ def build_epidemic_model(params: EpidemicParams) -> CtmdpModel:
     Carrier births are suppressed at C_max (reflecting truncation).  The
     single gradual action waits; the single impulse moves one susceptible
     out at the immunization price.  States are numbered in the order of
-    :func:`enumerate_states`, and neighbours are found by index arithmetic.
+    :func:`enumerate_states` and labelled by :func:`state_label`'s format,
+    and neighbours are found by index arithmetic.
     """
     lam = params.immunization_cost
     s, c, i, at = _lattice(params)
@@ -244,10 +245,10 @@ def build_epidemic_model(params: EpidemicParams) -> CtmdpModel:
     impulsive = PairTable(ptr=np.concatenate([[0], np.cumsum(imm)]), names=(IMMUNIZE,) * n_imm,
                           row_ptr=np.arange(n_imm + 1), cols=at(below, c, i)[imm],
                           weights=np.ones(n_imm), cost=np.full(n_imm, lam))
-    return CtmdpModel.from_arrays(
-        tuple(map(state_label, s.tolist(), c.tolist(), i.tolist())), gradual, impulsive,
-        K_rate=float(total.max(initial=0.0)), eta=params.eta,
-        K_cost=float(params.S + params.I), c_lower=lam)
+    num = [str(k) for k in range(max(params.S + params.I, params.C_max) + 1)]  # each count's text, made once
+    labels = tuple([f"{num[a]},{num[b]},{num[d]}" for a, b, d in zip(s.tolist(), c.tolist(), i.tolist())])
+    return CtmdpModel.from_arrays(labels, gradual, impulsive, K_rate=float(total.max(initial=0.0)), eta=params.eta,
+                                  K_cost=float(params.S + params.I), c_lower=lam)
 
 
 def analytic_value(params: EpidemicParams, cv: CarrierValue, s: int, c: int, i: int) -> float:

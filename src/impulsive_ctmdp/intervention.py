@@ -43,8 +43,8 @@ class ChainAnalysis:
 
     ``states`` lists the flagged state labels in model order, ``expected_cost``
     the expected total impulse cost W = (I - M)^-1 c of a chain started at
-    each (read-only); M is the relocation kernel from flagged to flagged
-    states.  ``guard`` is the step cap of a sampled chain, ceil(40 e m) with m
+    each; M is the relocation kernel from flagged to flagged states.
+    ``guard`` is the step cap of a sampled chain, ceil(40 e m) with m
     the largest expected number of impulses of a chain, (I - M)^-1 1: from
     any flagged state a chain outlives e m steps with probability at most 1/e
     (Markov), and restarting the bound k times gives P(length > k e m) <=
@@ -53,15 +53,16 @@ class ChainAnalysis:
     of the chain started at ``states[k]``: a probability vector over all
     states with support in the gradual region.
 
-    Per state, the read-only ``land`` and ``w`` are the landing of the sure
-    chain started there and its cost weighted as (I - M)^-1 weighs it, which
-    the sampler charges; a state that waits or whose chain draws lands on
+    Per state, ``land`` and ``w`` are the landing of the sure chain started
+    there and its cost weighted as (I - M)^-1 weighs it, which the sampler
+    charges; a state that waits or whose chain draws lands on
     itself at cost 0.  Row x of the N x N shortcut matrix ``S`` holds the
     chain's mass, the product of its one-target weights, at ``land[x]``.
     ``lu`` is the LU factor of I - M and ``R`` the relocation rows into the
     gradual region, both over the flagged states whose chains draw
     (``draws``, positions in ``states``) with the sure states folded out by
-    ``S``; both are None when no chain draws.
+    ``S``; both are None when no chain draws.  Every array here, those of
+    ``S`` and ``R`` too, is read-only: equal policies share the analysis.
     """
 
     states: tuple[str, ...]
@@ -149,7 +150,9 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     if bad.size:
         raise ImproperChainError(
             f"landing distribution row sums to {hits[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
-    W.flags.writeable = land.flags.writeable = cost.flags.writeable = False
+    for table in (W, land, cost, flagged, draws, *(
+            getattr(mat, a) for mat in (S, R) if mat is not None for a in ("data", "indices", "indptr"))):
+        table.flags.writeable = False
     return ChainAnalysis(states=tuple(map(labels.__getitem__, flagged.tolist())), expected_cost=W,
                          guard=math.ceil(40.0 * math.e * float(np.max(steps, initial=0.0))), flagged=flagged,
                          land=land, w=cost, S=S, draws=draws, R=R, lu=lu)

@@ -104,12 +104,33 @@ def _as_number(field: str, node: yaml.Node, kind: type = float) -> Any:
 
 # libyaml's C parser when PyYAML was built with it; both keep line marks.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_KIND_TAG = {yaml.ScalarNode: _LOADER.DEFAULT_SCALAR_TAG, yaml.SequenceNode: _LOADER.DEFAULT_SEQUENCE_TAG,
+             yaml.MappingNode: _LOADER.DEFAULT_MAPPING_TAG}
 
 
-def _compose(text: str, source: str, required: bool = True) -> yaml.Node | None:
+class _Untyped:
+    """Loader mix-in that gives every node its kind's default tag, as a loader
+    with no resolvers would.  Model and parameter documents are read as text, so
+    typing each scalar by regex (a Python call per node, even under libyaml) is waste."""
+
+    def resolve(self, kind, value, implicit):
+        return _KIND_TAG[kind]
+
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
+
+
+class _TextLoader(_Untyped, _LOADER):
+    """Composes model and parameter documents; config files keep ``_LOADER``."""
+
+
+def _compose(text: str, source: str, loader: type, required: bool = True) -> yaml.Node | None:
     """The document's node tree; None for an empty document unless it is ``required``."""
     try:
-        node = yaml.compose(text, Loader=_LOADER)
+        node = yaml.compose(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ModelParseError(f"{source}: invalid YAML: {exc}") from exc
     if node is None and required:
@@ -139,7 +160,7 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
     a third of the parse, that free nothing: the node tree and the parsed rows
     (tuples of ``str``/``float``) hold no cycles, so reference counting frees them.
     """
-    root = _compose(text, source)
+    root = _compose(text, source, _TextLoader)
     required = ("states", "gradual_actions", "rates", "costs", "constants")
     sections = _as_dict("document", root, required + ("impulsive_actions", "impulse_rows"))
     for name in required:
@@ -214,7 +235,7 @@ def load_model(path: str) -> CtmdpModel:
 
 
 def parse_epidemic_params(text: str, source: str = "<string>", c_max_override: int | None = None) -> EpidemicParams:
-    root = _compose(text, source)
+    root = _compose(text, source, _TextLoader)
     keys = ("S", "I", "c0", "C_max", "eta", "kappa_r", "lambda", "rho_b", "rho_d", "kappa_i")
     entries = _as_dict("document", root, keys)
     for key in keys:
@@ -252,7 +273,7 @@ def load_config(path: str, known: tuple[str, ...]) -> dict[str, Any]:
     Each key is one of ``known``, with ``-`` read as ``_``, and appears once
     (``tail-tol`` next to ``tail_tol`` is a repeat)."""
     with open(path, encoding="utf-8") as fh:
-        root = _compose(fh.read(), path, required=False)
+        root = _compose(fh.read(), path, _LOADER, required=False)
     entries = {} if root is None else _as_dict(path, root, known, fold=True)
     return {key: _LOADER("").construct_object(node, deep=True) for key, node in entries.items()}
 

@@ -338,6 +338,16 @@ def test_desk_policy_at_loose_tolerance_is_the_threshold_policy(desk_solved):
     assert np.array_equal(policy.phi_i, threshold.phi_i)
 
 
+@pytest.mark.parametrize("S, I, c_max", [(0, 0, 1), (0, 3, 1), (2, 0, 1), (3, 9, 12), (11, 1, 2)])
+def test_built_labels_are_the_state_labels(S, I, c_max):
+    # The builder formats each count once; a count of 10 or more has two digits.
+    p = EpidemicParams(S=S, I=I, c0=0, C_max=c_max, eta=1.0, kappa_r=1.0, immunization_cost=0.2,
+                       rho_b=(0.0, 1.0), rho_d=(0.0, 1.0), kappa_i=(0.0, 1.0))
+    states = build_epidemic_model(p).states
+    assert states.labels == tuple(state_label(*x) for x in enumerate_states(p))
+    assert len(states.index) == states.N and all(states.index[x] == k for k, x in enumerate(states.labels))
+
+
 def test_state_enumeration_closed_under_dynamics():
     p = desk_params()
     states = set(enumerate_states(p))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from impulsive_ctmdp import (
     ImproperChainError,
     analyze_chains,
+    build_epidemic_model,
     evaluate_policy,
     extract_policy,
     sample_chain,
@@ -28,7 +29,15 @@ from impulsive_ctmdp.model import (
     StationaryPolicy,
 )
 
-from conftest import geometric_model, improper_model, improper_policy, mixed_chains, one_target_rows, two_state
+from conftest import (
+    desk_params,
+    geometric_model,
+    improper_model,
+    improper_policy,
+    mixed_chains,
+    one_target_rows,
+    two_state,
+)
 
 
 def flag_all(model):
@@ -253,9 +262,24 @@ def test_chain_tables_are_read_only():
     ana = analyze_chains(m, policy)
     prep = _prepare(m, policy)
     assert prep.sure_land is ana.land and prep.sure_cost is ana.w
-    for table in (ana.land, ana.w, ana.expected_cost):
+    assert ana.R is not None  # c's chain draws
+    sparse = [getattr(mat, a) for mat in (ana.S, ana.R) for a in ("data", "indices", "indptr")]
+    for table in (ana.land, ana.w, ana.expected_cost, ana.flagged, ana.draws, *sparse):
         with pytest.raises(ValueError):
             table[0] = 1
+
+
+def test_a_shared_shortcut_matrix_cannot_be_scaled():
+    # Scaling S in place once moved expected_landing_value of an equal, freshly
+    # built policy by up to 3.0 at the solved V of the desk model.
+    m = build_epidemic_model(desk_params())
+    report = solve(m)
+    V, policy = report.V.values, report.policy
+    before = expected_landing_value(m, policy, V)
+    with pytest.raises(ValueError):
+        analyze_chains(m, policy).S.data[:] *= 0.5
+    fresh = StationaryPolicy(policy.phi_g.copy(), policy.phi_i.copy())
+    assert np.array_equal(expected_landing_value(m, fresh, V), before)
 
 
 def test_empty_flag_set_yields_empty_analysis():

@@ -34,6 +34,7 @@ from conftest import MODELS_DIR, desk_params
 TWO_STATE = MODELS_DIR / "two_state.yaml"
 TWO_STATE_IMPULSE = MODELS_DIR / "two_state_impulse.yaml"
 EPIDEMIC = MODELS_DIR / "epidemic_desk.yaml"
+TYPED_LABELS = MODELS_DIR / "yaml_typed_labels.yaml"
 
 
 # --- parsing ---------------------------------------------------------------
@@ -150,9 +151,12 @@ def test_parse_model_leaves_the_collector_as_it_found_it(text, enabled):
 
 
 def test_both_loaders_parse_alike(monkeypatch):
-    # The pure-Python loader stands in when PyYAML lacks libyaml.
-    def parse_with(loader, text):
-        monkeypatch.setattr(mio, "_LOADER", loader)
+    # The pure-Python loader stands in when PyYAML lacks libyaml; documents
+    # compose with the untyped mix-in over either base.
+    assert mio._TextLoader.__bases__ == (mio._Untyped, mio._LOADER)
+
+    def parse_with(base, text):
+        monkeypatch.setattr(mio, "_TextLoader", type("TextLoader", (mio._Untyped, base), {}))
         try:
             return parse_model(text)
         except ModelParseError as exc:
@@ -169,6 +173,20 @@ def test_both_loaders_parse_alike(monkeypatch):
                 text + 'states: ["x0"]\n'):
         python, libyaml = (parse_with(loader, bad) for loader in loaders)
         assert python == libyaml and re.search(r"\(line \d+\)", python), (python, libyaml)
+
+
+def test_labels_and_numbers_yaml_would_type_are_read_as_written(monkeypatch):
+    # yes, on, null, ~, true, 0x1F, 1_000, 2001-12-14, .5 and +1 are scalars YAML 1.1 types.
+    text = TYPED_LABELS.read_text()
+    m = parse_model(text)
+    assert m.states.labels == ("yes", "on", "null", "~", "true", "0x1F")
+    assert m.actions.gradual["null"] == ("1_000", "2001-12-14") and m.actions.impulsive["~"] == (".5",)
+    assert m.rates.rows[("yes", "1_000")] == (("on", 0.5), ("null", 1.0))
+    assert m.costs.gradual_cost[("null", "2001-12-14")] == 1000.0 and m.costs.eta == 1.0
+    _assert_same_tables(m, parse_model(model_document(m)))
+    for resolving in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(mio, "_TextLoader", resolving)
+        _assert_same_tables(m, parse_model(text))
 
 
 def test_missing_section_is_reported():
