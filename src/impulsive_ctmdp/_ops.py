@@ -118,19 +118,18 @@ def apply_operator(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
     return _state_min(comp, gradual_branch(comp, F), F)
 
 
-def apply_embedded(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
-    """One application of the optimality operator on the embedded jump chain.
+def embedded_branch(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
+    """Per-pair value (J F + c)/(eta + q) of the gradual branch on the embedded
+    jump chain: no self-loop, so a pair contracts at its own rate q/(eta+q).
+    The uniformized pair value is a convex mix of F(x) and this one, so it
+    lies below F(x) exactly when this one does."""
+    return (comp.J @ F + comp.g_cost) / (comp.eta + comp.g_total_rate)
 
-    Its gradual branch is the continuous-time form
-    (eta + q) V(x) = c + sum_y q(y|x) V(y) solved for V(x): no self-loop, so
-    a pair contracts at its own rate q/(eta+q) instead of K/(K+eta).  Each
-    uniformized pair value is a convex mix of V(x) and this one, so a pair
-    lies below V(x) under one operator exactly when it does under the other:
-    both operators share their fixed point, and an iterate of this one from
-    above is a supersolution of the optimality operator.
-    """
-    g = (comp.J @ F + comp.g_cost) / (comp.eta + comp.g_total_rate)
-    return _state_min(comp, g, F)
+
+def apply_embedded(comp: CompiledModel, F: np.ndarray) -> np.ndarray:
+    """One application of the optimality operator on the embedded jump chain: it has
+    that operator's fixed point, and its iterates from above are supersolutions of it."""
+    return _state_min(comp, embedded_branch(comp, F), F)
 
 
 def _state_min(comp: CompiledModel, g: np.ndarray, F: np.ndarray) -> np.ndarray:

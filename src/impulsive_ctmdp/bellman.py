@@ -8,18 +8,17 @@ non-decreasing one; both converge to the unique bounded fixed point, which
 is the optimal discounted cost.  :func:`solve` finds that fixed point
 exactly, up to roundoff, by policy iteration started from a short run of
 the embedded jump chain's operator from above (no self-loop, so each state
-contracts at its own rate q/(eta+q)).  :func:`value_iterate` is the
-reference those monotone iterations define; :func:`solve` does not use it.
-One greedy rule, :func:`_greedy`, picks the policy in :func:`solve` and in
-:func:`extract_policy`.  A policy's evaluation first asks
-:func:`~impulsive_ctmdp.intervention.analyze_chains`, from the module below
-this one, whether the policy is feasible and its impulse chains land.
+contracts at its own rate q/(eta+q)) until its intervene region settles.
+:func:`value_iterate` is the reference those monotone iterations define;
+:func:`solve` does not use it.  One greedy rule, :func:`_greedy`, picks the
+policy in :func:`solve` and in :func:`extract_policy`.  A policy's evaluation
+first asks :func:`~impulsive_ctmdp.intervention.analyze_chains`, from the
+module below this one, whether the policy is feasible and its impulse chains land.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from ._ops import (
     apply_operator,
     check_state_values,
     compile_model,
+    embedded_branch,
     factor,
     gradual_branch,
     impulsive_branch,
@@ -45,6 +45,7 @@ from .model import CtmdpModel, StationaryPolicy
 DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_SET = 1e-8
 ROUNDOFF = 1e-14  # improvement threshold of policy iteration, per unit of K/eta
+WARM_CHECK = 8  # warm-start sweeps between two looks at the embedded operator's decisions
 
 
 class Direction(enum.Enum):
@@ -215,60 +216,59 @@ def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunct
 def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     """Optimal value by Howard policy iteration, with a certified error bound.
 
-    The warm start iterates the embedded-chain operator
-    (:func:`~impulsive_ctmdp._ops.apply_embedded`) from +K/eta in blocks of
-    ceil((K+eta)/eta) sweeps until the greedy policy's intervene region
-    repeats across two blocks, or until a sweep moves V by less than ``tol``.
-    Here and in the improvement step, "greedy" is :func:`_greedy` keeping a
-    state's current decision unless another is better by more than roundoff,
-    so a tie cannot flip on last-digit noise.  The embedded-chain operator is monotone and
-    has the optimality operator's fixed point, so every warm-start iterate
-    is a supersolution of both; and impulses cost at least c_lower > 0, so
-    that greedy policy has no closed impulse cycle.  Policy iteration then
-    alternates :func:`evaluate_policy` with a greedy improvement, and stops
-    when the policy repeats.  Should that policy's gap exceed ``tol`` (at a
-    tie, where the roundoff slack keeps a decision that is worse by about
-    the slack), it goes on improving at slack 0 and stops at the first
-    policy whose gap is within ``tol``.  The report carries that policy and its value V,
-    and ``gap`` bounds V - V* >= 0 by U * |T V - V|, where
-    U = (K+eta)/eta + 2K/(eta c_lower) bounds the discounted count of
-    uniformized steps and impulses.
+    The warm start iterates the embedded-chain operator T_e
+    (:func:`~impulsive_ctmdp._ops.apply_embedded`) from +K/eta.  Every
+    ``WARM_CHECK`` sweeps it takes T_e's argmin at V (:func:`_greedy` on
+    :func:`~impulsive_ctmdp._ops.embedded_branch`) and stops once its
+    intervene region repeats across two checks; that argmin is the first
+    policy.  Should a sweep move V by less than ``tol`` first (at a tie, where
+    the region need not settle), the first policy is :func:`_greedy` at V.
+    T_e is monotone and shares the fixed point of the optimality operator T,
+    so each iterate V has T_e V <= V and T V <= V.  So neither first policy has a
+    closed impulse class: each state x of a class C closed under the chosen
+    impulses would have V(x) >= (Q V)(x) + c(x) >= min_C V + c_lower, false
+    where V is least on C, as impulses cost at least c_lower > 0.  Policy
+    iteration then alternates :func:`evaluate_policy` with a greedy
+    improvement that keeps a decision unless another is better by more than
+    roundoff, and stops when the policy repeats.  If that policy's gap
+    exceeds ``tol`` (at a tie, the slack can keep a decision worse by about
+    the slack), it improves at slack 0 up to the first policy whose gap is
+    within ``tol``.  The report carries that policy and its value V; ``gap``
+    = U |T V - V| bounds V - V* >= 0, where U = (K+eta)/eta + 2K/(eta c_lower)
+    bounds the discounted count of uniformized steps and impulses.
 
     A returned report always has ``gap <= tol``.  A failed evaluation is
     raised as it is; no greedy policy on a valid model is improper.  Anything
     else raises :class:`NonConvergenceError`: a policy that cycles, a warm
-    start that would pass ``DEFAULT_MAX_ITER`` sweeps, and a certificate
-    above ``tol`` (with ``last`` the policy's V and ``step`` its ``gap``; a
-    ``tol`` below the roundoff floor ends here).
+    start that does not settle in ``DEFAULT_MAX_ITER`` sweeps, and a
+    certificate above ``tol`` (with ``last`` the policy's V and ``step`` its
+    ``gap``; a ``tol`` below the roundoff floor ends here).
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
     n_g = comp.g_cost.size
-    roundoff = ROUNDOFF * (1.0 + K / eta)
-    block = math.ceil((K + eta) / eta)
-    V = np.full(comp.N, K / eta)
-    sweeps, pick, step = 0, None, np.inf
-    while step >= tol:
-        if sweeps + block > DEFAULT_MAX_ITER:
-            raise NonConvergenceError(
-                f"warm start would pass {DEFAULT_MAX_ITER} sweeps (last step {step})", V, step, sweeps)
-        for _ in range(block):
-            Vn = apply_embedded(comp, V)
-            step = float(np.max(np.abs(V - Vn)))
-            V = Vn
-            sweeps += 1
-            if step < tol:
+    V, region = np.full(comp.N, K / eta), None
+    for sweeps in range(DEFAULT_MAX_ITER):
+        if sweeps and not sweeps % WARM_CHECK:
+            pick, Vn = _greedy(comp, V, g=embedded_branch(comp, V))
+            if region is not None and np.array_equal(pick >= n_g, region):
                 break
-        previous = pick
-        pick, _ = _greedy(comp, V, previous, 0.0 if previous is None else roundoff)
-        if previous is not None and np.array_equal(pick >= n_g, previous >= n_g):
+            region = pick >= n_g
+        else:
+            Vn = apply_embedded(comp, V)
+        step, V = float(np.max(np.abs(V - Vn))), Vn
+        if step < tol:
+            sweeps, pick = sweeps + 1, _greedy(comp, V)[0]
             break
+    else:
+        raise NonConvergenceError(
+            f"warm start did not settle in {DEFAULT_MAX_ITER} sweeps (last step {step})", V, step, DEFAULT_MAX_ITER)
 
     U = (K + eta) / eta + 2.0 * K / (eta * model.costs.c_lower)
     seen: set[StationaryPolicy] = set()
-    slack = roundoff
+    slack = ROUNDOFF * (1.0 + K / eta)
     while True:
         policy = _as_policy(comp, pick)
         if policy in seen:
@@ -296,14 +296,15 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
 
 
 def _greedy(comp: CompiledModel, V: np.ndarray, keep: np.ndarray | None = None,
-            slack: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+            slack: float = 0.0, g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each state's greedy position in (gradual pairs, impulse pairs) at ``V``, and T V.
 
+    ``g`` holds the gradual pair values, by default :func:`gradual_branch` at ``V``.
     Exact ties go to the gradual branch and then to the lowest catalog index.
     A state keeps its position in ``keep`` (by default its best gradual pair)
     unless another decision is better by more than ``slack``.
     """
-    g = gradual_branch(comp, V)
+    g = gradual_branch(comp, V) if g is None else g
     q = np.concatenate([g, impulsive_branch(comp, V)])
     TV, g_off = segment_argmin(g, comp.g_ptr)
     g_best = comp.g_ptr[:-1] + g_off
