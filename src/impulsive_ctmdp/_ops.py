@@ -178,9 +178,13 @@ def uniformized_row(model: CtmdpModel, x: str, a: str) -> np.ndarray:
 def factor(A: sp.spmatrix, system: str):
     """SuperLU factor of the square matrix ``A``, or None where it is exactly singular.
     SuperLU running out of memory (``SystemError`` or ``MemoryError``) raises
-    :class:`NonConvergenceError` naming the system and its size."""
+    :class:`NonConvergenceError` naming the system and its size.  SuperLU is
+    imported here, on the first factor, so a process that factors nothing
+    never loads ``scipy.sparse.linalg``."""
+    from scipy.sparse.linalg import splu
+
     try:
-        return sp.linalg.splu(A.tocsc())
+        return splu(A.tocsc())
     except (SystemError, MemoryError) as exc:
         n = A.shape[0]
         raise NonConvergenceError(

@@ -5,12 +5,13 @@ The operator mixes a uniformized gradual branch (contraction of modulus
 K/(K+eta)) with an impulsive branch of modulus one.  Iterating it from
 +K/eta gives a pointwise non-increasing sequence, from -K/eta a
 non-decreasing one; both converge to the unique bounded fixed point, which
-is the optimal discounted cost.  :func:`solve` finds that fixed point
-exactly, up to roundoff, by policy iteration started from a short run of
-the embedded jump chain's operator from above (no self-loop, so each state
-contracts at its own rate q/(eta+q)) until its intervene region settles.
-:func:`value_iterate` is the reference those monotone iterations define;
-:func:`solve` does not use it.  One greedy rule, :func:`_greedy`, picks the
+is the optimal discounted cost.  :func:`solve` iterates the embedded jump
+chain's operator from above (no self-loop, so each state contracts at its
+own rate q/(eta+q)) until its intervene region settles.  Then it either
+sweeps on until the certificate holds or, where sweeps are predicted to
+cost more than a factor, finds the fixed point exactly, up to roundoff, by
+policy iteration.  :func:`value_iterate` is the reference those monotone
+iterations define; :func:`solve` does not use it.  One greedy rule, :func:`_greedy`, picks the
 policy in :func:`solve` and in :func:`extract_policy`.  A policy's evaluation
 first asks :func:`~impulsive_ctmdp.intervention.analyze_chains`, from the
 module below this one, whether the policy is feasible and its impulse chains land.
@@ -19,6 +20,7 @@ module below this one, whether the policy is feasible and its impulse chains lan
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,7 @@ DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_SET = 1e-8
 ROUNDOFF = 1e-14  # improvement threshold of policy iteration, per unit of K/eta
 WARM_CHECK = 8  # warm-start sweeps between two looks at the embedded operator's decisions
+FACTOR_WORTH = 200  # passes over the policy's waiting-row entries that one factor is charged
 
 
 class Direction(enum.Enum):
@@ -75,12 +78,15 @@ class ValueFunction:
 class SolveReport:
     """Result of :func:`solve`.
 
-    ``policy`` is the greedy policy that policy iteration ended on and ``V``
-    its value, so V* lies in [V - ``gap``, V] up to roundoff.  ``gap`` = U *
+    ``V`` lies above V* and ``policy`` is greedy at ``V``, so V* <= V^policy
+    <= V and V - ``gap`` <= V*, up to roundoff: the policy is ``gap``-optimal.
+    With ``evaluations`` >= 1, ``policy`` is the one policy iteration ended
+    on and ``V`` its value.  With ``evaluations`` == 0 the sweeps certified
+    on their own, and ``V`` is the last embedded-chain iterate.  ``gap`` = U *
     ``residual`` is at most the requested tol; ``residual`` is max |T V - V|.
-    ``iterations_above`` counts the warm start's embedded-chain sweeps from
-    +K/eta, ``evaluations`` the policy evaluations.  ``iterations_below`` is
-    always 0; it stays so that readers of earlier reports keep their key.
+    ``iterations_above`` counts the embedded-chain sweeps from +K/eta, and
+    ``evaluations`` the policy evaluations.  ``iterations_below`` is always 0;
+    it stays so that readers of earlier reports keep their key.
     """
 
     V: ValueFunction
@@ -214,7 +220,8 @@ def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunct
 
 
 def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
-    """Optimal value by Howard policy iteration, with a certified error bound.
+    """Optimal value by embedded-chain sweeps or Howard policy iteration,
+    with a certified error bound.
 
     The warm start iterates the embedded-chain operator T_e
     (:func:`~impulsive_ctmdp._ops.apply_embedded`) from +K/eta.  Every
@@ -227,15 +234,29 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     so each iterate V has T_e V <= V and T V <= V.  So neither first policy has a
     closed impulse class: each state x of a class C closed under the chosen
     impulses would have V(x) >= (Q V)(x) + c(x) >= min_C V + c_lower, false
-    where V is least on C, as impulses cost at least c_lower > 0.  Policy
-    iteration then alternates :func:`evaluate_policy` with a greedy
+    where V is least on C, as impulses cost at least c_lower > 0.
+
+    Then one choice.  The last step bounds |T V - V|, and the fastest
+    per-sweep contraction seen over ``WARM_CHECK`` sweeps predicts the sweeps
+    left until U |T V - V| <= tol (:func:`_sweeps_left`).  The budget is the
+    sweep count (one pass over J and Q each) that costs what a factor is
+    charged: ``FACTOR_WORTH`` passes over the first policy's waiting rows.
+    Within budget the sweeps go on, checking the certificate from the
+    predicted count on; the first V that holds is returned with the policy
+    greedy at V and no evaluation.  That policy attains T V <= V, so its
+    value lies in [V*, V]: it is ``gap``-optimal.  A prediction past the
+    budget, or sweeps that reach it, go to policy iteration from the last
+    greedy policy.
+
+    Policy iteration alternates :func:`evaluate_policy` with a greedy
     improvement that keeps a decision unless another is better by more than
     roundoff, and stops when the policy repeats.  If that policy's gap
     exceeds ``tol`` (at a tie, the slack can keep a decision worse by about
     the slack), it improves at slack 0 up to the first policy whose gap is
-    within ``tol``.  The report carries that policy and its value V; ``gap``
-    = U |T V - V| bounds V - V* >= 0, where U = (K+eta)/eta + 2K/(eta c_lower)
-    bounds the discounted count of uniformized steps and impulses.
+    within ``tol``.  The report carries that policy and its value V.  Either
+    way ``gap`` = U |T V - V| bounds V - V* >= 0, where U = (K+eta)/eta +
+    2K/(eta c_lower) bounds the discounted count of uniformized steps and
+    impulses.
 
     A returned report always has ``gap <= tol``.  A failed evaluation is
     raised as it is; no greedy policy on a valid model is improper.  Anything
@@ -249,7 +270,7 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     comp = compile_model(model)
     K, eta = comp.K, comp.eta
     n_g = comp.g_cost.size
-    V, region = np.full(comp.N, K / eta), None
+    V, region, steps = np.full(comp.N, K / eta), None, []
     for sweeps in range(DEFAULT_MAX_ITER):
         if sweeps and not sweeps % WARM_CHECK:
             pick, Vn = _greedy(comp, V, g=embedded_branch(comp, V))
@@ -259,6 +280,7 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
         else:
             Vn = apply_embedded(comp, V)
         step, V = float(np.max(np.abs(V - Vn))), Vn
+        steps.append(step)
         if step < tol:
             sweeps, pick = sweeps + 1, _greedy(comp, V)[0]
             break
@@ -266,7 +288,26 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
         raise NonConvergenceError(
             f"warm start did not settle in {DEFAULT_MAX_ITER} sweeps (last step {step})", V, step, DEFAULT_MAX_ITER)
 
+    # Sweep on or factor.  T_e does not expand distances, so the last step
+    # bounds |T_e V - V| >= |T V - V| at V.
     U = (K + eta) / eta + 2.0 * K / (eta * model.costs.c_lower)
+    wait = pick[pick < n_g]
+    factor_cost = FACTOR_WORTH * int(np.diff(comp.J.indptr)[wait].sum() + wait.size)
+    budget = factor_cost // max(comp.J.nnz + comp.Q_imp.nnz, 1)
+    left, extra = _sweeps_left(U * step, tol, steps), 0
+    if left <= budget:
+        for extra in range(budget + 1):
+            if extra:
+                V = apply_embedded(comp, V)
+            if extra >= left:
+                pick, TV = _greedy(comp, V)
+                residual = float(np.max(np.abs(TV - V)))
+                if U * residual <= tol:
+                    return SolveReport(V=ValueFunction(V), policy=_as_policy(comp, pick),
+                                       iterations_above=sweeps + extra, iterations_below=0,
+                                       residual=residual, gap=U * residual, evaluations=0)
+    sweeps += extra
+
     seen: set[StationaryPolicy] = set()
     slack = ROUNDOFF * (1.0 + K / eta)
     while True:
@@ -293,6 +334,24 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
         raise NonConvergenceError(f"certified gap {gap} exceeds tol={tol}", value.values, gap, len(seen))
     return SolveReport(V=value, policy=policy, iterations_above=sweeps, iterations_below=0,
                        residual=residual, gap=gap, evaluations=len(seen))
+
+
+def _sweeps_left(bound: float, tol: float, steps: list[float]) -> float:
+    """Embedded sweeps predicted to bring a certificate of ``bound`` under ``tol``.
+
+    The rate is the fastest per-sweep contraction of the warm start's
+    ``steps`` over any ``WARM_CHECK`` consecutive sweeps (over all of them
+    when there are fewer): a slow stretch is a transient of a region that
+    still moves, and once it settles the sweeps contract at the fast rate.
+    Infinite when no rate below one was seen.  Every step but the last is at
+    least tol, or the warm start would have stopped there, so no ratio
+    divides by zero.
+    """
+    if bound <= tol:
+        return 0
+    w = min(WARM_CHECK, len(steps) - 1)
+    rho = min(b / a for a, b in zip(steps, steps[w:])) ** (1.0 / w) if w else 1.0
+    return math.ceil((math.log(bound) - math.log(tol)) / -math.log(rho)) if 0.0 < rho < 1.0 else math.inf
 
 
 def _greedy(comp: CompiledModel, V: np.ndarray, keep: np.ndarray | None = None,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -406,6 +405,8 @@ def estimate_cost(model: CtmdpModel, policy: StationaryPolicy, x0: str, n_reps: 
     run = partial(_replication_costs, model, policy, x0, seed, n_reps, tail_tol)
     workers = min(threads, n_blocks)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a one-worker run never loads the pool
+
         cuts = np.linspace(0, n_blocks, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             costs = np.concatenate(list(pool.map(run, [range(a, b) for a, b in zip(cuts, cuts[1:])])))

@@ -50,7 +50,7 @@ from impulsive_ctmdp.model import (
     StateSpace,
     StationaryPolicy,
 )
-from impulsive_ctmdp.testing import random_model, random_value_vector
+from impulsive_ctmdp.testing import model_document, random_model, random_value_vector
 
 from conftest import MODELS_DIR, desk_params, improper_model, improper_policy, two_state, zero_cost_model
 from test_model import one_state_model
@@ -211,16 +211,26 @@ def test_operator_and_evaluation_match_dense_rows(desk_solved):
 
 
 def test_solve_returns_the_policy_it_certified(desk_solved):
-    # V is report.policy's value bit for bit, and extract_policy applies
-    # solve's greedy rule, so at V it gives back that same policy.  The
-    # evaluation runs on a copy of the model, whose compiled form and
-    # evaluations are its own, so it does not read back solve's.
+    # After an evaluation, V is report.policy's value bit for bit.  Stated
+    # change: a swept report (no evaluation) has V an upper iterate and the
+    # policy greedy at V, so that policy's value lies in [V - gap, V] up to
+    # roundoff.  extract_policy applies solve's greedy rule, so at V it gives
+    # back that same policy either way.  The evaluation runs on a copy of the
+    # model, whose compiled form and evaluations are its own, so it does not
+    # read back solve's.
     cases = [(desk_solved["model"], desk_solved["report"])]
     cases += [(m, solve(m, tol=tol)) for m in map(random_model, range(60)) for tol in (1e-10, 1e-6)]
+    assert {report.evaluations > 0 for _, report in cases} == {True, False}
     for m, report in cases:
         copy = dataclasses.replace(m)
         assert compile_model(copy) is not compile_model(m)
-        assert np.array_equal(evaluate_policy(copy, report.policy).values, report.V.values)
+        value = evaluate_policy(copy, report.policy).values
+        if report.evaluations:
+            assert np.array_equal(value, report.V.values)
+        else:
+            assert extract_policy(m, report.V, tol_set=0.0) == report.policy  # T's argmin at V
+            assert np.all(value <= report.V.values + 1e-12 * (1.0 + m.K / m.eta))
+            assert np.all(report.V.values - value <= report.gap)
         policy = extract_policy(m, report.V)
         assert np.array_equal(policy.impulsive, report.policy.impulsive)
         assert np.array_equal(policy.phi_g, report.policy.phi_g)
@@ -340,16 +350,21 @@ def test_pipeline_factors_each_system_once(monkeypatch):
     # its chain system is not factored and the policy system keeps only the
     # 553 waiting states (2,728 states, 2,175 flagged).  The random model's
     # impulse rows have full support, so no chain is sure and both systems
-    # keep their full size.
+    # keep their full size.  Stated change: solve certifies the random model
+    # by sweeps and factors nothing, so its two systems are factored by the
+    # first evaluation, once each.
     factored = counting_splu(monkeypatch)
     desk = build_epidemic_model(load_epidemic_params(str(MODELS_DIR / "epidemic_desk.yaml")))
     for m in (desk, random_model(2)):
         factored.clear()
         report = solve(m)
-        assert report.evaluations == 1
+        assert report.evaluations == (1 if m is desk else 0)
+        assert factored == ([(553, 553)] if m is desk else [])
         policy = extract_policy(m, report.V)
         assert policy == report.policy and policy is not report.policy
-        assert evaluate_policy(m, policy) is report.V
+        value = evaluate_policy(m, policy)
+        assert evaluate_policy(m, report.policy) is value
+        assert (value is report.V) == (m is desk)
         chains = analyze_chains(m, policy)
         n, N = len(chains.states), m.states.N
         assert n > 0
@@ -368,13 +383,30 @@ def test_a_cached_evaluation_checks_each_tol():
     assert evaluate_policy(m, policy, tol=info.value.step) is V
 
 
+def factored_document(tmp_path) -> tuple[str, int]:
+    """A model document that solve certifies by a factor, and its policy system's size.
+
+    The desk model at price 0.05 and C_max = 4 (440 states): its chains are
+    all sure, so the policy system holds the waiting states only.
+    """
+    m = build_epidemic_model(desk_params(lam=0.05, c_max=4))
+    report = solve(m)
+    assert report.evaluations >= 1
+    doc = tmp_path / "factored.yaml"
+    doc.write_text(model_document(m), encoding="utf-8")
+    return str(doc), int(np.count_nonzero(~report.policy.impulsive))
+
+
 @pytest.mark.parametrize("failure", [SystemError("Can't expand MemType 1"), MemoryError()])
-def test_lu_memory_failures_are_non_convergence(monkeypatch, capsys, failure):
+def test_lu_memory_failures_are_non_convergence(monkeypatch, capsys, tmp_path, failure):
     # SuperLU out of memory ended in a traceback with exit 1.  Stated change:
     # the chain system is factored only where chains draw, as on the random
     # model's full-support impulse rows, not on the desk model's sure chains.
+    # Stated change: the CLI leg solves a model that solve factors; the
+    # two-state model is certified by sweeps.
     drawing = random_model(2)
-    policy = solve(drawing).policy  # factored before the failure is armed
+    policy = solve(drawing).policy  # solved before the failure is armed
+    doc, n_wait = factored_document(tmp_path)
 
     def out_of_memory(*args, **kwargs):
         raise failure
@@ -390,26 +422,44 @@ def test_lu_memory_failures_are_non_convergence(monkeypatch, capsys, failure):
     with pytest.raises(NonConvergenceError, match=f"{n} x {n} policy system ran out of memory") as info:
         evaluate_policy(m, wait)
     assert isinstance(info.value.__cause__, type(failure))
-    assert cli.run(["solve", "--model", str(MODELS_DIR / "two_state.yaml")]) == 4
+    assert cli.run(["solve", "--model", doc]) == 4
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
-    assert err["code"] == 4 and "2 x 2 policy system ran out of memory" in err["message"]
+    assert err["code"] == 4 and f"{n_wait} x {n_wait} policy system ran out of memory" in err["message"]
 
 
 def test_solve_certifies_at_the_critical_price():
     # At lambda* waiting and immunizing tie analytically; the roundoff slack
     # kept a decision about 5e-13 worse, and its gap (2.9e-10) failed tol.
     # The intervene region need not settle at a tie, so the warm start ends
-    # on a sub-tol step and starts from the greedy policy there: 5 and 6
-    # evaluations at S = 10 and 20.
+    # on a sub-tol step and started policy iteration from the greedy policy
+    # there: 5 and 6 evaluations at S = 10 and 20.  Stated change: a few more
+    # sweeps certify both, with no evaluation.
     for S, most in ((10, 5), (20, 6)):
         params = dataclasses.replace(desk_params(), S=S)
         params = dataclasses.replace(params, immunization_cost=lambda_star(params))
-        report = solve(build_epidemic_model(params))
+        m = build_epidemic_model(params)
+        report = solve(m)
         assert report.gap <= 1e-10
         assert report.evaluations <= most
+        if not report.evaluations:
+            assert extract_policy(m, report.V, tol_set=0.0) == report.policy
         cv = solve_carrier_equation(params)
         ref = np.array([analytic_value(params, cv, s, c, i) for s, c, i in enumerate_states(params)])
         assert np.max(np.abs(report.V.values - ref)) <= report.gap + 1e-12
+
+
+def test_all_wait_lattice_certifies_by_sweeps():
+    # At price 0.5 every state waits, so the policy system is the whole
+    # lattice, whose LU fills; at S = 60 and 80 the factored value's gap
+    # stayed above the default tol.  The warm start's sweeps, continued,
+    # certify V* with no factor.
+    params = dataclasses.replace(desk_params(lam=0.5), S=40)
+    report = solve(build_epidemic_model(params))
+    assert report.evaluations == 0 and report.gap <= 1e-10
+    assert not report.policy.impulsive.any()
+    cv = solve_carrier_equation(params)
+    ref = np.array([analytic_value(params, cv, s, c, i) for s, c, i in enumerate_states(params)])
+    assert np.max(np.abs(report.V.values - ref)) <= report.gap + 1e-12
 
 
 def test_check_policy_rejects_infeasible_flags():
@@ -484,7 +534,7 @@ def test_solve_certificate_brackets_value_iteration(seed):
     report = solve(m)
     V_below, _ = value_iterate(m, Direction.FROM_BELOW)
     V_above, _ = value_iterate(m, Direction.FROM_ABOVE)
-    assert report.evaluations >= 1 and report.iterations_below == 0
+    assert report.iterations_below == 0
     assert np.max(np.abs(V_above.values - V_below.values)) <= 1e-9
     assert np.all(V_below.values - report.gap <= report.V.values)
     assert np.all(report.V.values <= V_above.values + report.gap)
@@ -506,18 +556,21 @@ def test_value_iteration_limits_meet_and_hold_the_solution():
         assert np.all(report.V.values <= V_above.values + report.gap), seed
 
 
-def test_solve_raises_when_an_evaluation_fails(monkeypatch, capsys):
+def test_solve_raises_when_an_evaluation_fails(monkeypatch, capsys, tmp_path):
     # Contract change: solve runs policy iteration only, so a failed
     # evaluation reaches the caller instead of starting a second algorithm.
+    # Stated change: both legs solve a model that solve factors, since a
+    # swept solve evaluates nothing.
     failure = NonConvergenceError("singular", np.zeros(1), np.inf, 0)
+    doc, _ = factored_document(tmp_path)
 
     def boom(model, policy, tol):
         raise failure
     monkeypatch.setattr(bellman, "evaluate_policy", boom)
     with pytest.raises(NonConvergenceError) as info:
-        solve(random_model(7))
+        solve(build_epidemic_model(desk_params(lam=0.05, c_max=4)))
     assert info.value is failure
-    assert cli.run(["solve", "--model", str(MODELS_DIR / "two_state.yaml")]) == 4
+    assert cli.run(["solve", "--model", doc]) == 4
     assert '"code": 4' in capsys.readouterr().err
 
 
@@ -559,8 +612,14 @@ def test_embedded_iterates_are_supersolutions(seed):
         if np.array_equal(Vn, V):
             break
         V = Vn
+    # Stated change: a swept V is an upper iterate, not the fixed point.  At a
+    # supersolution each gradual pair's embedded defect is its uniformized
+    # one times (K+eta)/(eta+q) <= (K+eta)/eta, so T_e's defect is at most
+    # that factor times the residual; at a policy's value the residual is
+    # roundoff and V is T_e's fixed point as before.
     report = solve(m)
-    assert np.max(np.abs(apply_embedded(comp, report.V.values) - report.V.values)) <= slack
+    defect = np.max(np.abs(apply_embedded(comp, report.V.values) - report.V.values))
+    assert defect <= (m.K + m.eta) / m.eta * report.residual + slack
 
 
 @pytest.mark.parametrize("eta, most", [(1.0, 40), (0.1, 64)])

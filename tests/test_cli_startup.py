@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from impulsive_ctmdp import build_epidemic_model
+from impulsive_ctmdp.io import load_epidemic_params
 from impulsive_ctmdp.testing import model_document, random_model
 
 from conftest import MODELS_DIR, REPO_ROOT
@@ -59,6 +61,29 @@ def test_solve_loads_the_solver_stack():
     # The probe's own check: a command that solves does load the stack.
     report = _probe("solve", "--model", TWO_STATE)
     assert report["code"] == 0 and set(SOLVER_STACK) <= set(report["heavy"])
+
+
+def _scipy_after_solve(tmp_path, name: str, model) -> set[str]:
+    """The scipy modules a fresh ``solve`` run loads on ``model``'s document."""
+    doc = tmp_path / f"{name}.yaml"
+    doc.write_text(model_document(model), encoding="utf-8")
+    report = _probe("solve", "--model", str(doc), "--out", str(tmp_path / name))
+    assert report["code"] == 0
+    return {m for m in report["heavy"] if m.split(".")[0] == "scipy"}
+
+
+def test_a_swept_solve_loads_no_superlu(tmp_path):
+    # solve certifies the random model by sweeps and factors nothing, so it
+    # loads no scipy module beyond those that ``import scipy.sparse`` loads
+    # (at scipy 1.10 that import loads scipy.sparse.linalg too).
+    swept = _scipy_after_solve(tmp_path, "random0", random_model(0))
+    assert swept and swept <= set(_loaded_after("import scipy.sparse\n"))
+
+
+def test_a_factored_solve_loads_superlu(tmp_path):
+    # The desk model takes the factor path, whose first factor imports SuperLU.
+    desk = build_epidemic_model(load_epidemic_params(EPIDEMIC))
+    assert "scipy.sparse.linalg" in _scipy_after_solve(tmp_path, "desk", desk)
 
 
 LOADED = """
