@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -413,7 +414,8 @@ def test_lu_memory_failures_are_non_convergence(monkeypatch, capsys, tmp_path, f
     monkeypatch.setattr(scipy.sparse.linalg, "splu", out_of_memory)
     flagged = int(np.count_nonzero(policy.impulsive))
     assert flagged > 0
-    # solve has factored this policy's chain system; a copy of the model starts afresh.
+    # solve factors nothing here; analyze_chains on a fresh copy factors the
+    # chain system under the armed failure.
     with pytest.raises(NonConvergenceError, match=f"{flagged} x {flagged} chain system ran out of memory"):
         analyze_chains(dataclasses.replace(drawing), policy)
     m = build_epidemic_model(desk_params(lam=0.05, c_max=4))
@@ -612,14 +614,19 @@ def test_embedded_iterates_are_supersolutions(seed):
         if np.array_equal(Vn, V):
             break
         V = Vn
-    # Stated change: a swept V is an upper iterate, not the fixed point.  At a
-    # supersolution each gradual pair's embedded defect is its uniformized
-    # one times (K+eta)/(eta+q) <= (K+eta)/eta, so T_e's defect is at most
-    # that factor times the residual; at a policy's value the residual is
-    # roundoff and V is T_e's fixed point as before.
-    report = solve(m)
-    defect = np.max(np.abs(apply_embedded(comp, report.V.values) - report.V.values))
-    assert defect <= (m.K + m.eta) / m.eta * report.residual + slack
+    # After an evaluation V is T_e's fixed point, as before.  Stated change:
+    # a swept V is an upper iterate.  At a supersolution each gradual pair's
+    # embedded defect is its uniformized one times (K+eta)/(eta+q) <=
+    # (K+eta)/eta, so T_e's defect is at most that factor times the residual.
+    # Most seeds sweep, so each is also solved with the factor always chosen.
+    for worth in (bellman.FACTOR_WORTH, 0):
+        with mock.patch.object(bellman, "FACTOR_WORTH", worth):
+            report = solve(dataclasses.replace(m))
+        defect = np.max(np.abs(apply_embedded(comp, report.V.values) - report.V.values))
+        if report.evaluations:
+            assert defect <= slack
+        else:
+            assert defect <= (m.K + m.eta) / m.eta * report.residual + slack
 
 
 @pytest.mark.parametrize("eta, most", [(1.0, 40), (0.1, 64)])
