@@ -7,10 +7,9 @@ K/(K+eta)) with an impulsive branch of modulus one.  Iterating it from
 non-decreasing one; both converge to the unique bounded fixed point, which
 is the optimal discounted cost.  :func:`solve` iterates the embedded jump
 chain's operator from above (no self-loop, so each state contracts at its
-own rate q/(eta+q)) until its intervene region settles.  Then it either
-sweeps on until the certificate holds or, where sweeps are predicted to
-cost more than a factor, finds the fixed point exactly, up to roundoff, by
-policy iteration.  :func:`value_iterate` is the reference those monotone
+own rate q/(eta+q)) until its intervene region settles, then descends by
+sweeps where they certify for less than a factor costs, and elsewhere by
+policy iteration's evaluations.  :func:`value_iterate` is the reference those monotone
 iterations define; :func:`solve` does not use it.  One greedy rule, :func:`_greedy`, picks the
 policy in :func:`solve` and in :func:`extract_policy`.  A policy's evaluation
 first asks :func:`~impulsive_ctmdp.intervention.analyze_chains`, from the
@@ -46,7 +45,7 @@ from .model import CtmdpModel, StationaryPolicy
 
 DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_SET = 1e-8
-ROUNDOFF = 1e-14  # improvement threshold of policy iteration, per unit of K/eta
+ROUNDOFF = 1e-14  # improvement threshold and descent margin of solve's evaluations, per unit of K/eta
 WARM_CHECK = 8  # warm-start sweeps between two looks at the embedded operator's decisions
 # Passes over the policy's waiting-row entries that one factor is charged.  A factor
 # measures 250-6,500 such passes, so sweeps are chosen only where they cost less.
@@ -82,9 +81,11 @@ class SolveReport:
 
     ``V`` lies above V* and ``policy`` is greedy at ``V``, so V* <= V^policy
     <= V and V - ``gap`` <= V*, up to roundoff: the policy is ``gap``-optimal.
-    With ``evaluations`` >= 1, ``policy`` is the one policy iteration ended
-    on and ``V`` its value.  With ``evaluations`` == 0 the sweeps certified
-    on their own, and ``V`` is the last embedded-chain iterate.  ``gap`` = U *
+    A report that ends on an evaluation carries the evaluated policy and its
+    value ``V``; one that ends on sweeps, the last embedded-chain iterate
+    ``V`` and the policy greedy at it.  Stated change: sweeps can also end a
+    report after evaluations, so ``evaluations`` >= 1 no longer means that
+    ``V`` is the policy's value.  ``gap`` = U *
     ``residual`` is at most the requested tol; ``residual`` is max |T V - V|.
     ``iterations_above`` counts the embedded-chain sweeps from +K/eta, and
     ``evaluations`` the policy evaluations.  ``iterations_below`` is always 0;
@@ -222,8 +223,8 @@ def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunct
 
 
 def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
-    """Optimal value by embedded-chain sweeps or Howard policy iteration,
-    with a certified error bound.
+    """Optimal value by one monotone descent of embedded-chain sweeps and
+    policy evaluations, with a certified error bound.
 
     The warm start iterates the embedded-chain operator T_e
     (:func:`~impulsive_ctmdp._ops.apply_embedded`) from +K/eta.  Every
@@ -238,34 +239,34 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     impulses would have V(x) >= (Q V)(x) + c(x) >= min_C V + c_lower, false
     where V is least on C, as impulses cost at least c_lower > 0.
 
-    Then one choice.  The last step bounds |T V - V|, and the fastest
-    per-sweep contraction seen over ``WARM_CHECK`` sweeps predicts the sweeps
-    left until U |T V - V| <= tol (:func:`_sweeps_left`).  The budget is the
-    sweep count (one pass over J and Q each) that costs what a factor is
-    charged: ``FACTOR_WORTH`` passes over the first policy's waiting rows.
-    Within budget the sweeps go on, checking the certificate from the
-    predicted count on; the first V that holds is returned with the policy
-    greedy at V and no evaluation.  That policy attains T V <= V, so its
-    value lies in [V*, V]: it is ``gap``-optimal.  A prediction past the
-    budget, or sweeps that reach it, go to policy iteration from the last
-    greedy policy.
+    Then one descent.  Each round predicts the sweeps left until
+    U |T V - V| <= tol (:func:`_sweeps_left`) from a bound on it: U times the
+    last step (T_e does not expand distances), or the last evaluation's gap.
+    Within a budget, the sweeps that cost what a factor is charged
+    (``FACTOR_WORTH`` passes over the first policy's waiting rows), the round
+    sweeps, checks the certificate from the predicted count on, and returns
+    the first V that holds with the policy greedy at V, whose value lies in
+    [V*, V] as it attains T V <= V.  Otherwise the round jumps: it evaluates
+    the last greedy policy (:func:`evaluate_policy`) and improves it,
+    keeping a decision unless another is better by more than roundoff.  A
+    stable policy within ``tol`` is returned with its value V; one above
+    ``tol`` (at a tie the slack can keep a decision worse by about the
+    slack) is improved at slack 0 from then on.  Else its value is the next
+    V: the value V^pi of a policy greedy at a supersolution V has
+    T V^pi <= T_pi V^pi = V^pi and V^pi <= V.  So ``gap`` = U |T V - V|
+    bounds V - V* >= 0, where U = (K+eta)/eta + 2K/(eta c_lower) bounds the
+    discounted count of uniformized steps and impulses.
 
-    Policy iteration alternates :func:`evaluate_policy` with a greedy
-    improvement that keeps a decision unless another is better by more than
-    roundoff, and stops when the policy repeats.  If that policy's gap
-    exceeds ``tol`` (at a tie, the slack can keep a decision worse by about
-    the slack), it improves at slack 0 up to the first policy whose gap is
-    within ``tol``.  The report carries that policy and its value V.  Either
-    way ``gap`` = U |T V - V| bounds V - V* >= 0, where U = (K+eta)/eta +
-    2K/(eta c_lower) bounds the discounted count of uniformized steps and
-    impulses.
-
-    A returned report always has ``gap <= tol``.  A failed evaluation is
-    raised as it is; no greedy policy on a valid model is improper.  Anything
-    else raises :class:`NonConvergenceError`: a policy that cycles, a warm
-    start that does not settle in ``DEFAULT_MAX_ITER`` sweeps, and a
-    certificate above ``tol`` (with ``last`` the policy's V and ``step`` its
-    ``gap``; a ``tol`` below the roundoff floor ends here).
+    The descent ends: in exact arithmetic V^pi never rises, so no policy
+    repeats.  In floating point an evaluation after the first that lowers V
+    nowhere by more than ``ROUNDOFF`` (1 + K/eta) (the same policy again, or
+    tie policies trading last-digit decreases) has met the roundoff floor:
+    unless its gap is within ``tol``, :class:`NonConvergenceError` is raised
+    with ``last`` its V and ``step`` its ``gap``, as for a ``tol`` below the
+    floor.  The warm start raises it too if it does not settle in
+    ``DEFAULT_MAX_ITER`` sweeps.  A returned report always has
+    ``gap <= tol``.  A failed evaluation is raised as it is; no greedy policy
+    on a valid model is improper.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
@@ -290,52 +291,45 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
         raise NonConvergenceError(
             f"warm start did not settle in {DEFAULT_MAX_ITER} sweeps (last step {step})", V, step, DEFAULT_MAX_ITER)
 
-    # Sweep on or factor.  T_e does not expand distances, so the last step
-    # bounds |T_e V - V| >= |T V - V| at V.
     U = (K + eta) / eta + 2.0 * K / (eta * model.costs.c_lower)
     wait = pick[pick < n_g]
     factor_cost = FACTOR_WORTH * int(np.diff(comp.J.indptr)[wait].sum() + wait.size)
     budget = factor_cost // max(comp.J.nnz + comp.Q_imp.nnz, 1)
-    left, extra = _sweeps_left(U * step, tol, steps), 0
-    if left <= budget:
-        for extra in range(budget + 1):
-            if extra:
-                V = apply_embedded(comp, V)
-            if extra >= left:
-                pick, TV = _greedy(comp, V)
-                residual = float(np.max(np.abs(TV - V)))
-                if U * residual <= tol:
-                    return SolveReport(V=ValueFunction(V), policy=_as_policy(comp, pick),
-                                       iterations_above=sweeps + extra, iterations_below=0,
-                                       residual=residual, gap=U * residual, evaluations=0)
-    sweeps += extra
-
-    seen: set[StationaryPolicy] = set()
-    slack = ROUNDOFF * (1.0 + K / eta)
+    slack = margin = ROUNDOFF * (1.0 + K / eta)
+    bound, evaluations = U * step, 0
     while True:
+        left = _sweeps_left(bound, tol, steps)
+        if left <= budget:
+            for extra in range(budget + 1):
+                if extra:
+                    V = apply_embedded(comp, V)
+                if extra >= left:
+                    pick, TV = _greedy(comp, V)
+                    residual = float(np.max(np.abs(TV - V)))
+                    if U * residual <= tol:
+                        return SolveReport(V=ValueFunction(V), policy=_as_policy(comp, pick),
+                                           iterations_above=sweeps + extra, iterations_below=0,
+                                           residual=residual, gap=U * residual, evaluations=evaluations)
+            sweeps += budget
         policy = _as_policy(comp, pick)
-        if policy in seen:
-            raise NonConvergenceError(
-                f"policy iteration cycled after {len(seen)} evaluations", value.values, np.inf, len(seen))
-        seen.add(policy)
         value = evaluate_policy(model, policy, tol)
+        evaluations += 1
         improved, TV = _greedy(comp, value.values, pick, slack)
         residual = float(np.max(np.abs(TV - value.values)))
-        gap = U * residual
+        bound = U * residual
         stable = np.array_equal(improved, pick)
-        if stable and slack and not gap <= tol:
+        if stable and slack and not bound <= tol:
             # A near-tie kept by the roundoff slack leaves the gap above tol:
-            # improve at slack 0 and stop at the first policy that certifies.
+            # improve at slack 0 from here on.
             slack = 0.0
             improved, _ = _greedy(comp, value.values, pick, slack)
             stable = np.array_equal(improved, pick)
-        if stable or (not slack and gap <= tol):
-            break
-        pick = improved
-    if not gap <= tol:
-        raise NonConvergenceError(f"certified gap {gap} exceeds tol={tol}", value.values, gap, len(seen))
-    return SolveReport(V=value, policy=policy, iterations_above=sweeps, iterations_below=0,
-                       residual=residual, gap=gap, evaluations=len(seen))
+        if stable and bound <= tol:
+            return SolveReport(V=value, policy=policy, iterations_above=sweeps, iterations_below=0,
+                               residual=residual, gap=bound, evaluations=evaluations)
+        if evaluations > 1 and not bound <= tol and not np.any(value.values < V - margin):
+            raise NonConvergenceError(f"certified gap {bound} exceeds tol={tol}", value.values, bound, evaluations)
+        V, pick = value.values, improved
 
 
 def _sweeps_left(bound: float, tol: float, steps: list[float]) -> float:

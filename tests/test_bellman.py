@@ -464,6 +464,67 @@ def test_all_wait_lattice_certifies_by_sweeps():
     assert np.max(np.abs(report.V.values - ref)) <= report.gap + 1e-12
 
 
+@pytest.mark.parametrize("seed", [35, 99, 188])
+def test_solve_improves_a_policy_that_is_not_optimal(seed):
+    # At eta = 0.1 these models (7, 48 and 22 states) predict more sweeps than
+    # a factor costs, and the first greedy policy is not optimal: the descent
+    # jumps 2, 3 and 3 times and ends on the last evaluation.
+    m = random_model(seed, eta=0.1)
+    report = solve(m)
+    assert report.evaluations >= 2 and report.gap <= 1e-10
+    assert np.array_equal(evaluate_policy(dataclasses.replace(m), report.policy).values, report.V.values)
+    V_below, _ = value_iterate(m, Direction.FROM_BELOW)
+    V_above, _ = value_iterate(m, Direction.FROM_ABOVE)
+    assert np.all(V_below.values - report.gap <= report.V.values)
+    assert np.all(report.V.values <= V_above.values + report.gap)
+
+
+@pytest.mark.parametrize("worth", [0, 5])
+@pytest.mark.parametrize("S, most", [(10, 5), (20, 6)])
+def test_solve_certifies_ties_on_a_small_factor_budget(S, most, worth):
+    # At lambda* the roundoff slack keeps a tie decision whose gap fails tol,
+    # so the descent improves at slack 0.  A budget this small jumps where the
+    # default one sweeps; no more evaluations than the 5 and 6 policy
+    # iteration took.  Stated change: sweeps can end a report after an
+    # evaluation, with the swept checks of
+    # test_solve_returns_the_policy_it_certified.
+    params = dataclasses.replace(desk_params(), S=S)
+    params = dataclasses.replace(params, immunization_cost=lambda_star(params))
+    m = build_epidemic_model(params)
+    with mock.patch.object(bellman, "FACTOR_WORTH", worth):
+        report = solve(m)
+    assert report.gap <= 1e-10
+    assert 1 <= report.evaluations <= most
+    cv = solve_carrier_equation(params)
+    ref = np.array([analytic_value(params, cv, s, c, i) for s, c, i in enumerate_states(params)])
+    assert np.max(np.abs(report.V.values - ref)) <= report.gap + 1e-12
+    value = evaluate_policy(dataclasses.replace(m), report.policy).values
+    if not np.array_equal(value, report.V.values):
+        assert extract_policy(m, report.V, tol_set=0.0) == report.policy
+        assert np.all(value <= report.V.values + 1e-12 * (1.0 + m.K / m.eta))
+        assert np.all(report.V.values - value <= report.gap)
+
+
+def test_sweeps_left_predicts_at_the_fastest_warm_check_rate():
+    left = bellman._sweeps_left
+    halving = [0.5 ** k for k in range(12)]
+    assert left(1e-3, 1e-3, halving) == 0 and left(1e-4, 1e-3, [1.0]) == 0
+    # No rate below one: a single step, steps that stall, steps that grow.
+    for steps in ([1.0], [1.0] * 12, [1.0, 2.0, 4.0]):
+        assert left(1.0, 1e-3, steps) == math.inf
+    # 2^-10 < 1e-3 < 2^-9, so ten halvings bring 1 under 1e-3 and nine do not,
+    # over WARM_CHECK steps or over all of fewer.
+    assert left(1.0, 1e-3, halving) == 10
+    assert left(1.0, 1e-3, halving[:3]) == 10
+    # A slow stretch, then eight halvings and a quartering: the fastest window
+    # of WARM_CHECK ratios is seven halvings and the quartering, 2^(-9/8) a
+    # sweep, not the last ratio nor the rate over all steps.
+    assert bellman.WARM_CHECK == 8
+    slow = [0.99 ** k for k in range(20)]
+    steps = slow + [slow[-1] * 0.5 ** k for k in range(1, 9)] + [slow[-1] * 0.5 ** 8 * 0.25]
+    assert left(1.0, 1e-3, steps) == math.ceil(math.log(1e3) / (9 / 8 * math.log(2))) == 9
+
+
 def test_check_policy_rejects_infeasible_flags():
     m = two_state()  # no impulses anywhere
     bad = StationaryPolicy(phi_g=np.zeros(2, dtype=np.int64), phi_i=[-1, 0])
