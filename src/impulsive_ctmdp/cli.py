@@ -7,7 +7,7 @@ is flags > file > defaults, and the effective, converted configuration is
 echoed into every output record.
 
 Exit codes: 0 ok, 2 parse or usage error, 3 validation failure,
-4 non-convergence, 5 improper chain.
+4 non-convergence or out of memory, 5 improper chain.
 """
 
 from __future__ import annotations
@@ -187,9 +187,10 @@ def _cmd_solve(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_simulate(cfg: dict[str, Any]) -> int:
+    model, x0, report = _solve_from_x0(cfg)
+    # Loaded after the parse, so the document's node tree and scipy are never resident together.
     from .simulate import estimate_cost, replication_rng, simulate_trajectory
 
-    model, x0, report = _solve_from_x0(cfg)
     est = estimate_cost(model, report.policy, x0, cfg["reps"], cfg["seed"],
                         tail_tol=cfg["tail_tol"], threads=cfg["threads"])
     sample = simulate_trajectory(model, report.policy, x0, replication_rng(cfg["seed"], 0),
@@ -233,9 +234,9 @@ def _cmd_epidemic_sweep(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_dynkin(cfg: dict[str, Any]) -> int:
-    from .simulate import dynkin_check
-
     model, x0, report = _solve_from_x0(cfg)
+    from .simulate import dynkin_check  # after the parse, as in simulate
+
     res = dynkin_check(model, report.policy, report.V, x0, cfg["t_horizon"], cfg["reps"], cfg["seed"])
     meta = {
         "x0": x0,
@@ -269,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="impulsive-ctmdp",
         description="Solve and simulate discounted CTMDPs with gradual and impulsive controls. "
-                    "Exit codes: 0 ok, 2 parse or usage, 3 validation, 4 non-convergence, 5 improper chain.",
+                    "Exit codes: 0 ok, 2 parse or usage, 3 validation, 4 non-convergence or out of memory, "
+                    "5 improper chain.",
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -302,6 +304,8 @@ def run(argv: list[str] | None = None) -> int:
         return _error(EXIT_VALIDATION, "validation", str(exc))
     except NonConvergenceError as exc:
         return _error(EXIT_NONCONVERGENCE, "non-convergence", str(exc))
+    except MemoryError as exc:
+        return _error(EXIT_NONCONVERGENCE, "out-of-memory", str(exc) or "out of memory")
     except ImproperChainError as exc:
         return _error(EXIT_IMPROPER_CHAIN, "improper-chain", str(exc))
 

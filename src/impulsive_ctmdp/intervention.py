@@ -7,18 +7,20 @@ every chain terminates with probability one.  :func:`analyze_chains` decides
 that and solves the chain quantities once per (model, policy); the policy
 evaluation in :mod:`bellman`, the simulator and the readers here share it.
 
-A chain is sure when every relocation row on it has one target: its start
-fixes where it lands.  One backward pass from the landings gives each sure
-chain's landing, mass, cost and length, so the chain is one relocation: a
-row of the sparse shortcut matrix S, by which a product folds the sure
-states out of a linear system.  Only the chains that draw are left to an
-LU factor.
+A chain that cannot revisit a state has finitely many impulses, so one
+backward pass from the landings sums its mass, cost and length.  A chain is
+sure when every relocation row on it has one target: its start fixes where
+it lands, so the chain is one relocation, a row of the sparse shortcut
+matrix S, by which a product folds the sure states out of a linear system.
+The chains that draw are solved over the pass's frontiers; only the core
+of states on or upstream of an impulse cycle is left to an LU factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,11 +60,12 @@ class ChainAnalysis:
     charges; a state that waits or whose chain draws lands on
     itself at cost 0.  Row x of the N x N shortcut matrix ``S`` holds the
     chain's mass, the product of its one-target weights, at ``land[x]``.
-    ``lu`` is the LU factor of I - M and ``R`` the relocation rows into the
-    gradual region, both over the flagged states whose chains draw
-    (``draws``, positions in ``states``) with the sure states folded out by
-    ``S``; both are None when no chain draws.  Every array here, those of
-    ``S`` and ``R`` too, is read-only: equal policies share the analysis.
+    ``lu`` solves with I - M (a :class:`ChainSolver`) and ``R`` holds the
+    relocation rows into the gradual region, both over the flagged states
+    whose chains draw (``draws``, positions in ``states``) with the sure
+    states folded out by ``S``; both are None when no chain draws.  Every
+    array here, those of ``S`` and ``R`` too, is read-only: equal policies
+    share the analysis.
     """
 
     states: tuple[str, ...]
@@ -74,7 +77,7 @@ class ChainAnalysis:
     S: sp.csr_matrix = field(repr=False)       # (N, N)
     draws: np.ndarray = field(repr=False)      # (d,) ascending positions in ``states``
     R: sp.csr_matrix | None = field(repr=False)  # (d, N), zero on flagged columns
-    lu: object = field(repr=False)
+    lu: ChainSolver | None = field(repr=False)
 
     def landing_row(self, k: int) -> np.ndarray:
         x = self.flagged[k]
@@ -85,67 +88,138 @@ class ChainAnalysis:
         return self.R.T @ self.lu.solve(e, trans="T")
 
 
+class ChainSolver:
+    """Solves with I - M, or its transpose, over the d flagged states whose chains draw.
+
+    M is their relocation kernel among themselves.  A chain that cannot
+    revisit a state resolves in the frontier order of the backward pass
+    (``level``, -1 where it never resolves), so each frontier is one product
+    with its rows of M, which reach only the frontiers before it.  Only the
+    core, the states on or upstream of an impulse cycle, is left to ``lu``,
+    an LU factor of its block of I - M (None when the core is empty).
+    """
+
+    def __init__(self, M: sp.csr_matrix, level: np.ndarray, lu):
+        self.order = np.argsort(level, kind="stable")  # the core, then frontier by frontier
+        ends = np.cumsum(np.bincount(level + 1))
+        self.core, self.lu = self.order[:ends[0]], lu
+        self.frontiers = [(a, b) for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()) if a < b]
+        self.M, self.MT = M[self.order], M.T.tocsr()[self.order]  # rows in that order
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        x = np.array(b, dtype=np.float64)
+        order, core = self.order, self.core
+        if trans == "T":
+            if core.size:
+                x[core] = self.lu.solve(x[core], trans="T")
+            for lo, hi in reversed(self.frontiers):
+                x[order[lo:hi]] += self.MT[lo:hi] @ x
+        else:
+            for lo, hi in self.frontiers:
+                x[order[lo:hi]] += self.M[lo:hi] @ x
+            if core.size:
+                rhs, x[core] = x[core], 0.0
+                x[core] = self.lu.solve(rhs + self.M[:core.size] @ x)
+        return x
+
+
+def _spans(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The positions lo[k], ..., lo[k] + n[k] - 1, for each k in turn."""
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+
+
 def _sure_chains(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray, i_rows: np.ndarray):
-    """Per state: the landing of its sure chain, and its mass, cost and length
-    weighted as (I - M)^-1 weighs them; any other state lands on itself (mass 1, the rest 0).
+    """Per state: the landing of its chain where it is sure, the chain's mass,
+    cost and length weighted as (I - M)^-1 weighs them, and the frontier it
+    resolves in; a waiting state lands on itself (mass 1, the rest 0, frontier 0).
 
     Resolved backward from the landings: the waiting states are the first
-    frontier, and each next one holds the one-target rows into the states
-    just resolved, each w(x) = c(x) + p(x) w(next(x)).  Each row is read
-    once; a row into a closed cycle of one-target rows, or into a row with
-    two or more targets, is never resolved and is not sure.
+    frontier, and each next one holds the rows whose last target was in the
+    frontier just before.  A row sums over its targets, as w(x) = c(x) +
+    sum_y p(x, y) w(y), each term added as its target resolves; on a
+    one-target row that is the one term.  Each row is read once.  A chain is
+    sure where every row on it has one target; a chain that draws lands on
+    itself.  A row on or upstream of an impulse cycle never resolves (frontier
+    -1) and holds its terms from the targets that did: the right-hand side of
+    the system left over it.
     """
     N, Q = comp.N, comp.Q_imp
-    lo = Q.indptr[i_rows]
-    pos = np.flatnonzero(Q.indptr[i_rows + 1] - lo == 1)
-    x, to, p, c = flagged[pos], Q.indices[lo[pos]], Q.data[lo[pos]], comp.i_cost[i_rows[pos]]
-    order = np.argsort(to, kind="stable")
+    lo, n = Q.indptr[i_rows], Q.indptr[i_rows + 1] - Q.indptr[i_rows]
+    several = bool((n != 1).any())  # else each entry is a row, resolved with its target
+    if several:
+        at, src = _spans(lo, n), np.repeat(flagged, n)
+        left, sole = np.zeros(N, dtype=np.int64), np.full(N, N)  # sole N: the row draws
+        left[flagged], sole[flagged[n == 1]] = n, Q.indices[lo[n == 1]]
+    else:
+        at, src = lo, flagged
+    order = np.argsort(Q.indices[at], kind="stable")  # the entries, by target
+    at = at[order]
+    src, to, p = src[order], Q.indices[at], Q.data[at]
     ptr = np.concatenate(([0], np.cumsum(np.bincount(to, minlength=N))))
-    land, mass, cost, length = np.arange(N), np.ones(N), np.zeros(N), np.zeros(N)
-    y = np.flatnonzero(~impulsive)
+    land, level = np.append(np.arange(N), -1), np.where(impulsive, -1, 0)  # land[N]: a chain that draws
+    mass, cost, length = np.where(impulsive, 0.0, 1.0), np.zeros(N), impulsive.astype(np.float64)
+    cost[flagged] = comp.i_cost[i_rows]
+    y, k = np.flatnonzero(~impulsive), 0
     while y.size:
-        at, n = ptr[y], ptr[y + 1] - ptr[y]  # the rows into y: order[at:at + n], per y
-        rows = order[np.repeat(at - np.cumsum(n) + n, n) + np.arange(n.sum())]
-        y, z, q = x[rows], to[rows], p[rows]
-        land[y], mass[y], cost[y], length[y] = land[z], q * mass[z], c[rows] + q * cost[z], 1.0 + q * length[z]
-    return land, mass, cost, length
+        e = _spans(ptr[y], ptr[y + 1] - ptr[y])  # the entries into y
+        x, z, q = src[e], to[e], p[e]
+        np.add.at(mass, x, q * mass[z])
+        np.add.at(cost, x, q * cost[z])
+        np.add.at(length, x, q * length[z])
+        if several:  # a row resolves with its last target; a row listed twice keeps one of its marks
+            np.subtract.at(left, x, 1)
+            x = x[left[x] == 0]
+            left[x] = mark = np.arange(-1, -1 - x.size, -1)
+            x = x[left[x] == mark]
+            z = sole[x]
+        k += 1
+        land[x], level[x], y = land[z], k, x
+    land = land[:N]
+    return np.where(land < 0, np.arange(N), land), mass, cost, length, level
 
 
 @per_policy
 def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis:
-    """Check the policy, resolve its sure chains, factorise I - M over the
-    chains that draw and solve W, the landing masses and the guard; kept per
-    (model, policy) while both live.
+    """Check the policy, resolve its chains backward, factorise I - M over the
+    core of chains that never resolve and solve W, the landing masses and the
+    guard; kept per (model, policy) while both live.
 
-    Raises ValueError for an infeasible policy, :class:`ImproperChainError`
-    when I - M is singular (naming the lowest flagged state whose chain
-    draws) or some chain fails to land with probability one (its landing
-    mass must be 1 within ``LANDING_ROW_TOL``), and
-    :class:`NonConvergenceError` when SuperLU runs out of memory.
+    The backward pass gives every chain that cannot revisit a state; the
+    core, the flagged states on or upstream of an impulse cycle, takes an LU
+    factor, so a policy without such a cycle loads no SuperLU.  Raises
+    ValueError for an infeasible policy, :class:`ImproperChainError` when
+    the core's block of I - M is singular (naming its lowest state) or some
+    chain fails to land with probability one (its landing mass must be 1
+    within ``LANDING_ROW_TOL``), and :class:`NonConvergenceError` when
+    SuperLU runs out of memory.
     """
     check_policy(model, policy)
     comp = compile_model(model)
     _, flagged, i_rows = policy_pairs(comp, policy)
     labels = model.states.labels
-    land, mass, cost, length = _sure_chains(comp, policy.impulsive, flagged, i_rows)
-    S = sp.csr_matrix((mass, land, np.arange(comp.N + 1)), shape=(comp.N, comp.N))
+    land, mass, cost, length, level = _sure_chains(comp, policy.impulsive, flagged, i_rows)
     draws = np.flatnonzero(land[flagged] == flagged)
+    core = draws[level[flagged[draws]] < 0]
     hits, W, steps = mass[flagged], cost[flagged], length[flagged]
     R = lu = None
-    if draws.size:
-        # Rows of the chains that draw, with each entry into a sure chain moved to its landing.
-        Q = comp.Q_imp[i_rows[draws]]
-        c_in, steps_in = Q @ cost, Q @ length
-        Q = (Q @ S).sorted_indices()
-        # M before R: R shares Q's index arrays, and R.eliminate_zeros() rewrites them in place.
-        lu = factor(sp.identity(draws.size, format="csr") - Q[:, flagged[draws]], "chain system")
+    if core.size:
+        # I - M over the core, whose terms into resolved states the pass summed.
+        x = flagged[core]
+        lu = factor(sp.identity(core.size, format="csr") - comp.Q_imp[i_rows[core]][:, x], "chain system")
         if lu is None:
             raise ImproperChainError(
-                "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[draws[0]])])
+                "impulse chains never reach a gradual state (I - M is singular)", labels[int(x[0])])
+        hits[core], W[core], steps[core] = lu.solve(np.column_stack([hits[core], W[core], steps[core]])).T
+    x = flagged[draws]
+    mass[x], cost[x] = 1.0, 0.0  # a chain that draws is no shortcut
+    S = sp.csr_matrix((mass, land, np.arange(comp.N + 1)), shape=(comp.N, comp.N))
+    if draws.size:
+        # Rows of the chains that draw, with each entry into a sure chain moved to its landing.
+        Q = (comp.Q_imp[i_rows[draws]] @ S).sorted_indices()
+        # M before R: R shares Q's index arrays, and R.eliminate_zeros() rewrites them in place.
+        lu = ChainSolver(Q[:, x], level[x], lu)
         R = sp.csr_matrix((Q.data * ~policy.impulsive[Q.indices], Q.indices, Q.indptr), shape=Q.shape)
         R.eliminate_zeros()
-        hits[draws], W[draws], steps[draws] = lu.solve(np.column_stack(
-            [np.asarray(R.sum(axis=1)).ravel(), comp.i_cost[i_rows[draws]] + c_in, 1.0 + steps_in])).T
     bad = np.flatnonzero(~(np.abs(hits - 1.0) <= LANDING_ROW_TOL))
     if bad.size:
         raise ImproperChainError(
@@ -153,7 +227,7 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     for table in (W, land, cost, flagged, draws, *(
             getattr(mat, a) for mat in (S, R) if mat is not None for a in ("data", "indices", "indptr"))):
         table.flags.writeable = False
-    return ChainAnalysis(states=tuple(map(labels.__getitem__, flagged.tolist())), expected_cost=W,
+    return ChainAnalysis(states=tuple(compress(labels, policy.impulsive)), expected_cost=W,
                          guard=math.ceil(40.0 * math.e * float(np.max(steps, initial=0.0))), flagged=flagged,
                          land=land, w=cost, S=S, draws=draws, R=R, lu=lu)
 

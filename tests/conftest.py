@@ -112,6 +112,24 @@ def geometric_model(p_stay: float = 0.5, cost: float = 0.7) -> CtmdpModel:
     )
 
 
+def impulse_chain_model(cycle: bool) -> CtmdpModel:
+    """States 1 and 2 run at cost 1 and are left slowly, so the solved policy
+    intervenes at both; 1 -> 0 is a sure chain.  Impulse 2 lands at 0 or
+    steps to 1, so its chain draws and cannot revisit a state; with
+    ``cycle`` it returns to 2 instead, an impulse cycle that lands."""
+    labels = ("0", "1", "2")
+    return CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={s: ("wait",) for s in labels}, impulsive={"0": (), "1": ("go",), "2": ("go",)}),
+        rates=RateKernel(rows={("0", "wait"): (("1", 0.25), ("2", 0.25)), ("1", "wait"): (("0", 0.1),),
+                               ("2", "wait"): (("0", 0.1),)}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={("1", "go"): (("0", 1.0),),
+                                     ("2", "go"): (("2" if cycle else "1", 0.5), ("0", 0.5))}),
+        costs=CostModel(gradual_cost={("0", "wait"): 0.0, ("1", "wait"): 1.0, ("2", "wait"): 1.0},
+                        impulse_cost={("1", "go"): 0.3, ("2", "go"): 0.3}, eta=1.0, K_cost=1.0, c_lower=0.3),
+    )
+
+
 def mixed_chains(shared_landing: bool = False) -> tuple[CtmdpModel, StationaryPolicy]:
     """Flagged a -> b -> g2 is a sure chain; c samples g1 or g2; d -> c is a
     sure step into that two-target row, so a chain from d is not sure.

@@ -7,6 +7,7 @@ of ``cli.run`` is exercised there.  These tests start a new interpreter.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from impulsive_ctmdp import build_epidemic_model
 from impulsive_ctmdp.io import load_epidemic_params
 from impulsive_ctmdp.testing import model_document, random_model
 
-from conftest import MODELS_DIR, REPO_ROOT
+from conftest import MODELS_DIR, REPO_ROOT, impulse_chain_model
 
 TWO_STATE = str(MODELS_DIR / "two_state.yaml")
 EPIDEMIC = str(MODELS_DIR / "epidemic_desk.yaml")
@@ -36,10 +37,17 @@ print(json.dumps({{"code": code, "heavy": heavy}}), file=sys.stderr)
 """.format(stack=set(SOLVER_STACK))
 
 
-def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+def _python(*args: str, cwd=None, capped: bool = False) -> subprocess.CompletedProcess:
+    """A new interpreter; ``capped`` limits its address space to 1 GiB, so that a
+    huge allocation fails at once, with one BLAS thread to keep numpy's start-up inside."""
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path), cwd=cwd,
-                          capture_output=True, text=True, timeout=120, check=False)
+    env = dict(os.environ, PYTHONPATH=path, **({"OPENBLAS_NUM_THREADS": "1"} if capped else {}))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
+                          check=False, preexec_fn=_cap_address_space if capped else None)
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def _probe(*argv: str) -> dict:
@@ -63,11 +71,11 @@ def test_solve_loads_the_solver_stack():
     assert report["code"] == 0 and set(SOLVER_STACK) <= set(report["heavy"])
 
 
-def _scipy_after_solve(tmp_path, name: str, model) -> set[str]:
-    """The scipy modules a fresh ``solve`` run loads on ``model``'s document."""
+def _scipy_after(tmp_path, name: str, model, command: str = "solve", *argv: str) -> set[str]:
+    """The scipy modules a fresh run of ``command`` loads on ``model``'s document."""
     doc = tmp_path / f"{name}.yaml"
     doc.write_text(model_document(model), encoding="utf-8")
-    report = _probe("solve", "--model", str(doc), "--out", str(tmp_path / name))
+    report = _probe(command, "--model", str(doc), "--out", str(tmp_path / f"{name}-{command}"), *argv)
     assert report["code"] == 0
     return {m for m in report["heavy"] if m.split(".")[0] == "scipy"}
 
@@ -76,14 +84,31 @@ def test_a_swept_solve_loads_no_superlu(tmp_path):
     # solve certifies the random model by sweeps and factors nothing, so it
     # loads no scipy module beyond those that ``import scipy.sparse`` loads
     # (at scipy 1.10 that import loads scipy.sparse.linalg too).
-    swept = _scipy_after_solve(tmp_path, "random0", random_model(0))
+    swept = _scipy_after(tmp_path, "random0", random_model(0))
     assert swept and swept <= set(_loaded_after("import scipy.sparse\n"))
 
 
 def test_a_factored_solve_loads_superlu(tmp_path):
     # The desk model takes the factor path, whose first factor imports SuperLU.
     desk = build_epidemic_model(load_epidemic_params(EPIDEMIC))
-    assert "scipy.sparse.linalg" in _scipy_after_solve(tmp_path, "desk", desk)
+    assert "scipy.sparse.linalg" in _scipy_after(tmp_path, "desk", desk)
+
+
+@pytest.mark.parametrize("command", ["simulate", "dynkin-check"])
+def test_acyclic_drawing_chains_load_no_superlu(tmp_path, command):
+    # The solve is swept and the one drawing chain cannot revisit a state, so
+    # the backward pass resolves it and nothing is factored: no scipy module
+    # beyond those of ``import scipy.sparse`` (floor-tolerant as above).
+    loaded = _scipy_after(tmp_path, "acyclic", impulse_chain_model(cycle=False), command, "--reps", "20")
+    assert loaded and loaded <= set(_loaded_after("import scipy.sparse\n"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "dynkin-check"])
+def test_an_impulse_cycle_loads_superlu(tmp_path, command):
+    # The same swept solve, but the drawing chain can return to its start:
+    # that core of the chain system is factored.
+    loaded = _scipy_after(tmp_path, "cycle", impulse_chain_model(cycle=True), command, "--reps", "20")
+    assert "scipy.sparse.linalg" in loaded
 
 
 LOADED = """
@@ -128,9 +153,9 @@ assert not hasattr(p, "no_such_name")
     assert proc.returncode == 0, proc.stderr
 
 
-def _cli_error(tmp_path, *argv: str) -> tuple[int, str]:
+def _cli_error(tmp_path, *argv: str, capped: bool = False) -> tuple[int, str]:
     """Exit code and error type of a failing run; its last stderr line is the JSON record."""
-    proc = _python("-m", "impulsive_ctmdp.cli", *argv, cwd=tmp_path)
+    proc = _python("-m", "impulsive_ctmdp.cli", *argv, cwd=tmp_path, capped=capped)
     assert "Traceback" not in proc.stderr
     record = json.loads(proc.stderr.strip().splitlines()[-1])["error"]
     assert record["code"] == proc.returncode
@@ -146,3 +171,12 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path):
     doc = tmp_path / "random0.yaml"
     doc.write_text(model_document(random_model(0)))
     assert _cli_error(tmp_path, "solve", "--model", str(doc), "--tol", "1e-300") == (4, "non-convergence")
+
+
+@pytest.mark.parametrize("command", ["epidemic-solve", "epidemic-sweep"])
+def test_a_c_max_too_large_for_memory_exits_4(tmp_path, command):
+    # Padding the rate tables to C_max + 1 = 10^11 entries raised MemoryError,
+    # which ended the run in a traceback with exit 1.  The capped address space
+    # makes the allocation fail at once on any machine.
+    assert _cli_error(tmp_path, command, "--params", EPIDEMIC, "--c-max", str(10**11), capped=True) \
+        == (4, "out-of-memory")

@@ -16,6 +16,7 @@ from impulsive_ctmdp import (
     sample_chain,
     solve,
 )
+from impulsive_ctmdp import intervention
 from impulsive_ctmdp.intervention import expected_landing_value
 from impulsive_ctmdp.simulate import _prepare, replication_rng
 from impulsive_ctmdp.testing import random_model
@@ -32,6 +33,7 @@ from impulsive_ctmdp.model import (
 from conftest import (
     desk_params,
     geometric_model,
+    impulse_chain_model,
     improper_model,
     improper_policy,
     mixed_chains,
@@ -370,6 +372,64 @@ def test_mixed_chains_match_a_dense_reference():
         ana = analyze_chains(m, policy)
         assert [ana.states[k] for k in ana.draws] == ["c", "d"]
         assert_matches_dense_reference(m, policy)
+
+
+@st.composite
+def chain_graphs(draw) -> CtmdpModel:
+    """A model whose impulse rows form a random chain graph.  Each flagged
+    state's row has one to three targets, drawn either downstream (waiting
+    states and the flagged states before it), which makes acyclic chains, or
+    from every state, which makes self-loops and cycles with acyclic states
+    downstream and upstream of them, and now and then a closed cycle."""
+    n_wait, n_flag = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    labels = tuple(f"g{k}" for k in range(n_wait)) + tuple(f"f{k}" for k in range(n_flag))
+    rows = {}
+    for k, x in enumerate(labels[n_wait:]):
+        pool = draw(st.sampled_from([labels[:n_wait + k], labels]))
+        targets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        weights = [draw(st.integers(1, 4)) for _ in targets]
+        rows[(x, "go")] = tuple((y, w / sum(weights)) for y, w in zip(targets, weights))
+    n = len(labels)
+    return CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={x: ("wait",) for x in labels},
+                              impulsive={x: ("go",) if x[0] == "f" else () for x in labels}),
+        rates=RateKernel(rows={(x, "wait"): ((labels[(k + 1) % n], 0.5),) for k, x in enumerate(labels)}, K_rate=1.0),
+        impulses=ImpulseKernel(rows=rows),
+        costs=CostModel(gradual_cost={(x, "wait"): 0.5 for x in labels},
+                        impulse_cost={key: 0.3 + 0.1 * k for k, key in enumerate(rows)},
+                        eta=1.0, K_cost=1.0, c_lower=0.3),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(chain_graphs())
+def test_the_chain_solver_matches_a_dense_reference(m):
+    # W, the guard (from the lengths), every landing row (the transposed
+    # solve) and expected_landing_value (the plain solve) against dense
+    # solves; a closed cycle must raise.
+    assert_matches_dense_reference(m, flag_all(m))
+
+
+def test_acyclic_drawing_chains_factor_nothing(monkeypatch):
+    # Every drawing chain here cannot revisit a state, so the backward pass
+    # resolves it and the chain system is never factored: two-target rows,
+    # sure steps into them, and a two-target row into a sure chain.
+    def no_factor(*args):
+        raise AssertionError("the chain system of acyclic chains was factored")
+    monkeypatch.setattr(intervention, "factor", no_factor)
+    cases = [mixed_chains(False), mixed_chains(True)]
+    m = impulse_chain_model(cycle=False)
+    cases.append((m, solve(m).policy))
+    for m, policy in cases:
+        ana = analyze_chains(m, policy)
+        assert ana.draws.size and ana.lu.lu is None
+        assert_matches_dense_reference(m, policy)
+    # With a cycle, only the core of the chain system is factored.
+    monkeypatch.undo()
+    m = impulse_chain_model(cycle=True)
+    ana = analyze_chains(m, solve(m).policy)
+    assert ana.lu.core.tolist() == [0] and ana.lu.lu is not None
 
 
 def test_a_near_unit_one_target_weight_certifies():
