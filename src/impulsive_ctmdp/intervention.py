@@ -13,7 +13,8 @@ sure when every relocation row on it has one target: its start fixes where
 it lands, so the chain is one relocation, a row of the sparse shortcut
 matrix S, by which a product folds the sure states out of a linear system.
 The chains that draw are solved over the pass's frontiers; only the core
-of states on or upstream of an impulse cycle is left to an LU factor.
+of states on or upstream of an impulse cycle, or too deep to replay, is
+left to an LU factor.
 """
 
 from __future__ import annotations
@@ -93,10 +94,11 @@ class ChainSolver:
 
     M is their relocation kernel among themselves.  A chain that cannot
     revisit a state resolves in the frontier order of the backward pass
-    (``level``, -1 where it never resolves), so each frontier is one product
+    (``level``, -1 where it is not resolved), so each frontier is one product
     with its rows of M, which reach only the frontiers before it.  Only the
-    core, the states on or upstream of an impulse cycle, is left to ``lu``,
-    an LU factor of its block of I - M (None when the core is empty).
+    core, the states on or upstream of an impulse cycle or past the frontiers
+    the pass replays, is left to ``lu``, an LU factor of its block of I - M
+    (None when the core is empty).
     """
 
     def __init__(self, M: sp.csr_matrix, level: np.ndarray, lu):
@@ -141,11 +143,15 @@ def _sure_chains(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray
     sure where every row on it has one target; a chain that draws lands on
     itself.  A row on or upstream of an impulse cycle never resolves (frontier
     -1) and holds its terms from the targets that did: the right-hand side of
-    the system left over it.
+    the system left over it.  So do the rows that draw of a frontier that
+    would make the chains that draw span more than sqrt(r) frontiers, r the
+    rows they would then hold: :class:`ChainSolver` replays each frontier, a
+    step that a deep graph would repeat once per row, so that goes to the
+    factor instead.
     """
     N, Q = comp.N, comp.Q_imp
     lo, n = Q.indptr[i_rows], Q.indptr[i_rows + 1] - Q.indptr[i_rows]
-    several = bool((n != 1).any())  # else each entry is a row, resolved with its target
+    several = bool((n != 1).any())  # else each entry is a row, resolved with its target, and none draws
     if several:
         at, src = _spans(lo, n), np.repeat(flagged, n)
         left, sole = np.zeros(N, dtype=np.int64), np.full(N, N)  # sole N: the row draws
@@ -159,7 +165,7 @@ def _sure_chains(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray
     land, level = np.append(np.arange(N), -1), np.where(impulsive, -1, 0)  # land[N]: a chain that draws
     mass, cost, length = np.where(impulsive, 0.0, 1.0), np.zeros(N), impulsive.astype(np.float64)
     cost[flagged] = comp.i_cost[i_rows]
-    y, k = np.flatnonzero(~impulsive), 0
+    y, k, spans, rows = np.flatnonzero(~impulsive), 0, 0, 0  # the chains that draw: frontiers and rows
     while y.size:
         e = _spans(ptr[y], ptr[y + 1] - ptr[y])  # the entries into y
         x, z, q = src[e], to[e], p[e]
@@ -172,6 +178,12 @@ def _sure_chains(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray
             left[x] = mark = np.arange(-1, -1 - x.size, -1)
             x = x[left[x] == mark]
             z = sole[x]
+            draw = land[z] < 0
+            d = int(np.count_nonzero(draw))
+            if d and (spans + 1) ** 2 > rows + d:  # too deep to replay: left to the factor
+                x, z = x[~draw], z[~draw]
+            elif d:
+                spans, rows = spans + 1, rows + d
         k += 1
         land[x], level[x], y = land[z], k, x
     land = land[:N]
@@ -184,9 +196,11 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     core of chains that never resolve and solve W, the landing masses and the
     guard; kept per (model, policy) while both live.
 
-    The backward pass gives every chain that cannot revisit a state; the
-    core, the flagged states on or upstream of an impulse cycle, takes an LU
-    factor, so a policy without such a cycle loads no SuperLU.  Raises
+    The backward pass gives the chains that cannot revisit a state, over at
+    most sqrt(r) frontiers for the r rows that draw; the core, the flagged
+    states on or upstream of an impulse cycle or past those frontiers, takes
+    an LU factor, so a policy whose chains that draw are acyclic and shallow
+    for their number loads no SuperLU.  Raises
     ValueError for an infeasible policy, :class:`ImproperChainError` when
     the core's block of I - M is singular (naming its lowest state) or some
     chain fails to land with probability one (its landing mass must be 1

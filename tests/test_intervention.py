@@ -411,22 +411,52 @@ def test_the_chain_solver_matches_a_dense_reference(m):
     assert_matches_dense_reference(m, flag_all(m))
 
 
-def test_acyclic_drawing_chains_factor_nothing(monkeypatch):
-    # Every drawing chain here cannot revisit a state, so the backward pass
-    # resolves it and the chain system is never factored: two-target rows,
-    # sure steps into them, and a two-target row into a sure chain.
+def drawing_ladders(depth: int, width: int) -> CtmdpModel:
+    """``width`` ladders of ``depth`` flagged rungs each.  A bottom rung's
+    impulse lands at g0 or g1, any other rung's steps one rung down or lands
+    at g0, so every chain draws, none can revisit a state, and the rungs k
+    high resolve in the k-th frontier of the backward pass."""
+    rungs = [[f"f{k}_{j}" for j in range(width)] for k in range(depth)]
+    labels = ("g0", "g1", *(x for rung in rungs for x in rung))
+    rows = {(x, "go"): ((rungs[k - 1][j], 0.5) if k else ("g1", 0.5), ("g0", 0.5))
+            for k, rung in enumerate(rungs) for j, x in enumerate(rung)}
+    n = len(labels)
+    return CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={x: ("wait",) for x in labels},
+                              impulsive={x: ("go",) if x[0] == "f" else () for x in labels}),
+        rates=RateKernel(rows={(x, "wait"): ((labels[(k + 1) % n], 0.5),) for k, x in enumerate(labels)}, K_rate=1.0),
+        impulses=ImpulseKernel(rows=rows),
+        costs=CostModel(gradual_cost={(x, "wait"): 0.5 for x in labels},
+                        impulse_cost={key: 0.3 + 0.01 * k for k, key in enumerate(rows)},
+                        eta=1.0, K_cost=1.0, c_lower=0.3),
+    )
+
+
+def test_shallow_drawing_chains_are_replayed_and_deep_ones_factored(monkeypatch):
+    # The chains that draw are replayed over at most sqrt(r) frontiers of
+    # their r rows, so a graph of them that is shallow for its size, here a
+    # sure step under a two-target row and three ladders three rungs high, is
+    # never factored.
     def no_factor(*args):
-        raise AssertionError("the chain system of acyclic chains was factored")
+        raise AssertionError("the chain system of shallow acyclic chains was factored")
     monkeypatch.setattr(intervention, "factor", no_factor)
-    cases = [mixed_chains(False), mixed_chains(True)]
     m = impulse_chain_model(cycle=False)
-    cases.append((m, solve(m).policy))
-    for m, policy in cases:
+    for m, policy in [(m, solve(m).policy), (drawing_ladders(3, 3), None)]:
+        policy = policy or flag_all(m)
         ana = analyze_chains(m, policy)
         assert ana.draws.size and ana.lu.lu is None
         assert_matches_dense_reference(m, policy)
-    # With a cycle, only the core of the chain system is factored.
     monkeypatch.undo()
+    # A ladder w wide replays min(depth, w) rungs and factors the rest; so
+    # does a deep ladder, which would otherwise cost a replay step per rung.
+    for depth, width in ((4, 3), (60, 1), (60, 5)):
+        m = drawing_ladders(depth, width)
+        ana = analyze_chains(m, flag_all(m))
+        assert len(ana.lu.frontiers) == min(depth, width)
+        assert ana.lu.core.size == (depth - min(depth, width)) * width and ana.lu.lu is not None
+        assert_matches_dense_reference(m, flag_all(m))
+    # With a cycle, only the core of the chain system is factored.
     m = impulse_chain_model(cycle=True)
     ana = analyze_chains(m, solve(m).policy)
     assert ana.lu.core.tolist() == [0] and ana.lu.lu is not None
