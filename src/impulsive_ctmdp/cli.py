@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 parse or usage error, 3 validation failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -311,7 +312,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # Shutdown's collections run even with the collector off; frozen objects
+    # (numpy, scipy, the model) are skipped.  Every artifact is closed by now,
+    # and sys.exit still flushes stdio and runs atexit handlers.  run() itself
+    # does not freeze: tests and library users call it in process.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

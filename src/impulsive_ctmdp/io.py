@@ -51,23 +51,20 @@ def _as_map(field: str, node: yaml.Node) -> list[tuple[yaml.Node, yaml.Node]]:
     return node.value
 
 
-def _put(field: str, out: dict, key: Any, value: Any, node: yaml.Node) -> None:
-    """``out[key] = value``; a key already there is a repeat, cited at ``node``."""
-    if key in out:
-        _fail(field, node, f"repeated entry {key!r}")
-    out[key] = value
-
-
 def _as_dict(field: str, node: yaml.Node, known: tuple[str, ...], fold: bool = False) -> dict[str, yaml.Node]:
     """A mapping with string keys, each one of ``known`` and present once;
     ``fold`` reads a ``-`` in a key as ``_``."""
     out: dict[str, yaml.Node] = {}
     for k, v in _as_map(field, node):
-        key = _as_str(field, k)
+        if not isinstance(k, yaml.ScalarNode):
+            _fail(field, k, "expected a scalar")
+        key = k.value  # only looked up, so not interned
         name = key.replace("-", "_") if fold else key
         if name not in known:
             _fail(field, k, f"unknown key {key!r}")
-        _put(field, out, name, v, k)
+        if name in out:
+            _fail(field, k, f"repeated entry {name!r}")
+        out[name] = v
     return out
 
 
@@ -76,7 +73,10 @@ def _row(field: str, node: yaml.Node) -> tuple[tuple[str, float], ...]:
     out: dict[str, float] = {}
     for k, v in _as_map(field, node):
         label = _as_str(field, k)
-        _put(field, out, label, _as_number(f"{field}.{label}", v), k)
+        value = _as_number(field, v, label=label)
+        if label in out:
+            _fail(field, k, f"repeated entry {label!r}")
+        out[label] = value
     return tuple(out.items())
 
 
@@ -91,15 +91,21 @@ def _as_str(field: str, node: yaml.Node) -> str:
         _fail(field, node, "expected a scalar")
     # Labels repeat throughout a document.  Interning keeps one string per
     # label, so the model pins none of the node tree's memory once parsed.
-    return sys.intern(str(node.value))
+    return sys.intern(node.value)
 
 
-def _as_number(field: str, node: yaml.Node, kind: type = float) -> Any:
+def _as_number(field: str, node: yaml.Node, kind: type = float, label: str | None = None) -> Any:
+    """The scalar's text read by ``kind``.  An error cites ``field``, or
+    ``field.label`` when a label is given; that name is made only on failure."""
+    if isinstance(node, yaml.ScalarNode):
+        try:
+            return kind(node.value)
+        except ValueError:
+            pass
+    if label is not None:
+        field = f"{field}.{label}"
     raw = _as_str(field, node)
-    try:
-        return kind(raw)
-    except ValueError:
-        _fail(field, node, f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}")
+    _fail(field, node, f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}")
 
 
 # libyaml's C parser when PyYAML was built with it; both keep line marks.
@@ -174,10 +180,16 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
         out: dict[str, tuple[str, ...]] = {}
         for k, v in () if node is None else _as_map(field, node):
             s = _as_str(field, k)
+            item_field = f"{field}.{s}[]"
             acts: dict[str, None] = {}  # each label may appear once
             for n in _as_seq(f"{field}.{s}", v):
-                _put(f"{field}.{s}[]", acts, _as_str(f"{field}.{s}[]", n), None, n)
-            _put(field, out, s, tuple(acts), k)
+                a = _as_str(item_field, n)
+                if a in acts:
+                    _fail(item_field, n, f"repeated entry {a!r}")
+                acts[a] = None
+            if s in out:
+                _fail(field, k, f"repeated entry {s!r}")
+            out[s] = tuple(acts)
         return out
 
     gradual = action_map("gradual_actions", sections["gradual_actions"])
@@ -189,14 +201,19 @@ def parse_model(text: str, source: str = "<string>") -> CtmdpModel:
         """``{(state, action): read(value)}`` from a list of ``{state, action, value_key}``
         items, each pair once; empty when the section is absent."""
         keys = ("state", "action", value_key)
+        item_field, state_field, action_field, value_field = (
+            f"{field}[]", f"{field}.state", f"{field}.action", f"{field}.{value_key}")
         out: dict[tuple[str, str], Any] = {}
         for item in () if node is None else _as_seq(field, node):
-            entry = _as_dict(f"{field}[]", item, keys)
-            for key in keys:
-                if key not in entry:
-                    _fail(f"{field}[]", item, f"missing key {key!r}")
-            pair = (_as_str(f"{field}.state", entry["state"]), _as_str(f"{field}.action", entry["action"]))
-            _put(f"{field}[]", out, pair, read(f"{field}.{value_key}", entry[value_key]), item)
+            entry = _as_dict(item_field, item, keys)
+            if len(entry) < len(keys):  # _as_dict admits only known keys, each once
+                missing = next(key for key in keys if key not in entry)
+                _fail(item_field, item, f"missing key {missing!r}")
+            pair = (_as_str(state_field, entry["state"]), _as_str(action_field, entry["action"]))
+            value = read(value_field, entry[value_key])
+            if pair in out:
+                _fail(item_field, item, f"repeated entry {pair!r}")
+            out[pair] = value
         return out
 
     rate_rows = pairs("rates", sections["rates"], "targets", _row)

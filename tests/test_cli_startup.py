@@ -2,9 +2,11 @@
 
 The in-process tests have imported every module by the time they run, so
 neither the lazy package namespace nor the lazily reached exception mapping
-of ``cli.run`` is exercised there.  These tests start a new interpreter.
+of ``cli.run`` is exercised there.  These tests start a new interpreter,
+except one that checks that ``cli.run`` in process leaves the collector be.
 """
 
+import gc
 import json
 import os
 import resource
@@ -12,14 +14,16 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
-from impulsive_ctmdp import build_epidemic_model
+from impulsive_ctmdp import build_epidemic_model, cli
 from impulsive_ctmdp.io import load_epidemic_params
 from impulsive_ctmdp.testing import model_document, random_model
 
 from conftest import MODELS_DIR, REPO_ROOT, impulse_chain_model
 
 TWO_STATE = str(MODELS_DIR / "two_state.yaml")
+TWO_STATE_IMPULSE = str(MODELS_DIR / "two_state_impulse.yaml")
 EPIDEMIC = str(MODELS_DIR / "epidemic_desk.yaml")
 SOLVER_STACK = ("scipy", "impulsive_ctmdp._ops", "impulsive_ctmdp.bellman")
 
@@ -171,6 +175,49 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path):
     doc = tmp_path / "random0.yaml"
     doc.write_text(model_document(random_model(0)))
     assert _cli_error(tmp_path, "solve", "--model", str(doc), "--tol", "1e-300") == (4, "non-convergence")
+    bad.write_text(open(TWO_STATE).read().replace("eta: 1.0", "eta: fast"))
+    assert _cli_error(tmp_path, "solve", "--model", str(bad)) == (2, "parse")
+    assert _cli_error(tmp_path, "validate", "--model", str(tmp_path)) == (2, "parse")  # a directory
+
+
+def test_main_freezes_the_collector_before_it_exits():
+    # The shutdown collections then skip every object alive at exit.
+    code = f"""
+import gc, sys
+from impulsive_ctmdp import cli
+sys.argv = ["impulsive-ctmdp", "validate", "--model", {TWO_STATE!r}]
+try:
+    cli.main()
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)
+"""
+    proc = _python("-c", code)
+    assert proc.stderr.strip().splitlines()[-1] == "0 True"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    # Tests and library users call run() in process: only main() freezes.
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.get_freeze_count()
+        assert cli.run(["solve", "--model", TWO_STATE_IMPULSE, "--out", str(tmp_path / "out")]) == 0
+        assert cli.run(["solve", "--model", str(tmp_path)]) == 2
+        assert (gc.get_freeze_count(), gc.isenabled()) == (before, enabled)
+    finally:
+        gc.enable()
+
+
+def test_a_fresh_solve_prints_its_whole_record_to_stdout(capsys):
+    # main() exits through sys.exit after the freeze, so stdout is flushed:
+    # a fresh interpreter prints what run() prints in process, byte for byte.
+    proc = _python("-m", "impulsive_ctmdp.cli", "solve", "--model", TWO_STATE_IMPULSE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli.run(["solve", "--model", TWO_STATE_IMPULSE]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    record, table = proc.stdout.split("--- values.csv\n")
+    assert yaml.safe_load(record)["result"]["gap"] <= 1e-10
+    assert table.splitlines() == ["state,value,partition,action", "0,0.0,gradual,wait", "1,0.3,impulsive,reset"]
 
 
 @pytest.mark.parametrize("command", ["epidemic-solve", "epidemic-sweep"])

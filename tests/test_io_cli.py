@@ -150,29 +150,62 @@ def test_parse_model_leaves_the_collector_as_it_found_it(text, enabled):
         gc.enable()
 
 
+LOADERS = (yaml.SafeLoader, yaml.CSafeLoader)
+
+
+def _parse_with(monkeypatch, base: type, text: str):
+    """The model parsed with the untyped mix-in over ``base``, or its parse error's text."""
+    monkeypatch.setattr(mio, "_TextLoader", type("TextLoader", (mio._Untyped, base), {}))
+    try:
+        return parse_model(text)
+    except ModelParseError as exc:
+        return str(exc)
+
+
 def test_both_loaders_parse_alike(monkeypatch):
     # The pure-Python loader stands in when PyYAML lacks libyaml; documents
     # compose with the untyped mix-in over either base.
     assert mio._TextLoader.__bases__ == (mio._Untyped, mio._LOADER)
-
-    def parse_with(base, text):
-        monkeypatch.setattr(mio, "_TextLoader", type("TextLoader", (mio._Untyped, base), {}))
-        try:
-            return parse_model(text)
-        except ModelParseError as exc:
-            return str(exc)
-
-    loaders = (yaml.SafeLoader, yaml.CSafeLoader)
     for seed in range(5):
-        python, libyaml = (parse_with(loader, model_document(random_model(seed))) for loader in loaders)
+        python, libyaml = (_parse_with(monkeypatch, loader, model_document(random_model(seed))) for loader in LOADERS)
         _assert_same_tables(python, libyaml)
         assert python.actions.gradual == libyaml.actions.gradual
         assert python.actions.impulsive == libyaml.actions.impulsive
     text = model_document(random_model(0))
     for bad in (text.replace("eta: 1.0", "eta: fast"), text.replace("K_rate:", "K_rat:"),
                 text + 'states: ["x0"]\n'):
-        python, libyaml = (parse_with(loader, bad) for loader in loaders)
+        python, libyaml = (_parse_with(monkeypatch, loader, bad) for loader in LOADERS)
         assert python == libyaml and re.search(r"\(line \d+\)", python), (python, libyaml)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('    targets:\n      "0": 1.0\n', '    targets:\n      "0": fast\n',
+     "rates.targets.0 (line 13): expected a number, got 'fast'"),
+    ('    targets:\n      "0": 1.0\n', '    targets:\n      "0": [1.0]\n',
+     "rates.targets.0 (line 13): expected a scalar"),
+    ('    distribution:\n      "0": 1.0\n', '    distribution:\n      "0": "1,0"\n',
+     "impulse_rows.distribution.0 (line 18): expected a number, got '1,0'"),
+    ("value: 0.0}", "value: zero}", "costs.gradual.value (line 21): expected a number, got 'zero'"),
+    ("value: 0.3}", "value: {v: 0.3}}", "costs.impulse.value (line 24): expected a scalar"),
+    ("eta: 1.0\n", "eta: fast\n", "constants.eta (line 26): expected a number, got 'fast'"),
+    ("c_lower: 0.3\n", "c_lower: [0.3]\n", "constants.c_lower (line 29): expected a scalar"),
+    ('  "0": [wait]\n', '  "0": [[wait]]\n', "gradual_actions.0[] (line 5): expected a scalar"),
+    ('  "1": [reset]\n', '  "1": reset\n', "impulsive_actions.1 (line 8): expected a list"),
+    ('    targets:\n      "0": 1.0\n', "", "rates[] (line 10): missing key 'targets'"),
+    ("    action: reset\n", "", "impulse_rows[] (line 15): missing key 'action'"),
+    ('{state: "0", ', "{", "costs.gradual[] (line 21): missing key 'state'"),
+    ('  - state: "1"\n    action: wait\n', '  - state: ["1"]\n    action: wait\n',
+     "rates.state (line 10): expected a scalar"),
+    ('states: ["0", "1"]', 'states: ["0", ["1"]]', "states[] (line 3): expected a scalar"),
+], ids=["rate-target", "rate-target-list", "impulse-target", "gradual-cost", "impulse-cost", "constant",
+        "constant-list", "gradual-action", "impulsive-actions", "rates-item", "impulse-rows-item",
+        "gradual-cost-item", "rates-state", "state"])
+def test_parse_errors_cite_field_and_line_alike_on_both_loaders(monkeypatch, old, new, message):
+    # The whole text, field name and line included, as each loader reports it.
+    text = TWO_STATE_IMPULSE.read_text()
+    assert text.count(old) == 1
+    for loader in LOADERS:
+        assert _parse_with(monkeypatch, loader, text.replace(old, new)) == message, loader
 
 
 def test_labels_and_numbers_yaml_would_type_are_read_as_written(monkeypatch):
@@ -184,7 +217,7 @@ def test_labels_and_numbers_yaml_would_type_are_read_as_written(monkeypatch):
     assert m.rates.rows[("yes", "1_000")] == (("on", 0.5), ("null", 1.0))
     assert m.costs.gradual_cost[("null", "2001-12-14")] == 1000.0 and m.costs.eta == 1.0
     _assert_same_tables(m, parse_model(model_document(m)))
-    for resolving in (yaml.SafeLoader, yaml.CSafeLoader):
+    for resolving in LOADERS:
         monkeypatch.setattr(mio, "_TextLoader", resolving)
         _assert_same_tables(m, parse_model(text))
 
