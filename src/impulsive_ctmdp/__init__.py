@@ -1,8 +1,9 @@
 """Discounted CTMDPs with gradual and impulsive controls.
 
-Solver (policy iteration from an embedded-chain warm start; every answer
-carries the policy it ended on and a certified gap within the requested
-tolerance, and monotone value iteration stays as the reference), intervention-chain analysis, batched
+Solver (embedded-chain sweeps, or policy evaluations where sweeps would cost
+more than a factor; every answer carries the policy it ended on and a
+certified gap within the requested tolerance, and monotone value iteration
+stays as the reference), intervention-chain analysis, batched
 jump-process Monte Carlo, and the epidemic-with-carriers instance with its
 analytic threshold solution.
 """

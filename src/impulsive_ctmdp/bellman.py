@@ -83,9 +83,9 @@ class SolveReport:
     <= V and V - ``gap`` <= V*, up to roundoff: the policy is ``gap``-optimal.
     A report that ends on an evaluation carries the evaluated policy and its
     value ``V``; one that ends on sweeps, the last embedded-chain iterate
-    ``V`` and the policy greedy at it.  Stated change: sweeps can also end a
-    report after evaluations, so ``evaluations`` >= 1 no longer means that
-    ``V`` is the policy's value.  ``gap`` = U *
+    ``V`` and the policy greedy at it.  Sweeps can also end a report after
+    evaluations, so ``evaluations`` >= 1 does not mean that ``V`` is the
+    policy's value.  ``gap`` = U *
     ``residual`` is at most the requested tol; ``residual`` is max |T V - V|.
     ``iterations_above`` counts the embedded-chain sweeps from +K/eta, and
     ``evaluations`` the policy evaluations.  ``iterations_below`` is always 0;

@@ -14,8 +14,8 @@ DEFAULT_TAIL_TOL = 1e-8  # discounted cost a Monte Carlo path may leave unsample
 
 class NonConvergenceError(RuntimeError):
     """No answer within tolerance: an iteration budget exhausted, a proper
-    policy's system singular, out of memory or off its tolerance, a policy
-    iteration that cycles, or a certified gap above tol.  ``last`` is the
+    policy's system singular, out of memory or off its tolerance, or a
+    certified gap above tol.  ``last`` is the
     last iterate, ``step`` its step, defect or gap."""
 
     def __init__(self, message: str, last: np.ndarray, step: float, iterations: int):

@@ -130,6 +130,26 @@ def impulse_chain_model(cycle: bool) -> CtmdpModel:
     )
 
 
+def impulse_ring_model(n: int) -> CtmdpModel:
+    """A ring of ``n`` flagged states r0, ..., r{n-1}, each run at cost 1 and
+    left slowly for its own free state g_k, so the solved policy intervenes
+    at each: impulse r_k steps to the next ring state or lands at g_k, so
+    every chain draws and can come round again."""
+    ring, free = tuple(f"r{k}" for k in range(n)), tuple(f"g{k}" for k in range(n))
+    labels = free + ring
+    return CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={s: ("wait",) for s in labels},
+                              impulsive={**{g: () for g in free}, **{r: ("go",) for r in ring}}),
+        rates=RateKernel(rows={**{(g, "wait"): ((r, 0.25),) for g, r in zip(free, ring)},
+                               **{(r, "wait"): ((g, 0.1),) for g, r in zip(free, ring)}}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={(r, "go"): ((ring[(k + 1) % n], 0.5), (free[k], 0.5))
+                                     for k, r in enumerate(ring)}),
+        costs=CostModel(gradual_cost={**{(g, "wait"): 0.0 for g in free}, **{(r, "wait"): 1.0 for r in ring}},
+                        impulse_cost={(r, "go"): 0.3 for r in ring}, eta=1.0, K_cost=1.0, c_lower=0.3),
+    )
+
+
 def mixed_chains(shared_landing: bool = False) -> tuple[CtmdpModel, StationaryPolicy]:
     """Flagged a -> b -> g2 is a sure chain; c samples g1 or g2; d -> c is a
     sure step into that two-target row, so a chain from d is not sure.

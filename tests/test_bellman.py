@@ -23,7 +23,7 @@ from impulsive_ctmdp import (
     uniformized_row,
     value_iterate,
 )
-from impulsive_ctmdp import _ops, bellman, cli
+from impulsive_ctmdp import _ops, bellman, cli, intervention
 from impulsive_ctmdp._ops import (
     apply_embedded,
     apply_operator,
@@ -307,7 +307,10 @@ def test_an_improper_policy_fails_on_its_chain_factor(monkeypatch, leak, first):
     # one-target row goes there: only the chain system of the drawing chains
     # is factored, never the policy system, and the error names the lowest
     # flagged state whose chain draws.  A sure chain into z lands and is not
-    # named; a tail into the cycle is never resolved, so it draws too.
+    # named; a tail into the cycle is never resolved, so it draws too.  A
+    # chain system this small is inverted by numpy, so the size rule is set
+    # to factor every one.
+    monkeypatch.setattr(intervention, "DENSE_MAX", 0)
     base = improper_model()
     extra = ("a",) if first else ()
     m = dataclasses.replace(
@@ -353,7 +356,9 @@ def test_pipeline_factors_each_system_once(monkeypatch):
     # impulse rows have full support, so no chain is sure and both systems
     # keep their full size.  Stated change: solve certifies the random model
     # by sweeps and factors nothing, so its two systems are factored by the
-    # first evaluation, once each.
+    # first evaluation, once each.  The size rule is set to factor every chain
+    # system, which numpy would otherwise invert.
+    monkeypatch.setattr(intervention, "DENSE_MAX", 0)
     factored = counting_splu(monkeypatch)
     desk = build_epidemic_model(load_epidemic_params(str(MODELS_DIR / "epidemic_desk.yaml")))
     for m in (desk, random_model(2)):
@@ -404,7 +409,9 @@ def test_lu_memory_failures_are_non_convergence(monkeypatch, capsys, tmp_path, f
     # the chain system is factored only where chains draw, as on the random
     # model's full-support impulse rows, not on the desk model's sure chains.
     # Stated change: the CLI leg solves a model that solve factors; the
-    # two-state model is certified by sweeps.
+    # two-state model is certified by sweeps.  The size rule is set to factor
+    # every chain system, which numpy would otherwise invert.
+    monkeypatch.setattr(intervention, "DENSE_MAX", 0)
     drawing = random_model(2)
     policy = solve(drawing).policy  # solved before the failure is armed
     doc, n_wait = factored_document(tmp_path)

@@ -16,11 +16,11 @@ import sys
 import pytest
 import yaml
 
-from impulsive_ctmdp import build_epidemic_model, cli
+from impulsive_ctmdp import build_epidemic_model, cli, intervention
 from impulsive_ctmdp.io import load_epidemic_params
 from impulsive_ctmdp.testing import model_document, random_model
 
-from conftest import MODELS_DIR, REPO_ROOT, impulse_chain_model
+from conftest import MODELS_DIR, REPO_ROOT, impulse_chain_model, impulse_ring_model
 
 TWO_STATE = str(MODELS_DIR / "two_state.yaml")
 TWO_STATE_IMPULSE = str(MODELS_DIR / "two_state_impulse.yaml")
@@ -108,11 +108,19 @@ def test_acyclic_drawing_chains_load_no_superlu(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "dynkin-check"])
-def test_an_impulse_cycle_loads_superlu(tmp_path, command):
+def test_a_small_impulse_cycle_loads_no_superlu(tmp_path, command):
     # The same swept solve, but the drawing chain can return to its start:
-    # that core of the chain system is factored.
+    # its chain system of one row is inverted by numpy, not factored.
     loaded = _scipy_after(tmp_path, "cycle", impulse_chain_model(cycle=True), command, "--reps", "20")
-    assert "scipy.sparse.linalg" in loaded
+    assert loaded and loaded <= set(_loaded_after("import scipy.sparse\n"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "dynkin-check"])
+def test_an_impulse_cycle_loads_superlu(tmp_path, command):
+    # The solve is swept again, but a ring of DENSE_MAX + 1 drawing chains is
+    # a chain system above the size rule: it is factored, which imports SuperLU.
+    ring = impulse_ring_model(intervention.DENSE_MAX + 1)
+    assert "scipy.sparse.linalg" in _scipy_after(tmp_path, "ring", ring, command, "--reps", "20")
 
 
 LOADED = """

@@ -414,8 +414,8 @@ def test_the_chain_solver_matches_a_dense_reference(m):
 def drawing_ladders(depth: int, width: int) -> CtmdpModel:
     """``width`` ladders of ``depth`` flagged rungs each.  A bottom rung's
     impulse lands at g0 or g1, any other rung's steps one rung down or lands
-    at g0, so every chain draws, none can revisit a state, and the rungs k
-    high resolve in the k-th frontier of the backward pass."""
+    at g0, so every chain draws and none can revisit a state: the chain
+    system has ``depth * width`` rows."""
     rungs = [[f"f{k}_{j}" for j in range(width)] for k in range(depth)]
     labels = ("g0", "g1", *(x for rung in rungs for x in rung))
     rows = {(x, "go"): ((rungs[k - 1][j], 0.5) if k else ("g1", 0.5), ("g0", 0.5))
@@ -433,33 +433,30 @@ def drawing_ladders(depth: int, width: int) -> CtmdpModel:
     )
 
 
-def test_shallow_drawing_chains_are_replayed_and_deep_ones_factored(monkeypatch):
-    # The chains that draw are replayed over at most sqrt(r) frontiers of
-    # their r rows, so a graph of them that is shallow for its size, here a
-    # sure step under a two-target row and three ladders three rungs high, is
-    # never factored.
-    def no_factor(*args):
-        raise AssertionError("the chain system of shallow acyclic chains was factored")
-    monkeypatch.setattr(intervention, "factor", no_factor)
-    m = impulse_chain_model(cycle=False)
-    for m, policy in [(m, solve(m).policy), (drawing_ladders(3, 3), None)]:
-        policy = policy or flag_all(m)
-        ana = analyze_chains(m, policy)
-        assert ana.draws.size and ana.lu.lu is None
+def test_small_chain_systems_are_inverted_and_large_ones_factored(monkeypatch):
+    # The chain system I - M over the d drawing chains is inverted by numpy
+    # up to DENSE_MAX rows, with or without a cycle, and factored above.
+    calls = []
+    factor = intervention.factor
+    monkeypatch.setattr(intervention, "factor", lambda A, system: calls.append(A.shape[0]) or factor(A, system))
+    cases = [(impulse_chain_model(cycle=False), False), (impulse_chain_model(cycle=True), False),
+             (drawing_ladders(3, 3), False), (drawing_ladders(60, 1), False), (drawing_ladders(60, 5), True)]
+    for m, factored in cases:
+        policy = solve(m).policy if m.states.N == 3 else flag_all(m)
+        calls.clear()
+        d = analyze_chains(m, policy).draws.size
+        assert calls == ([d] if factored else []) and 0 < d and (d > intervention.DENSE_MAX) == factored
         assert_matches_dense_reference(m, policy)
-    monkeypatch.undo()
-    # A ladder w wide replays min(depth, w) rungs and factors the rest; so
-    # does a deep ladder, which would otherwise cost a replay step per rung.
-    for depth, width in ((4, 3), (60, 1), (60, 5)):
-        m = drawing_ladders(depth, width)
-        ana = analyze_chains(m, flag_all(m))
-        assert len(ana.lu.frontiers) == min(depth, width)
-        assert ana.lu.core.size == (depth - min(depth, width)) * width and ana.lu.lu is not None
-        assert_matches_dense_reference(m, flag_all(m))
-    # With a cycle, only the core of the chain system is factored.
-    m = impulse_chain_model(cycle=True)
-    ana = analyze_chains(m, solve(m).policy)
-    assert ana.lu.core.tolist() == [0] and ana.lu.lu is not None
+    # A deep ladder, checked against its recursion W_k = c_k + W_{k-1} / 2
+    # rather than dense solves over its 3,000 rungs.
+    m = drawing_ladders(3000, 1)
+    calls.clear()
+    W = analyze_chains(m, flag_all(m)).expected_cost
+    assert calls == [3000]
+    ref = np.zeros(3000)
+    for k in range(3000):
+        ref[k] = 0.3 + 0.01 * k + (ref[k - 1] / 2 if k else 0.0)
+    assert close(W, ref)
 
 
 def test_a_near_unit_one_target_weight_certifies():
