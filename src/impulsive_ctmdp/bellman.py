@@ -39,7 +39,7 @@ from ._ops import (
     policy_pairs,
     segment_argmin,
 )
-from .errors import DEFAULT_TOL, NonConvergenceError
+from .errors import DEFAULT_TOL, NonConvergenceError, check_integer
 from .intervention import analyze_chains
 from .model import CtmdpModel, StationaryPolicy
 
@@ -127,8 +127,7 @@ def value_iterate(
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    check_integer("max_iter", max_iter, 1)
     comp = compile_model(model)
     bound = comp.K / comp.eta
     sign = 1.0 if direction is Direction.FROM_ABOVE else -1.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, check_integer
 from .model import CtmdpModel, PairTable, StationaryPolicy
 
 WAIT = "wait"
@@ -252,7 +252,9 @@ def build_epidemic_model(params: EpidemicParams) -> CtmdpModel:
 
 
 def analytic_value(params: EpidemicParams, cv: CarrierValue, s: int, c: int, i: int) -> float:
-    """Separable value s*v(c) + i/(eta + kappa_r)."""
+    """Separable value s*v(c) + i/(eta + kappa_r); the counts must be integers."""
+    for name, n in (("s", s), ("c", c), ("i", i)):
+        check_integer(name, n, 0)
     if not (0 <= s <= params.S and 0 <= c <= params.C_max and 0 <= i <= params.S + params.I):
         raise ValueError(f"state ({s},{c},{i}) outside the state box")
     return s * float(cv.v[c]) + i / (params.eta + params.kappa_r)

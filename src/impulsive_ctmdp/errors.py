@@ -12,6 +12,12 @@ DEFAULT_TOL = 1e-10      # bound a solve's certified gap on |V - V*| must meet
 DEFAULT_TAIL_TOL = 1e-8  # discounted cost a Monte Carlo path may leave unsampled
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer, not a bool, and ``>= least``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class NonConvergenceError(RuntimeError):
     """No answer within tolerance: an iteration budget exhausted, a proper
     policy's system singular, out of memory or off its tolerance, or a

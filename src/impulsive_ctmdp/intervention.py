@@ -13,7 +13,7 @@ chain's landing, mass, cost and length, so the chain is one relocation: a
 row of the sparse shortcut matrix S, by which a product folds the sure
 states out of a linear system.  Only the chains that draw are left to a
 linear system, I - M over their states: inverted dense when it is small,
-else an LU factor.
+else an LU factor; empty when every chain is sure.
 """
 
 from __future__ import annotations
@@ -67,10 +67,9 @@ class ChainAnalysis:
     ``lu`` solves with I - M (``lu.solve(b, trans=)``; its dense inverse up
     to ``DENSE_MAX`` rows, else its SuperLU factor) and ``R`` holds the
     relocation rows into the gradual region, both over the flagged states
-    whose chains draw (``draws``, positions in ``states``) with the sure
-    states folded out by ``S``; both are None when no chain draws.  Every
-    array here, those of ``S`` and ``R`` too, is read-only: equal policies
-    share the analysis.
+    whose chains draw (``draws``, positions in ``states``; possibly none)
+    with the sure states folded out by ``S``.  Every array here, those of
+    ``S`` and ``R`` too, is read-only: equal policies share the analysis.
     """
 
     states: tuple[str, ...]
@@ -81,7 +80,7 @@ class ChainAnalysis:
     w: np.ndarray = field(repr=False)          # (N,)
     S: sp.csr_matrix = field(repr=False)       # (N, N)
     draws: np.ndarray = field(repr=False)      # (d,) ascending positions in ``states``
-    R: sp.csr_matrix | None = field(repr=False)  # (d, N), zero on flagged columns
+    R: sp.csr_matrix = field(repr=False)       # (d, N), zero on flagged columns
     lu: object = field(repr=False)
 
     def landing_row(self, k: int) -> np.ndarray:
@@ -161,27 +160,27 @@ def analyze_chains(model: CtmdpModel, policy: StationaryPolicy) -> ChainAnalysis
     S = sp.csr_matrix((mass, land, np.arange(comp.N + 1)), shape=(comp.N, comp.N))
     draws = np.flatnonzero(land[flagged] == flagged)
     hits, W, steps = mass[flagged], cost[flagged], length[flagged]
-    R = lu = None
     if draws.size:
         # Rows of the chains that draw, with each entry into a sure chain moved to its landing.
         Q = comp.Q_imp[i_rows[draws]]
         c_in, steps_in = Q @ cost, Q @ length
         Q = (Q @ S).sorted_indices()
-        # M before R: R shares Q's index arrays, and R.eliminate_zeros() rewrites them in place.
         lu = _chain_solver(sp.identity(draws.size, format="csr") - Q[:, flagged[draws]])
         if lu is None:
             raise ImproperChainError(
                 "impulse chains never reach a gradual state (I - M is singular)", labels[int(flagged[draws[0]])])
-        R = sp.csr_matrix((Q.data * ~policy.impulsive[Q.indices], Q.indices, Q.indptr), shape=Q.shape)
+        R = sp.csr_matrix((Q.data * ~policy.impulsive[Q.indices], Q.indices, Q.indptr), shape=Q.shape, copy=True)
         R.eliminate_zeros()
         hits[draws], W[draws], steps[draws] = lu.solve(np.column_stack(
             [np.asarray(R.sum(axis=1)).ravel(), comp.i_cost[i_rows[draws]] + c_in, 1.0 + steps_in])).T
+    else:  # every chain is sure: an empty chain system
+        R, lu = sp.csr_matrix((0, comp.N)), _Inverse(np.zeros((0, 0)))
     bad = np.flatnonzero(~(np.abs(hits - 1.0) <= LANDING_ROW_TOL))
     if bad.size:
         raise ImproperChainError(
             f"landing distribution row sums to {hits[bad[0]]}; chains leak mass", labels[int(flagged[bad[0]])])
-    for table in (W, land, cost, flagged, draws, *(
-            getattr(mat, a) for mat in (S, R) if mat is not None for a in ("data", "indices", "indptr"))):
+    sparse = (getattr(mat, a) for mat in (S, R) for a in ("data", "indices", "indptr"))
+    for table in (W, land, cost, flagged, draws, *sparse):
         table.flags.writeable = False
     return ChainAnalysis(states=tuple(compress(labels, policy.impulsive)), expected_cost=W,
                          guard=math.ceil(40.0 * math.e * float(np.max(steps, initial=0.0))), flagged=flagged,
@@ -200,6 +199,5 @@ def expected_landing_value(model: CtmdpModel, policy: StationaryPolicy, W: np.nd
     out = np.array(W, dtype=np.float64)
     check_state_values(model, "W", out)
     chains = analyze_chains(model, policy)
-    if chains.lu is not None:
-        out[chains.flagged[chains.draws]] = chains.lu.solve(chains.R @ out)
+    out[chains.flagged[chains.draws]] = chains.lu.solve(chains.R @ out)
     return chains.S @ out

@@ -15,9 +15,9 @@ together as one batch; each block still draws what it draws alone, so the
 draws do not depend on the batching.  An impulse draws a uniform only from a
 relocation row with two or more targets; on a one-target row the path moves
 and draws nothing.  So a sure chain (each row on it has one target) draws
-nothing, and a batch lands it by a lookup in the policy's sure-chain table
-from :func:`~impulsive_ctmdp.intervention.analyze_chains`, whose cost is
-the chain's weighted cost, the one the policy evaluation uses.  An
+nothing, and a batch lands every path by a lookup in the policy's chain
+table from :func:`~impulsive_ctmdp.intervention.analyze_chains`, whose cost
+is the chain's weighted cost, the one the policy evaluation uses.  An
 :class:`ImproperChainError` names the state of the lowest-index path of the
 batch still in a chain.
 
@@ -40,8 +40,8 @@ import numpy as np
 
 from ._ops import CompiledModel, check_state_values, compile_model, per_policy, policy_pairs, sample_rows
 from .bellman import ValueFunction
-from .errors import DEFAULT_TAIL_TOL, ImproperChainError
-from .intervention import InterventionChain, analyze_chains, expected_landing_value
+from .errors import DEFAULT_TAIL_TOL, ImproperChainError, check_integer
+from .intervention import ChainAnalysis, InterventionChain, analyze_chains, expected_landing_value
 from .model import CtmdpModel, StationaryPolicy
 
 BLOCK = 1024  # replications per stream; Monte Carlo streams are keyed by (seed, block)
@@ -105,16 +105,13 @@ class _Prep:
     imp_lo: np.ndarray       # bounds of the row of comp.Q_imp under phi_i (0 off the flagged set)
     imp_hi: np.ndarray
     imp_cost: np.ndarray     # impulse cost under phi_i (0 off the flagged set)
-    sure_land: np.ndarray    # landing and weighted cost of a sure chain, from analyze_chains
-    sure_cost: np.ndarray    # (the state itself and 0.0 where the chain is not sure)
-    guard: int
-    chain_cost_bound: float  # max expected chain cost (properness witness)
+    chains: ChainAnalysis    # its chain table (land, w), guard and expected chain costs
 
     def horizon(self, tail_tol: float) -> float:
         """Time after which the discounted tail of any path is below ``tail_tol``."""
-        if not tail_tol > 0:
-            raise ValueError("tail_tol must be > 0")
-        bound = 3.0 * self.comp.K / self.comp.eta + self.chain_cost_bound
+        if not 0 < tail_tol < math.inf:
+            raise ValueError("tail_tol must be finite and > 0")
+        bound = 3.0 * self.comp.K / self.comp.eta + float(np.max(self.chains.expected_cost, initial=0.0))
         if bound <= tail_tol:
             return 0.0
         return math.log(bound / tail_tol) / self.comp.eta
@@ -143,10 +140,7 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
         imp_lo=imp_lo,
         imp_hi=imp_hi,
         imp_cost=imp_cost,
-        sure_land=chains.land,
-        sure_cost=chains.w,
-        guard=chains.guard,
-        chain_cost_bound=float(np.max(chains.expected_cost, initial=0.0)),
+        chains=chains,
     )
 
 
@@ -186,20 +180,17 @@ def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np
     """Run the impulse chains of a batch of paths; ``x`` ends at the landings.
 
     ``ids`` are the paths' batch indices, ascending.  Returns each path's
-    undiscounted chain cost (0 where it starts unflagged).  Each flagged path
-    first moves by the sure-chain table; those still flagged then step, each
-    step drawing a uniform for the paths on a row with two or more targets only.
+    undiscounted chain cost (0 where it starts unflagged).  Every path first
+    moves by the chain table; those still flagged then step, each step
+    drawing a uniform for the paths on a row with two or more targets only.
     """
-    comp = prep.comp
-    flagged = prep.impulsive
-    cost = np.zeros(x.size)
+    comp, chains, flagged = prep.comp, prep.chains, prep.impulsive
+    cost, x[:] = chains.w[x], chains.land[x]
     act = np.flatnonzero(flagged[x])
-    cost[act], x[act] = prep.sure_cost[x[act]], prep.sure_land[x[act]]
-    act = act[flagged[x[act]]]
     steps = 0
     while act.size:
-        if steps >= prep.guard:
-            raise ImproperChainError(f"chain exceeded the {prep.guard}-step guard without reaching a gradual state",
+        if steps >= chains.guard:
+            raise ImproperChainError(f"chain exceeded the {chains.guard}-step guard without reaching a gradual state",
                                      prep.labels[x[act[0]]])
         at = x[act]
         cost[act] += prep.imp_cost[at]
@@ -267,7 +258,7 @@ def _walk(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.G
     """
     prep = _prepare(model, policy)
     horizon = None if tail_tol is None else prep.horizon(tail_tol)
-    comp, labels, eta, flagged = prep.comp, prep.labels, prep.comp.eta, prep.impulsive
+    comp, chains, labels, eta, flagged = prep.comp, prep.chains, prep.labels, prep.comp.eta, prep.impulsive
     x = _state_index(model, x0)
     waits = None if deltas is None else [float(d) for d in reversed(deltas)]  # next wait last
     epochs = [(0.0, x, x, [] if flagged[x] else None)]  # time, pre-jump state, target, the chain's impulses
@@ -277,9 +268,9 @@ def _walk(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.G
         and their cost: the table's, for a stretch from a sure start that lands."""
         x, cost, steps = start, 0.0, 0
         while flagged[x] and not (waits and waits[-1] > 0.0):
-            if steps >= prep.guard:
-                raise ImproperChainError(f"chain exceeded the {prep.guard}-step guard without reaching a gradual state",
-                                         labels[x])
+            if steps >= chains.guard:
+                raise ImproperChainError(
+                    f"chain exceeded the {chains.guard}-step guard without reaching a gradual state", labels[x])
             cost += prep.imp_cost[x]
             epochs[-1][3].append(x)
             if waits:
@@ -289,7 +280,7 @@ def _walk(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.G
                 pos = bisect.bisect_right(comp.Q_cum, rng.random(), pos, hi - 1)
             x = comp.Q_imp.indices[pos]
             steps += 1
-        return x, prep.sure_cost[start] if x == prep.sure_land[start] != start else cost
+        return x, chains.w[start] if x == chains.land[start] != start else cost
 
     x, first = chain(x)
     flow = impulses = t = 0.0
@@ -375,11 +366,6 @@ def _blocks(prep: _Prep, x0: int, seed: int, n_reps: int, blocks: range, horizon
         yield span, start, first, flow, impulses, x
 
 
-def _check_integer(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _replication_costs(model: CtmdpModel, policy: StationaryPolicy, x0: str, seed: int,
                        n_reps: int, tail_tol: float, blocks: range) -> np.ndarray:
     prep = _prepare(model, policy)
@@ -397,9 +383,9 @@ def estimate_cost(model: CtmdpModel, policy: StationaryPolicy, x0: str, n_reps: 
     the work at block boundaries, so the estimate is identical for any
     ``threads`` setting.
     """
-    _check_integer("n_reps", n_reps, 2)
-    _check_integer("seed", seed, 0)
-    _check_integer("threads", threads, 1)
+    check_integer("n_reps", n_reps, 2)
+    check_integer("seed", seed, 0)
+    check_integer("threads", threads, 1)
     _state_index(model, x0)  # before any worker starts
     n_blocks = -(-n_reps // BLOCK)
     run = partial(_replication_costs, model, policy, x0, seed, n_reps, tail_tol)
@@ -432,8 +418,8 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and > 0")
-    _check_integer("n_reps", n_reps, 2)
-    _check_integer("seed", seed, 0)
+    check_integer("n_reps", n_reps, 2)
+    check_integer("seed", seed, 0)
     k = _state_index(model, x0)
     Wv = W.values
     check_state_values(model, "W", Wv)

@@ -102,6 +102,11 @@ def test_value_iterate_rejects_bad_arguments():
         value_iterate(m, Direction.FROM_BELOW, tol=0.0)
     with pytest.raises(ValueError):
         value_iterate(m, Direction.FROM_BELOW, max_iter=0)
+    # max_iter=1.5 failed as a TypeError in range; True ran one sweep, then
+    # raised "did not reach tol ... in True iterations".
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="^max_iter must be an integer >= 1"):
+            value_iterate(m, Direction.FROM_BELOW, max_iter=bad)
     policy = solve(m).policy
     for bad in (0.0, float("nan"), -1.0):
         with pytest.raises(ValueError, match="tol"):

@@ -296,6 +296,16 @@ def test_analytic_value_reductions():
         analytic_value(p, cv, 99, 0, 0)
 
 
+def test_analytic_value_takes_integer_counts():
+    # s=1.5 gave 0.3 and i=0.5 gave 0.45; c=2.5 failed as an IndexError.
+    p = desk_params()
+    cv = solve_carrier_equation(p)
+    for name, state in (("s", (1.5, 5, 0)), ("i", (1, 5, 0.5)), ("c", (1, 2.5, 0)), ("s", (True, 5, 0))):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+            analytic_value(p, cv, *state)
+    assert analytic_value(p, cv, np.int64(1), np.int32(5), np.int8(0)) == analytic_value(p, cv, 1, 5, 0) == cv.v[5]
+
+
 def test_threshold_policy_without_threshold_is_all_gradual():
     p = desk_params(lam=0.5)
     cv = solve_carrier_equation(p)

@@ -136,7 +136,7 @@ def test_expected_cost_is_solved_once():
     W = analyze_chains(m, policy).expected_cost
     assert not W.flags.writeable
     assert analyze_chains(m, StationaryPolicy(policy.phi_g, policy.phi_i)).expected_cost is W
-    assert _prepare(m, policy).chain_cost_bound == float(np.max(W)) == W[0]
+    assert _prepare(m, policy).chains.expected_cost is W and float(np.max(W)) == W[0]
 
 
 def test_analyze_deterministic_one_step():
@@ -263,12 +263,25 @@ def test_chain_tables_are_read_only():
     m, policy = mixed_chains()
     ana = analyze_chains(m, policy)
     prep = _prepare(m, policy)
-    assert prep.sure_land is ana.land and prep.sure_cost is ana.w
-    assert ana.R is not None  # c's chain draws
+    assert prep.chains is ana
+    assert ana.R.shape[0] == ana.draws.size > 0  # c's chain draws
     sparse = [getattr(mat, a) for mat in (ana.S, ana.R) for a in ("data", "indices", "indptr")]
     for table in (ana.land, ana.w, ana.expected_cost, ana.flagged, ana.draws, *sparse):
         with pytest.raises(ValueError):
             table[0] = 1
+
+
+def test_an_all_sure_policy_has_an_empty_chain_system(desk_solved):
+    # Every desk chain is sure: no row of the chain system is left, and the
+    # landing value is the shortcut product alone.
+    m, policy, V = desk_solved["model"], desk_solved["report"].policy, desk_solved["report"].V.values
+    ana = analyze_chains(m, policy)
+    assert ana.draws.size == 0 and ana.R.shape == (0, m.states.N) and ana.lu.solve(np.zeros(0)).shape == (0,)
+    for table in (ana.R.data, ana.R.indices, ana.R.indptr, ana.lu.inv):
+        assert not table.flags.writeable
+    W = np.random.default_rng(0).standard_normal(m.states.N)
+    for values in (V, W):
+        assert np.array_equal(expected_landing_value(m, policy, values), ana.S @ values)
 
 
 def test_a_shared_shortcut_matrix_cannot_be_scaled():
@@ -466,14 +479,14 @@ def test_a_near_unit_one_target_weight_certifies():
     report = solve(m)
     assert report.gap <= 1e-10 and report.policy.impulsive.tolist() == [False, True]
     ana = analyze_chains(m, report.policy)
-    assert ana.land.tolist() == [0, 0] and ana.S[1, 0] == 1.0 - 1e-12 and ana.lu is None
+    assert ana.land.tolist() == [0, 0] and ana.S[1, 0] == 1.0 - 1e-12 and ana.draws.size == 0
     assert_matches_dense_reference(m, report.policy)
     # Over two such steps the systems, and so the sampler's lookup, weigh the
     # second cost by the first weight, while a recorded chain adds both costs.
     w = 1.0 - 1e-12
     m = replace(two_step_chain_model(), impulses=ImpulseKernel(rows={("x", "go"): (("y", w),), ("y", "go"): (("z", w),)}))
     policy = flag_all(m)
-    assert _prepare(m, policy).sure_cost[0] == 0.4 + w * 0.6 == analyze_chains(m, policy).expected_cost[0]
+    assert _prepare(m, policy).chains.w[0] == 0.4 + w * 0.6 == analyze_chains(m, policy).expected_cost[0]
     assert sample_chain(m, policy, "x", replication_rng(0, 0)).total_cost == 0.4 + 0.6
     assert_matches_dense_reference(m, policy)
 
@@ -487,14 +500,14 @@ def test_sure_chains_agree_with_the_chain_system(desk_solved):
     flagged = np.flatnonzero(policy.impulsive)
     assert flagged.size == len(ana.states) > 0
     W, landing, length = dense_chains(m, policy)
-    land = prep.sure_land[flagged]
+    land = prep.chains.land[flagged]
     assert (land != flagged).all() and not policy.impulsive[land].any()
     wait = np.flatnonzero(~policy.impulsive)
-    assert (prep.sure_land[wait] == wait).all()
+    assert (prep.chains.land[wait] == wait).all()
     hit = np.zeros_like(landing)
     hit[np.arange(flagged.size), land] = 1.0
     assert np.abs(landing - hit).max() <= 1e-12
-    assert np.abs(prep.sure_cost[flagged] - W).max() <= 1e-12 and np.abs(ana.expected_cost - W).max() <= 1e-12
+    assert np.abs(prep.chains.w[flagged] - W).max() <= 1e-12 and np.abs(ana.expected_cost - W).max() <= 1e-12
     for k in range(flagged.size):
         row = ana.landing_row(k)
         assert np.abs(row - landing[k]).max() <= 1e-12 and np.abs(row - hit[k]).max() <= 1e-12
@@ -504,4 +517,4 @@ def test_sure_chains_agree_with_the_chain_system(desk_solved):
 def test_a_chain_with_a_two_target_row_is_not_sure():
     m = geometric_model(p_stay=0.999)
     prep = _prepare(m, flag_all(m))
-    assert prep.sure_land.tolist() == [0, 1]
+    assert prep.chains.land.tolist() == [0, 1]

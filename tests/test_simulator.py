@@ -152,18 +152,19 @@ def test_lockstep_batches_draw_what_lone_blocks_draw(case, desk_solved, monkeypa
 
 
 def force_stepping(monkeypatch):
-    """Make every chain step: ``_prepare`` gives tables in which every state lands on itself."""
+    """Make every chain step: ``_prepare`` gives a chain table in which every state lands on itself."""
     prepare = simulate._prepare
 
     def stepping(model, policy):
         prep = prepare(model, policy)
-        return dataclasses.replace(prep, sure_land=np.arange(prep.comp.N), sure_cost=np.zeros(prep.comp.N))
+        N = prep.comp.N
+        return dataclasses.replace(prep, chains=dataclasses.replace(prep.chains, land=np.arange(N), w=np.zeros(N)))
     monkeypatch.setattr(simulate, "_prepare", stepping)
 
 
 def count_lookups(monkeypatch) -> list[int]:
     """Count the paths whose chains land by lookup: the entries read from the
-    ``sure_land`` of the tables ``_prepare`` gives that differ from their index."""
+    chain table ``land`` that ``_prepare`` gives that differ from their index."""
     reads = [0]
 
     class Counted(np.ndarray):
@@ -176,7 +177,7 @@ def count_lookups(monkeypatch) -> list[int]:
 
     def counting(model, policy):
         prep = prepare(model, policy)
-        return dataclasses.replace(prep, sure_land=prep.sure_land.view(Counted))
+        return dataclasses.replace(prep, chains=dataclasses.replace(prep.chains, land=prep.chains.land.view(Counted)))
     monkeypatch.setattr(simulate, "_prepare", counting)
     return reads
 
@@ -184,8 +185,8 @@ def count_lookups(monkeypatch) -> list[int]:
 def test_mixed_chain_table():
     m, policy = mixed_chains()
     prep = _prepare(m, policy)
-    assert prep.sure_land.tolist() == [0, 1, 1, 1, 4, 5]
-    assert prep.sure_cost.tolist() == [0.0, 0.0, 0.3 + 0.4, 0.4, 0.0, 0.0]
+    assert prep.chains.land.tolist() == [0, 1, 1, 1, 4, 5]
+    assert prep.chains.w.tolist() == [0.0, 0.0, 0.3 + 0.4, 0.4, 0.0, 0.0]
 
 
 def _stream_runs(model, policy, V, x0s, threads=(1,)):
@@ -202,7 +203,7 @@ def test_resolved_chains_draw_what_stepped_chains_draw(case, desk_solved, monkey
         model, policy, V = desk_solved["model"], desk_solved["report"].policy, desk_solved["report"].V
         x0s, threads = ["10,1,2"], (1, 2)
         flagged = policy.impulsive
-        assert flagged.any() and (_prepare(model, policy).sure_land[flagged] != np.flatnonzero(flagged)).all()
+        assert flagged.any() and (_prepare(model, policy).chains.land[flagged] != np.flatnonzero(flagged)).all()
     else:
         model, policy = mixed_chains()
         V, x0s, threads = evaluate_policy(model, policy), ["g1", "a", "d"], (1,)
@@ -306,7 +307,7 @@ def test_recorded_sure_chains_cost_what_the_table_says():
     for x0 in ("x", "z"):
         for rep in range(4):
             assert_walk_is_a_one_path_batch(m, policy, x0, 3, rep)
-    assert _prepare(m, policy).sure_cost[0] == analyze_chains(m, policy).w[0]
+    assert _prepare(m, policy).chains.w[0] == analyze_chains(m, policy).w[0]
     chain = sample_chain(m, policy, "x", replication_rng(0, 0))
     assert chain.total_cost == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
 
@@ -317,7 +318,10 @@ def test_every_sampler_raises_at_the_guard(monkeypatch):
     m = geometric_model(p_stay=0.999)
     policy = improper_policy(m)
     prepare = simulate._prepare
-    monkeypatch.setattr(simulate, "_prepare", lambda model, pol: dataclasses.replace(prepare(model, pol), guard=3))
+    def guarded(model, pol):
+        prep = prepare(model, pol)
+        return dataclasses.replace(prep, chains=dataclasses.replace(prep.chains, guard=3))
+    monkeypatch.setattr(simulate, "_prepare", guarded)
     calls = [lambda: sample_chain(m, policy, "x", replication_rng(0, 0)),
              lambda: simulate_trajectory(m, policy, "x", replication_rng(0, 0)),
              lambda: simulate_spaced(m, policy, "x", replication_rng(0, 0), [0.1]),
@@ -476,7 +480,7 @@ def test_dynkin_check_needs_two_replications(n_reps):
         dynkin_check(m, policy, ValueFunction(np.zeros(2)), "1", 1.0, n_reps, 0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1e-8, math.nan])
+@pytest.mark.parametrize("bad", [0.0, -1e-8, math.nan, math.inf])
 def test_tail_tol_is_checked_by_the_engine(bad):
     m = two_state()
     _, policy = solved(m)
