@@ -37,18 +37,23 @@ from ._ops import (
     impulsive_branch,
     per_policy,
     policy_pairs,
+    row_entries,
     segment_argmin,
 )
 from .errors import DEFAULT_TOL, NonConvergenceError, check_integer
-from .intervention import analyze_chains
+from .intervention import ChainAnalysis, analyze_chains
 from .model import CtmdpModel, StationaryPolicy
 
 DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_SET = 1e-8
 ROUNDOFF = 1e-14  # improvement threshold and descent margin of solve's evaluations, per unit of K/eta
 WARM_CHECK = 8  # warm-start sweeps between two looks at the embedded operator's decisions
-# Passes over the policy's waiting-row entries that one factor is charged.  A factor
-# measures 250-6,500 such passes, so sweeps are chosen only where they cost less.
+# Passes over the policy's waiting-row entries that one factor is charged.  A factor,
+# with its chain analysis, measures 300-460 such passes on the epidemic and random
+# models and 1,100-2,300 on the all-wait lattices, so sweeps are chosen only where they
+# cost less.  Generic documents measure 140-170, but their first factor also imports
+# SuperLU (49-82 ms), which the charge leaves out; a lower one would move their swept
+# solves onto that import.
 FACTOR_WORTH = 200
 
 
@@ -175,7 +180,9 @@ def evaluate_policy(model: CtmdpModel, policy: StationaryPolicy, tol: float = DE
     c = impulse cost).  A sure chain's start x has V(x) = (S V)(x) + w(x),
     with the shortcut matrix S and the weighted sure-chain cost w of
     :func:`~impulsive_ctmdp.intervention.analyze_chains`, so its row leaves
-    the system: I - B S over the other states, with c + B w on the right.
+    the system: I - B S over the other states, with c + B w on the right,
+    assembled in one pass from the compiled rows (:func:`_policy_system`) and
+    factored by :func:`~impulsive_ctmdp._ops.factor`.
     An improper policy raises :class:`ImproperChainError` from that analysis,
     before the policy system is factored.  Raises
     :class:`NonConvergenceError` when I - B is singular, when SuperLU runs
@@ -197,28 +204,49 @@ def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunct
     """The policy's value and its defect max |B V + c - V|; see :func:`evaluate_policy`."""
     chains = analyze_chains(model, policy)  # checks the policy and its properness
     comp = compile_model(model)
-    K, eta = comp.K, comp.eta
-    g_rows, flagged, i_rows = policy_pairs(comp, policy)
-    # The system has a row for each waiting state, uniformized as in
-    # gradual_branch, and for each flagged state whose chain draws, its
-    # impulse row, in model order.  A sure chain's start x has
-    # V(x) = (S V)(x) + w(x), and the product B S moves each entry into it there.
-    wait, draws = np.flatnonzero(~policy.impulsive), flagged[chains.draws]
-    keep = np.flatnonzero(chains.land == np.arange(comp.N))
-    order = np.argsort(np.concatenate([wait, draws]))
-    g_wait, i_draws = g_rows[wait], i_rows[chains.draws]
-    stay = sp.csr_matrix((K - comp.g_total_rate[g_wait], wait, np.arange(wait.size + 1)), shape=(wait.size, comp.N))
-    B = sp.vstack([(comp.J[g_wait] + stay) / (K + eta), comp.Q_imp[i_draws]], format="csr")[order]
-    c = np.concatenate([comp.g_cost[g_wait] / (K + eta), comp.i_cost[i_draws]])[order]
-    lu = factor(sp.identity(keep.size, format="csr") - (B @ chains.S)[:, keep], "policy system")
+    A, b, keep = _policy_system(comp, policy, chains)
+    lu = factor(A, "policy system")
     if lu is None:
         raise NonConvergenceError("policy evaluation failed; I - B is singular", np.full(comp.N, np.nan), np.inf, 0)
     V = np.zeros(comp.N)
-    V[keep] = lu.solve(c + B @ chains.w)
+    V[keep] = lu.solve(b)
     V = chains.S @ V + chains.w
+    g_rows, flagged, i_rows = policy_pairs(comp, policy)
     TV = gradual_branch(comp, V)[g_rows]
     TV[flagged] = impulsive_branch(comp, V)[i_rows]
     return ValueFunction(V), float(np.max(np.abs(TV - V)))
+
+
+def _policy_system(comp: CompiledModel, policy: StationaryPolicy,
+                   chains: ChainAnalysis) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """I - B S and c + B w over the states that land on themselves, and those states (ascending).
+
+    Each such state has one row: a waiting state its gradual row at phi_g,
+    uniformized as in :func:`~impulsive_ctmdp._ops.gradual_branch`, a state
+    whose chain draws its impulse row at phi_i.  The product with S moves each
+    entry into a sure chain's start j to column ``land[j]`` and scales it by
+    the chain's mass; entries that meet in one column are summed.
+    """
+    K, J, Q = comp.K, comp.J, comp.Q_imp
+    g_rows, _, i_rows = policy_pairs(comp, policy)
+    stays = chains.land == np.arange(comp.N)
+    keep = np.flatnonzero(stays)
+    waits = ~policy.impulsive[keep]
+    r_wait, r_draw = np.flatnonzero(waits), np.flatnonzero(~waits)
+    g_wait, i_draw = g_rows[keep[r_wait]], i_rows[chains.draws]
+    e_j, n_j = row_entries(J.indptr, g_wait)
+    e_q, n_q = row_entries(Q.indptr, i_draw)
+    KE = K + comp.eta
+    row = np.concatenate([np.arange(keep.size), r_wait, np.repeat(r_wait, n_j), np.repeat(r_draw, n_q)])
+    to = np.concatenate([keep, keep[r_wait], J.indices[e_j], Q.indices[e_q]])
+    val = np.concatenate([np.ones(keep.size), (comp.g_total_rate[g_wait] - K) / KE, J.data[e_j] / -KE, -Q.data[e_q]])
+    col = (np.cumsum(stays) - 1)[chains.land[to]]
+    A = sp.csc_matrix((val * chains.S.data[to], (row, col)), shape=(keep.size, keep.size))
+    A.eliminate_zeros()  # a zero rate, or a stay of zero where q = K, is no entry
+    b = np.empty(keep.size)
+    b[r_wait] = (comp.g_cost[g_wait] + (J @ chains.w)[g_wait]) / KE
+    b[r_draw] = comp.i_cost[i_draw] + (Q @ chains.w)[i_draw]
+    return A, b, keep
 
 
 def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
@@ -227,11 +255,13 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
 
     The warm start iterates the embedded-chain operator T_e
     (:func:`~impulsive_ctmdp._ops.apply_embedded`) from +K/eta.  Every
-    ``WARM_CHECK`` sweeps it takes T_e's argmin at V (:func:`_greedy` on
-    :func:`~impulsive_ctmdp._ops.embedded_branch`) and stops once its
-    intervene region repeats across two checks; that argmin is the first
-    policy.  Should a sweep move V by less than ``tol`` first (at a tie, where
-    the region need not settle), the first policy is :func:`_greedy` at V.
+    ``WARM_CHECK`` sweeps it reads the intervene region of T_e's argmin at V
+    from that sweep's own minimum (the states where an impulse is strictly
+    least) and stops once the region repeats across two checks; T_e's argmin
+    there (:func:`_greedy` on :func:`~impulsive_ctmdp._ops.embedded_branch`)
+    is the first policy.  Should a sweep move V by less than ``tol`` first (at
+    a tie, where the region need not settle), the first policy is
+    :func:`_greedy` at V.
     T_e is monotone and shares the fixed point of the optimality operator T,
     so each iterate V has T_e V <= V and T V <= V.  So neither first policy has a
     closed impulse class: each state x of a class C closed under the chosen
@@ -275,10 +305,12 @@ def solve(model: CtmdpModel, tol: float = DEFAULT_TOL) -> SolveReport:
     V, region, steps = np.full(comp.N, K / eta), None, []
     for sweeps in range(DEFAULT_MAX_ITER):
         if sweeps and not sweeps % WARM_CHECK:
-            pick, Vn = _greedy(comp, V, g=embedded_branch(comp, V))
-            if region is not None and np.array_equal(pick >= n_g, region):
+            now = np.zeros(comp.N, dtype=bool)
+            Vn = apply_embedded(comp, V, now)
+            if region is not None and np.array_equal(now, region):
+                pick = _greedy(comp, V, g=embedded_branch(comp, V))[0]
                 break
-            region = pick >= n_g
+            region = now
         else:
             Vn = apply_embedded(comp, V)
         step, V = float(np.max(np.abs(V - Vn))), Vn

@@ -25,14 +25,17 @@ from itertools import compress
 import numpy as np
 import scipy.sparse as sp
 
-from ._ops import CompiledModel, check_policy, check_state_values, compile_model, factor, per_policy, policy_pairs
+from ._ops import (
+    CompiledModel, check_policy, check_state_values, compile_model, factor, per_policy, policy_pairs, row_entries,
+)
 from .errors import ImproperChainError
 from .model import CtmdpModel, StationaryPolicy
 
 LANDING_ROW_TOL = 1e-10  # accepted |1 - mass| of a proper policy's chain exits
 # Largest chain system inverted by numpy rather than factored by SuperLU, whose
 # import alone takes 49-82 ms after scipy.sparse; np.linalg.inv takes 0.04 ms
-# at 32 rows, 0.6 ms at 128, 3 ms at 256 and 17-35 ms at 512 (2-core Xeon).
+# at 32 rows, 0.6 ms at 128, 3-5 ms at 256 and 17-35 ms at 512, a SuperLU factor
+# 0.11-0.14 ms at 256 rows and 0.17-0.22 ms at 512 (2-core Xeon).
 DENSE_MAX = 256
 
 
@@ -132,8 +135,7 @@ def _sure_chains(comp: CompiledModel, impulsive: np.ndarray, flagged: np.ndarray
     land, mass, cost, length = np.arange(N), np.ones(N), np.zeros(N), np.zeros(N)
     y = np.flatnonzero(~impulsive)
     while y.size:
-        at, n = ptr[y], ptr[y + 1] - ptr[y]  # the rows into y: order[at:at + n], per y
-        rows = order[np.repeat(at - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        rows = order[row_entries(ptr, y)[0]]  # the rows into y
         y, z, q = x[rows], to[rows], p[rows]
         land[y], mass[y], cost[y], length[y] = land[z], q * mass[z], c[rows] + q * cost[z], 1.0 + q * length[z]
     return land, mass, cost, length

@@ -39,7 +39,9 @@ from impulsive_ctmdp.epidemic import (
     enumerate_states,
     lambda_star,
     solve_carrier_equation,
+    threshold_policy,
 )
+from impulsive_ctmdp.errors import DEFAULT_TOL
 from impulsive_ctmdp.intervention import analyze_chains
 from impulsive_ctmdp.io import load_epidemic_params
 from impulsive_ctmdp.model import (
@@ -476,6 +478,26 @@ def test_all_wait_lattice_certifies_by_sweeps():
     assert np.max(np.abs(report.V.values - ref)) <= report.gap + 1e-12
 
 
+def test_the_all_wait_desk_lattice_factors_to_its_analytic_value(monkeypatch):
+    # At price 0.5 no state immunizes, so the policy system is the whole
+    # lattice: the largest fill a tier-1 test factors.  The desk rates make
+    # the lattice exact to roundoff, so the factored value must be too.
+    params = desk_params(lam=0.5)
+    cv = solve_carrier_equation(params)
+    assert cv.c_star is None
+    m = build_epidemic_model(params)
+    calls, splu = [], scipy.sparse.linalg.splu
+
+    def recording(A, *args, **kwargs):
+        calls.append((A.shape, kwargs))
+        return splu(A, *args, **kwargs)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    V = evaluate_policy(m, threshold_policy(params, cv)).values
+    assert calls == [((m.states.N, m.states.N), {"relax": 1, "panel_size": 1})]
+    ref = np.array([analytic_value(params, cv, s, c, i) for s, c, i in enumerate_states(params)])
+    assert np.max(np.abs(V - ref)) <= 1e-12
+
+
 @pytest.mark.parametrize("seed", [35, 99, 188])
 def test_solve_improves_a_policy_that_is_not_optimal(seed):
     # At eta = 0.1 these models (7, 48 and 22 states) predict more sweeps than
@@ -714,6 +736,52 @@ def test_desk_warm_start_stops_once_its_region_settles(eta, most):
     assert report.gap <= 1e-10
 
 
+def replay_warm_start(comp):
+    """The warm start with T_e's argmin taken by ``_greedy`` at every check:
+    the iterate it stops at, its first policy and its sweep count."""
+    n_g, V, region = comp.g_cost.size, np.full(comp.N, comp.K / comp.eta), None
+    for sweeps in range(bellman.DEFAULT_MAX_ITER):
+        if sweeps and not sweeps % bellman.WARM_CHECK:
+            pick, Vn = bellman._greedy(comp, V, g=embedded_branch(comp, V))
+            if region is not None and np.array_equal(pick >= n_g, region):
+                return V, pick, sweeps
+            region = pick >= n_g
+        else:
+            Vn = apply_embedded(comp, V)
+        step, V = float(np.max(np.abs(V - Vn))), Vn
+        if step < DEFAULT_TOL:
+            return V, bellman._greedy(comp, V)[0], sweeps + 1
+    raise AssertionError("the replay did not settle")
+
+
+@pytest.mark.parametrize("S, sweeps", [(10, 32), (20, 48)])
+def test_the_warm_start_reads_its_region_from_its_sweeps(monkeypatch, S, sweeps):
+    # Each check reads the intervene region from that sweep's own minimum,
+    # so the argmin is taken once, where the warm start stops.  The desk
+    # (S = 10) and the S = 20 lattice stop at the same iterate, with the same
+    # first policy and sweep count, as a replay that takes it at every check.
+    m = build_epidemic_model(dataclasses.replace(load_epidemic_params(str(MODELS_DIR / "epidemic_desk.yaml")), S=S))
+    comp = compile_model(m)
+    V_ref, pick_ref, sweeps_ref = replay_warm_start(comp)
+    calls, greedy, evaluate = [], bellman._greedy, bellman.evaluate_policy
+
+    def counting_greedy(comp, V, *args, **kwargs):
+        calls.append(("greedy", V.copy()))
+        return greedy(comp, V, *args, **kwargs)
+
+    def recording_evaluate(model, policy, tol):
+        calls.append(("evaluate", policy))
+        return evaluate(model, policy, tol)
+    monkeypatch.setattr(bellman, "_greedy", counting_greedy)
+    monkeypatch.setattr(bellman, "evaluate_policy", recording_evaluate)
+    report = solve(m)
+    assert [kind for kind, _ in calls] == ["greedy", "evaluate", "greedy"]
+    assert calls[0][1].tobytes() == V_ref.tobytes()
+    assert calls[1][1] == bellman._as_policy(comp, pick_ref)
+    assert report.iterations_above == sweeps_ref == sweeps
+    assert report.evaluations == 1 and report.gap <= 1e-10
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 10_000))
 def test_embedded_argmin_policies_have_no_closed_impulse_class(seed):
@@ -734,10 +802,13 @@ def test_embedded_argmin_policies_have_no_closed_impulse_class(seed):
             analyze_chains(m, bellman._as_policy(comp, pick))  # raises on a closed impulse class
 
 
-def _reduceat_state_min(comp, g, F):
+def _reduceat_state_min(comp, g, F, region=None):
     out = np.minimum.reduceat(g, comp.g_ptr[:-1])
     if comp.i_cost.size:
-        np.minimum.at(out, comp.i_states, np.minimum.reduceat(impulsive_branch(comp, F), comp.i_ptr[:-1]))
+        imin = np.minimum.reduceat(impulsive_branch(comp, F), comp.i_ptr[:-1])
+        if region is not None:
+            region[comp.i_states] = imin < out[comp.i_states]
+        np.minimum.at(out, comp.i_states, imin)
     return out
 
 
@@ -783,7 +854,8 @@ def test_width_one_segments_match_the_reduceat_reference(monkeypatch):
         got = []
         for comp, V, keep in cases:
             F = V.copy()
-            got += [apply_operator(comp, F), apply_embedded(comp, F), *bellman._greedy(comp, F),
+            region = np.zeros(comp.N, dtype=bool)
+            got += [apply_operator(comp, F), apply_embedded(comp, F, region), region, *bellman._greedy(comp, F),
                     *bellman._greedy(comp, F, keep, slack=0.01)]
             assert np.array_equal(F, V)
         return got

@@ -16,7 +16,8 @@ from impulsive_ctmdp import (
     sample_chain,
     solve,
 )
-from impulsive_ctmdp import intervention
+from impulsive_ctmdp import bellman, intervention
+from impulsive_ctmdp._ops import compile_model
 from impulsive_ctmdp.intervention import expected_landing_value
 from impulsive_ctmdp.simulate import _prepare, replication_rng
 from impulsive_ctmdp.testing import random_model
@@ -385,6 +386,45 @@ def test_mixed_chains_match_a_dense_reference():
         ana = analyze_chains(m, policy)
         assert [ana.states[k] for k in ana.draws] == ["c", "d"]
         assert_matches_dense_reference(m, policy)
+
+
+def assert_folds_like_a_dense_system(model, policy):
+    """The policy system that evaluation factors, I - B S and c + B w over the
+    states that land on themselves, against the dense B S: the same nonzero
+    pattern, and each entry within 4 ulps of the dense one."""
+    chains = analyze_chains(model, policy)
+    A, b, keep = bellman._policy_system(compile_model(model), policy, chains)
+    assert np.array_equal(keep, np.flatnonzero(chains.land == np.arange(model.states.N)))
+    B, c = dense_system(model, policy)
+    A_ref = np.eye(keep.size) - (B @ chains.S.toarray())[np.ix_(keep, keep)]
+    b_ref = c[keep] + B[keep] @ chains.w
+    coo = A.tocoo()
+    stored = np.zeros(A.shape, dtype=bool)
+    stored[coo.row, coo.col] = True
+    assert coo.nnz == stored.sum() and np.array_equal(stored, A_ref != 0)  # no duplicate or explicit zero
+    A = A.toarray()
+    assert np.all(np.abs(A - A_ref) <= 4 * np.spacing(np.abs(A_ref)))
+    assert np.all(np.abs(b - b_ref) <= 4 * np.spacing(np.abs(b_ref)))
+
+
+def test_the_policy_system_folds_like_a_dense_system(desk_solved):
+    # Sure chains fold into their landings (also two entries into one column),
+    # scaled by their mass (1 - 1e-12 once a -> b weighs that), chains that
+    # draw keep their impulse rows, a zero rate is no entry, and a wrong
+    # column move fails here before the value drifts.
+    m, policy = mixed_chains(True)
+    near_unit = replace(m, impulses=ImpulseKernel(rows={**m.impulses.rows, ("a", "go"): (("b", 1.0 - 1e-12),)}))
+    g1 = ("g1", "wait")
+    zero_rate = replace(m, rates=replace(m.rates, rows={**m.rates.rows, g1: m.rates.rows[g1] + (("c", 0.0),)}))
+    cases = [mixed_chains(False), (m, policy), (near_unit, policy), (zero_rate, policy),
+             (desk_solved["model"], desk_solved["report"].policy)]
+    m = drawing_ladders(60, 5)
+    cases.append((m, flag_all(m)))
+    for seed in range(20):
+        m = random_model(seed)
+        cases += [(m, solve(m).policy), (m, flag_all(m))]
+    for m, policy in cases:
+        assert_folds_like_a_dense_system(m, policy)
 
 
 @st.composite
