@@ -204,31 +204,32 @@ def _evaluation(model: CtmdpModel, policy: StationaryPolicy) -> tuple[ValueFunct
     """The policy's value and its defect max |B V + c - V|; see :func:`evaluate_policy`."""
     chains = analyze_chains(model, policy)  # checks the policy and its properness
     comp = compile_model(model)
-    A, b, keep = _policy_system(comp, policy, chains)
+    g_rows, flagged, i_rows = policy_pairs(comp, policy)
+    A, b, keep = _policy_system(comp, policy, chains, g_rows, i_rows)
     lu = factor(A, "policy system")
     if lu is None:
         raise NonConvergenceError("policy evaluation failed; I - B is singular", np.full(comp.N, np.nan), np.inf, 0)
     V = np.zeros(comp.N)
     V[keep] = lu.solve(b)
     V = chains.S @ V + chains.w
-    g_rows, flagged, i_rows = policy_pairs(comp, policy)
     TV = gradual_branch(comp, V)[g_rows]
     TV[flagged] = impulsive_branch(comp, V)[i_rows]
     return ValueFunction(V), float(np.max(np.abs(TV - V)))
 
 
-def _policy_system(comp: CompiledModel, policy: StationaryPolicy,
-                   chains: ChainAnalysis) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+def _policy_system(comp: CompiledModel, policy: StationaryPolicy, chains: ChainAnalysis,
+                   g_rows: np.ndarray, i_rows: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
     """I - B S and c + B w over the states that land on themselves, and those states (ascending).
 
     Each such state has one row: a waiting state its gradual row at phi_g,
     uniformized as in :func:`~impulsive_ctmdp._ops.gradual_branch`, a state
-    whose chain draws its impulse row at phi_i.  The product with S moves each
-    entry into a sure chain's start j to column ``land[j]`` and scales it by
-    the chain's mass; entries that meet in one column are summed.
+    whose chain draws its impulse row at phi_i (``g_rows`` and ``i_rows``,
+    the policy's pairs from :func:`~impulsive_ctmdp._ops.policy_pairs`).
+    The product with S moves each entry into a sure chain's start j to
+    column ``land[j]`` and scales it by the chain's mass; entries that meet
+    in one column are summed.
     """
     K, J, Q = comp.K, comp.J, comp.Q_imp
-    g_rows, _, i_rows = policy_pairs(comp, policy)
     stays = chains.land == np.arange(comp.N)
     keep = np.flatnonzero(stays)
     waits = ~policy.impulsive[keep]

@@ -7,7 +7,9 @@ rate, a natural jump, then the impulse chain if the jump lands in the
 flagged set.  One engine runs that step for a batch of paths: :func:`_chains`
 applies the chains and :func:`_advance` the sojourns and jumps.  Running
 cost is integrated in closed form between epochs, and sampling stops once
-the discounted tail is provably below ``tail_tol``.
+the discounted tail is provably below ``tail_tol``.  An estimate's path also
+ends once it can cost nothing more: at a state without jumps, or in D, the
+zero-cost waiting states that its jumps never leave (:func:`_cost_free`).
 
 :func:`estimate_cost` and :func:`dynkin_check` run blocks of ``BLOCK``
 paths, each block on its own stream.  Up to ``BATCH`` blocks advance
@@ -24,7 +26,10 @@ batch still in a chain.
 :func:`simulate_trajectory`, :func:`sample_chain` and
 :func:`simulate_spaced` record one path, epoch by epoch, impulse by impulse.
 It walks on scalars (:func:`_walk`) and makes exactly the draws, sums and
-discount factors of a one-path batch, which is its reference.
+discount factors of a one-path batch that ends only where nothing jumps, as
+:func:`dynkin_check` runs it, which is its reference.  It walks on through
+D, recording every epoch there at no cost, so it costs what
+:func:`estimate_cost`'s path costs.
 :func:`simulate_spaced` adds a wait before each impulse, a sojourn with a
 deadline.
 """
@@ -38,7 +43,7 @@ from functools import partial
 
 import numpy as np
 
-from ._ops import CompiledModel, check_state_values, compile_model, per_policy, policy_pairs, sample_rows
+from ._ops import CompiledModel, check_state_values, compile_model, per_policy, policy_pairs, row_entries, sample_rows
 from .bellman import ValueFunction
 from .errors import DEFAULT_TAIL_TOL, ImproperChainError, check_integer
 from .intervention import ChainAnalysis, InterventionChain, analyze_chains, expected_landing_value
@@ -105,6 +110,7 @@ class _Prep:
     imp_lo: np.ndarray       # bounds of the row of comp.Q_imp under phi_i (0 off the flagged set)
     imp_hi: np.ndarray
     imp_cost: np.ndarray     # impulse cost under phi_i (0 off the flagged set)
+    ends: np.ndarray         # where an estimate's path ends: no jump under phi_g, or in D (:func:`_cost_free`)
     chains: ChainAnalysis    # its chain table (land, w), guard and expected chain costs
 
     def horizon(self, tail_tol: float) -> float:
@@ -140,8 +146,36 @@ def _prepare(model: CtmdpModel, policy: StationaryPolicy) -> _Prep:
         imp_lo=imp_lo,
         imp_hi=imp_hi,
         imp_cost=imp_cost,
+        ends=(comp.g_total_rate[g_rows] == 0.0) | _cost_free(comp, g_rows, policy.impulsive),
         chains=chains,
     )
+
+
+def _cost_free(comp: CompiledModel, g_rows: np.ndarray, impulsive: np.ndarray) -> np.ndarray:
+    """Per state, whether it lies in D, the largest set of waiting states with
+    zero running cost that the jumps under phi_g (every stored entry of their
+    rows ``g_rows`` of ``comp.J``) never leave.  No flagged state is in D:
+    every impulse costs at least c_lower > 0.
+
+    Resolved backward from the other states: each step drops the zero-cost
+    waiting states with a jump into those just dropped, so each of their
+    jumps is read once.
+    """
+    out = impulsive | (comp.g_cost[g_rows] != 0.0)
+    zero = np.flatnonzero(~out)
+    at, n = row_entries(comp.J.indptr, g_rows[zero])
+    src, to = np.repeat(zero, n), comp.J.indices[at]
+    order = np.argsort(to, kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(to, minlength=comp.N))))
+    last, y = np.empty(comp.N, dtype=np.int64), np.flatnonzero(out)
+    while y.size:
+        x = src[order[row_entries(ptr, y)[0]]]  # the jumps into y
+        x = x[~out[x]]
+        k = np.arange(x.size)
+        last[x] = k
+        y = x[last[x] == k]  # each state once, at its last jump
+        out[y] = True
+    return ~out
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -204,12 +238,14 @@ def _chains(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], ids: np
 
 
 def _advance(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], horizon: float,
-             flow_rate: np.ndarray, absorbed_end: float) -> tuple[np.ndarray, np.ndarray]:
+             flow_rate: np.ndarray, absorbed_end: float, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of paths from time 0 to ``horizon``; ``x`` ends at their final states.
 
     ``x`` starts outside the flagged set.  Returns, per path, the discounted
     integral of ``flow_rate`` (a rate per state) and the discounted impulse
-    cost.  A path at a state without jumps integrates up to ``absorbed_end``.
+    cost.  A path at a state of ``ends`` (which must hold every state
+    without jumps) draws one sojourn, integrates up to ``absorbed_end`` and
+    stops.
     """
     comp = prep.comp
     eta = comp.eta
@@ -220,7 +256,7 @@ def _advance(prep: _Prep, x: np.ndarray, rngs: list[np.random.Generator], horizo
     while live.size:
         at = x[live]
         rate = prep.total_rate[at]
-        moves = rate > 0.0
+        moves = ~ends[at]
         wait = np.divide(_draw(rngs, "standard_exponential", live), rate, out=np.full(live.size, np.inf), where=moves)
         t_next = t + wait
         end = np.where(moves, np.minimum(t_next, horizon), absorbed_end)
@@ -250,11 +286,12 @@ def _walk(model: CtmdpModel, policy: StationaryPolicy, x0: str, rng: np.random.G
     """Record one path from ``x0``; without ``tail_tol`` it stops after the chain at time 0.
 
     The path walks on scalars and makes the draws of a one-path batch of
-    :func:`_advance`.  With ``deltas``, a chain stops before an impulse whose
-    wait is positive, and the path sojourns at that flagged state against
-    the wait's deadline: if the deadline comes first, the chain resumes
-    there; if a natural jump comes first, the path jumps and intervenes no
-    more.  The guard counts the steps of each stretch of a chain.
+    :func:`_advance` that ends only at states without jumps.  With
+    ``deltas``, a chain stops before an impulse whose wait is positive, and
+    the path sojourns at that flagged state against the wait's deadline: if
+    the deadline comes first, the chain resumes there; if a natural jump
+    comes first, the path jumps and intervenes no more.  The guard counts
+    the steps of each stretch of a chain.
     """
     prep = _prepare(model, policy)
     horizon = None if tail_tol is None else prep.horizon(tail_tol)
@@ -349,7 +386,7 @@ def simulate_spaced(model: CtmdpModel, policy: StationaryPolicy, x0: str,
 
 
 def _blocks(prep: _Prep, x0: int, seed: int, n_reps: int, blocks: range, horizon: float,
-            flow_rate: np.ndarray, absorbed_end: float):
+            flow_rate: np.ndarray, absorbed_end: float, ends: np.ndarray):
     """Run blocks of paths from state ``x0`` in batches of at most ``BATCH``
     blocks, each block on its own stream: the chain at time 0, then
     :func:`_advance`.  Yields per batch the slice of its replications, the
@@ -362,7 +399,7 @@ def _blocks(prep: _Prep, x0: int, seed: int, n_reps: int, blocks: range, horizon
         x = np.full(span.stop - span.start, x0, dtype=np.int64)
         first = _chains(prep, x, rngs, np.arange(x.size))
         start = x.copy()
-        flow, impulses = _advance(prep, x, rngs, horizon, flow_rate, absorbed_end)
+        flow, impulses = _advance(prep, x, rngs, horizon, flow_rate, absorbed_end, ends)
         yield span, start, first, flow, impulses, x
 
 
@@ -370,7 +407,7 @@ def _replication_costs(model: CtmdpModel, policy: StationaryPolicy, x0: str, see
                        n_reps: int, tail_tol: float, blocks: range) -> np.ndarray:
     prep = _prepare(model, policy)
     runs = _blocks(prep, _state_index(model, x0), seed, n_reps, blocks,
-                   prep.horizon(tail_tol), prep.run_cost, math.inf)
+                   prep.horizon(tail_tol), prep.run_cost, math.inf, prep.ends)
     return np.concatenate([first + flow + impulses for _, _, first, flow, impulses, _ in runs])
 
 
@@ -378,10 +415,12 @@ def estimate_cost(model: CtmdpModel, policy: StationaryPolicy, x0: str, n_reps: 
                   seed: int, tail_tol: float = DEFAULT_TAIL_TOL, threads: int = 1) -> CostEstimate:
     """Mean discounted cost over independent replications.
 
-    Replications run in blocks of ``BLOCK``; block ``b`` draws from the
-    stream derived from (seed, b), and ``threads`` worker processes split
-    the work at block boundaries, so the estimate is identical for any
-    ``threads`` setting.
+    A path ends at the horizon of ``tail_tol``, or once it can cost nothing
+    more: at a state without jumps or in D (:func:`_cost_free`), after one
+    sojourn draw.  Replications run in blocks of ``BLOCK``; block ``b``
+    draws from the stream derived from (seed, b), and ``threads`` worker
+    processes split the work at block boundaries, so the estimate is
+    identical for any ``threads`` setting.
     """
     check_integer("n_reps", n_reps, 2)
     check_integer("seed", seed, 0)
@@ -432,7 +471,7 @@ def dynkin_check(model: CtmdpModel, policy: StationaryPolicy, W: ValueFunction,
     lhs = np.empty(n_reps)
     rhs = np.empty(n_reps)
     blocks = range(-(-n_reps // BLOCK))
-    for span, start, _, drift, _, x in _blocks(prep, k, seed, n_reps, blocks, t, gvec, t):
+    for span, start, _, drift, _, x in _blocks(prep, k, seed, n_reps, blocks, t, gvec, t, prep.total_rate == 0.0):
         lhs[span] = math.exp(-eta * t) * Wv[x]
         rhs[span] = Wv[start] + drift
     d = lhs - rhs

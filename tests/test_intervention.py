@@ -17,7 +17,7 @@ from impulsive_ctmdp import (
     solve,
 )
 from impulsive_ctmdp import bellman, intervention
-from impulsive_ctmdp._ops import compile_model
+from impulsive_ctmdp._ops import compile_model, policy_pairs
 from impulsive_ctmdp.intervention import expected_landing_value
 from impulsive_ctmdp.simulate import _prepare, replication_rng
 from impulsive_ctmdp.testing import random_model
@@ -393,7 +393,9 @@ def assert_folds_like_a_dense_system(model, policy):
     states that land on themselves, against the dense B S: the same nonzero
     pattern, and each entry within 4 ulps of the dense one."""
     chains = analyze_chains(model, policy)
-    A, b, keep = bellman._policy_system(compile_model(model), policy, chains)
+    comp = compile_model(model)
+    g_rows, _, i_rows = policy_pairs(comp, policy)
+    A, b, keep = bellman._policy_system(comp, policy, chains, g_rows, i_rows)
     assert np.array_equal(keep, np.flatnonzero(chains.land == np.arange(model.states.N)))
     B, c = dense_system(model, policy)
     A_ref = np.eye(keep.size) - (B @ chains.S.toarray())[np.ix_(keep, keep)]

@@ -118,7 +118,7 @@ def _blockwise_costs(model, policy, x0, seed, n_reps):
     """Per-replication costs with each block run alone, one after another."""
     prep = _prepare(model, policy)
     runs = [next(_blocks(prep, model.states.index[x0], seed, n_reps, range(b, b + 1),
-                         prep.horizon(DEFAULT_TAIL_TOL), prep.run_cost, math.inf))
+                         prep.horizon(DEFAULT_TAIL_TOL), prep.run_cost, math.inf, prep.ends))
             for b in range(-(-n_reps // BLOCK))]
     return np.concatenate([first + flow + impulses for _, _, first, flow, impulses, _ in runs])
 
@@ -260,7 +260,8 @@ def assert_walk_is_a_one_path_batch(model, policy, x0, seed, rep):
     prep = _prepare(model, policy)
     x = np.array([model.states.index[x0]])
     first = simulate._chains(prep, x, [twin], np.arange(1))
-    flow, impulses = simulate._advance(prep, x, [twin], prep.horizon(DEFAULT_TAIL_TOL), prep.run_cost, math.inf)
+    flow, impulses = simulate._advance(prep, x, [twin], prep.horizon(DEFAULT_TAIL_TOL), prep.run_cost, math.inf,
+                                       prep.total_rate == 0.0)
     assert traj.discounted_gradual_cost == flow[0]
     assert traj.discounted_impulse_cost == first[0] + impulses[0]
     assert traj.epochs[-1].post_state == model.states.labels[x[0]]
@@ -310,6 +311,131 @@ def test_recorded_sure_chains_cost_what_the_table_says():
     assert _prepare(m, policy).chains.w[0] == analyze_chains(m, policy).w[0]
     chain = sample_chain(m, policy, "x", replication_rng(0, 0))
     assert chain.total_cost == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+
+def brute_force_ends(model, policy):
+    """The states where an estimate's path ends, as a fixpoint: from the
+    zero-cost waiting states, drop any with a jump (a stored entry of its
+    rate row under phi_g) out of the set until nothing changes; then add the
+    states without jumps."""
+    prep = _prepare(model, policy)
+    rows = [set(prep.comp.J[g].indices.tolist()) for g in prep.g_rows]
+    keep = {x for x in range(model.states.N) if not policy.impulsive[x] and prep.run_cost[x] == 0.0}
+    while drop := {x for x in keep if not rows[x] <= keep}:
+        keep -= drop
+    return [x in keep or prep.total_rate[x] == 0.0 for x in range(model.states.N)]
+
+
+def assert_ended_batch_costs_the_walk(model, policy, x0, seed, rep) -> bool:
+    """A one-path batch that ends at ``prep.ends`` costs what the recorded path
+    from ``x0`` costs on the twin stream, and stops where that path first
+    enters ``ends``.  Returns whether it stopped at a state that jumps."""
+    rng, twin = replication_rng(seed, rep), replication_rng(seed, rep)
+    traj = simulate_trajectory(model, policy, x0, rng)
+    prep = _prepare(model, policy)
+    x = np.array([model.states.index[x0]])
+    first = simulate._chains(prep, x, [twin], np.arange(1))
+    flow, impulses = simulate._advance(prep, x, [twin], prep.horizon(DEFAULT_TAIL_TOL), prep.run_cost, math.inf,
+                                       prep.ends)
+    assert traj.discounted_gradual_cost == flow[0]
+    assert traj.discounted_impulse_cost == first[0] + impulses[0]
+    posts = [model.states.index[ep.post_state] for ep in traj.epochs]
+    assert x[0] == next((k for k in posts if prep.ends[k]), posts[-1])
+    return bool(prep.ends[x[0]] and prep.total_rate[x[0]] > 0.0)
+
+
+def no_jump_ends(monkeypatch):
+    """Make ``_prepare`` give the states without jumps as ``ends``, so an
+    estimate's paths run on through zero-cost states."""
+    prepare = simulate._prepare
+
+    def running(model, policy):
+        prep = prepare(model, policy)
+        return dataclasses.replace(prep, ends=prep.total_rate == 0.0)
+    monkeypatch.setattr(simulate, "_prepare", running)
+
+
+def zero_cost_at(model, labels):
+    """The model with zero running cost under every gradual action at ``labels``."""
+    costs = {(s, a): 0.0 if s in labels else c for (s, a), c in model.costs.gradual_cost.items()}
+    return dataclasses.replace(model, costs=dataclasses.replace(model.costs, gradual_cost=costs))
+
+
+def test_paths_end_in_the_largest_zero_cost_set():
+    # a is zero-cost and absorbing, b drains into it, f <-> g is a closed
+    # zero-cost cycle: all end.  The zero-cost cycle c <-> d drains into the
+    # costly e, and h jumps into the flagged i, whose impulse costs: neither ends.
+    labels = tuple("abcdefghi")
+    rows = {"b": (("a", 1.0),), "c": (("d", 1.0),), "d": (("c", 0.5), ("e", 0.5)), "f": (("g", 1.0),),
+            "g": (("f", 1.0),), "h": (("i", 1.0),), "i": (("a", 1.0),)}
+    m = CtmdpModel(
+        states=StateSpace(labels),
+        actions=ActionCatalog(gradual={s: ("wait",) for s in labels},
+                              impulsive={s: ("go",) if s == "i" else () for s in labels}),
+        rates=RateKernel(rows={(s, "wait"): rows.get(s, ()) for s in labels}, K_rate=1.0),
+        impulses=ImpulseKernel(rows={("i", "go"): (("b", 1.0),)}),
+        costs=CostModel(gradual_cost={(s, "wait"): 1.0 if s == "e" else 0.0 for s in labels},
+                        impulse_cost={("i", "go"): 0.5}, eta=1.0, K_cost=1.0, c_lower=0.5),
+    )
+    policy = StationaryPolicy(phi_g=[0] * 9, phi_i=[-1] * 8 + [0])
+    ends = _prepare(m, policy).ends.tolist()
+    assert ends == [s in "abefg" for s in labels] == brute_force_ends(m, policy)
+    for x0 in "bcdfhi":
+        for rep in range(4):
+            assert_ended_batch_costs_the_walk(m, policy, x0, 3, rep)
+    assert estimate_cost(m, policy, "f", 50, seed=1).mean == 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 59), st.data())
+def test_the_end_mask_is_the_zero_cost_fixpoint(seed, data):
+    # Under the solved policy and under waiting everywhere, with running
+    # costs zeroed at random states.
+    m = random_model(seed, max_states=12)
+    m = zero_cost_at(m, set(data.draw(st.lists(st.sampled_from(m.states.labels), unique=True))))
+    wait = StationaryPolicy(phi_g=[data.draw(st.integers(0, len(m.actions.gradual[s]) - 1)) for s in m.states.labels],
+                            phi_i=[-1] * m.states.N)
+    for policy in (solve(m).policy, wait):
+        assert _prepare(m, policy).ends.tolist() == brute_force_ends(m, policy)
+        for x0 in m.states.labels[:3]:
+            for rep in range(2):
+                assert_ended_batch_costs_the_walk(m, policy, x0, seed, rep)
+
+
+def test_desk_paths_end_once_they_cost_nothing_more(desk_solved, monkeypatch):
+    # Once no susceptible and no infective is left, a desk path waits in
+    # (0, c, 0) while carriers keep jumping; the estimate stops it there.
+    m, report = desk_solved["model"], desk_solved["report"]
+    policy = report.policy
+    prep = _prepare(m, policy)
+    assert prep.ends.tolist() == brute_force_ends(m, policy)
+    assert (prep.ends & (prep.total_rate > 0.0)).any()
+    stopped = [assert_ended_batch_costs_the_walk(m, policy, "10,1,2", 5, rep) for rep in range(20)]
+    assert any(stopped)
+    n_reps = 8 * BLOCK
+    ended = estimate_cost(m, policy, "10,1,2", n_reps, seed=2)
+    dynkin = dynkin_check(m, policy, report.V, "10,1,2", 1.0, n_reps, seed=2)
+    no_jump_ends(monkeypatch)
+    running = estimate_cost(m, policy, "10,1,2", n_reps, seed=2)
+    assert ended.mean != running.mean
+    assert abs(ended.mean - running.mean) <= 4 * math.hypot(ended.std_error, running.std_error)
+    # dynkin_check reads W at the final state, so its paths end only where nothing jumps.
+    assert vars(dynkin_check(m, policy, report.V, "10,1,2", 1.0, n_reps, seed=2)) == vars(dynkin)
+
+
+@pytest.mark.parametrize("case", ["two_state_impulse", "mixed"])
+def test_an_empty_zero_cost_set_keeps_the_estimate(case, monkeypatch):
+    if case == "mixed":
+        m, policy = mixed_chains()
+        x0 = "g1"
+    else:
+        m = load_model(str(MODELS_DIR / "two_state_impulse.yaml"))
+        policy, x0 = solve(m).policy, "1"
+    prep = _prepare(m, policy)
+    assert np.array_equal(prep.ends, prep.total_rate == 0.0)
+    before = estimate_cost(m, policy, x0, 2 * BLOCK + 3, seed=4)
+    no_jump_ends(monkeypatch)
+    assert vars(estimate_cost(m, policy, x0, 2 * BLOCK + 3, seed=4)) == vars(before)
 
 
 def test_every_sampler_raises_at_the_guard(monkeypatch):
